@@ -123,13 +123,22 @@ class AdversaryPolicy:
         return cls(kind="zeno-demo", name="zeno-demo", e=e, n_per=n_per,
                    phi=phi)
 
-    def build(self) -> qpip.ProverImpl:
+    def build(self, chunk_seed: int | None = None) -> qpip.ProverImpl:
+        """A fresh prover; `chunk_seed` gives each trial chunk its own
+        random-unitary draws."""
         if self.kind == "honest":
             return qpip.honest_prover()
         if self.kind == "fixed-pauli":
             return qpip.fixed_pauli_prover(self.plan, name=self.name)
         if self.kind == "random-unitary":
-            return qpip.random_unitary_prover(self.env_dims, seed=self.seed)
+            seed = self.seed
+            if chunk_seed is not None:
+                # a child of the chunk's seed: the chunk's trials draw from
+                # the seed itself, so the prover gets a stream of its own
+                child = np.random.SeedSequence(
+                    [chunk_seed, self.seed or 0]).spawn(1)[0]
+                seed = int(child.generate_state(1)[0])
+            return qpip.random_unitary_prover(self.env_dims, seed=seed)
         if self.kind == "scripted":
             return qpip.scripted_prover(list(self.steps),
                                         misreport_round=self.misreport_round)
@@ -306,7 +315,7 @@ def _run_chunk(config: ProtocolConfig, policy: AdversaryPolicy,
                trials: int, seed: int,
                reference: tuple[int, ...] | None) -> dict[str, int]:
     rng = qc.make_rng(seed)
-    prover = policy.build()
+    prover = policy.build(chunk_seed=seed)
     counts = {"trials": trials, "accept": 0, "wrong_accept": 0, "abort": 0}
     for _ in range(trials):
         rec = config.run_once(prover, rng)
@@ -854,8 +863,7 @@ class LemmaLedger:
 
     def to_dict(self) -> dict:
         return {
-            "seed": self.seed, "elapsed": self.elapsed,
-            "passed": self.passed,
+            "seed": self.seed, "passed": self.passed,
             "results": [{"name": r.name, "passed": r.passed,
                          "residual": r.residual, "detail": r.detail}
                         for r in self.results],

@@ -229,5 +229,6 @@ def cqas_security_experiment(params: CliffordQasParams, psi: qc.StateVector,
     tr_pi0 = float(np.trace(proj.pi0 @ rho_b.entries).real)
     slack = 1e-8 if mode == "exact" else 3.0 / np.sqrt(max(trials, 1))
     return SecurityRecord(mode=mode, tr_pi1=tr_pi1, tr_pi0=tr_pi0, s=s,
-                          epsilon=eps, bound_ok=tr_pi1 >= 1 - eps - slack,
+                          epsilon=eps,
+                          bound_ok=bool(tr_pi1 >= 1 - eps - slack),
                           two_term_residual=residual, trials=trial_count)

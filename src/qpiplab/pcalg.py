@@ -2,24 +2,23 @@
 
 Symbolic Paulis carry exponent vectors only (phases dropped); every
 symbolic identity used downstream is checked against dense conjugation up
-to phase.  The qubit Clifford groups C_1 and C_2 are enumerated exactly by
-closure over generator words; three-qubit elements come from a random
-symplectic construction and are flagged experimental.
+to phase.  A qubit Clifford element is keyed by its tableau, the Pauli
+images of the 2n generators with their phases, and keys compose by
+Pauli-image table lookup.  C_1 and C_2 are enumerated exactly by closure
+over generator words; three-qubit elements come from the random
+symplectic transvection construction.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .qcore import RegisterShape, UnitaryMatrix, inv_mod
-
-CACHE_ENV = "QPIPLAB_CACHE_DIR"
-_CACHE_VERSION = 1
 
 # Guard for exact group averaging: elements * dim^3 budget.
 _AVERAGE_FLOP_CAP = 2e10
@@ -256,7 +255,13 @@ def qubit_pauli_basis(n: int) -> np.ndarray:
 
 
 class CliffordElement:
-    """A Clifford unitary on n qubits plus the word that produced it."""
+    """A Clifford unitary on n qubits plus the word that produced it.
+
+    `key` is the element's tableau: for each of the 2n generators X_0, Z_0,
+    X_1, ... the image (j, phase) with u P u^dag = i^phase B_j, B_j the
+    Pauli basis element of index j.  Equal keys iff the unitaries agree
+    modulo global phase.
+    """
 
     __slots__ = ("n", "matrix", "generator_word", "key")
 
@@ -276,26 +281,48 @@ class CliffordElement:
         return f"CliffordElement(n={self.n}, word={word})"
 
 
-def conjugation_key(u: np.ndarray, n: int) -> tuple:
-    """Canonical key: images of the 2n Pauli generators incl. phase.
-
-    Equal keys iff the unitaries agree modulo global phase.
-    """
+def _as_paulis(mats: np.ndarray, n: int) -> list[tuple[int, int]]:
+    """(j, phase) with M = i^phase B_j for each M in the stack."""
     basis = qubit_pauli_basis(n)
-    dag = basis.conj().transpose(0, 2, 1)
-    key = []
-    for w in range(n):
-        for kind in (1, 2):  # X then Z on wire w
-            idx = kind << (2 * (n - 1 - w))
-            m = u @ basis[idx] @ u.conj().T
-            coeffs = np.einsum("kij,ji->k", dag, m) / 2 ** n
-            j = int(np.argmax(np.abs(coeffs)))
-            c = coeffs[j]
-            phase = int(np.round(np.angle(c) / (np.pi / 2))) % 4
-            if abs(abs(c) - 1.0) > 1e-6:
-                raise ValueError("not a Clifford: Pauli image not a Pauli")
-            key.append((j, phase))
-    return tuple(key)
+    coeffs = np.einsum("kij,mij->mk", basis.conj(), mats) / 2 ** n
+    j = np.argmax(np.abs(coeffs), axis=1)
+    c = coeffs[np.arange(len(j)), j]
+    if np.any(np.abs(np.abs(c) - 1.0) > 1e-6):
+        raise ValueError("not a Clifford: Pauli image not a Pauli")
+    phase = np.round(np.angle(c) / (np.pi / 2)).astype(np.int64) % 4
+    return list(zip(j.tolist(), phase.tolist()))
+
+
+def _generator_indices(n: int) -> list[int]:
+    """Pauli basis indices of the generators X_0, Z_0, X_1, Z_1, ..."""
+    return [kind << (2 * (n - 1 - w)) for w in range(n) for kind in (1, 2)]
+
+
+def conjugation_key(u: np.ndarray, n: int) -> tuple:
+    """Dense key: images of the 2n Pauli generators incl. phase.
+
+    The reference the table-composed keys are checked against; it costs
+    one dense conjugation per generator.
+    """
+    gens = qubit_pauli_basis(n)[_generator_indices(n)]
+    return tuple(_as_paulis(u @ gens @ u.conj().T, n))
+
+
+def _identity_key(n: int) -> tuple:
+    """Key of the identity: every generator maps to itself."""
+    return tuple((j, 0) for j in _generator_indices(n))
+
+
+def _image_table(u: np.ndarray, n: int) -> tuple[tuple[int, ...], ...]:
+    """Pauli-image table of a Clifford: u B_j u^dag = i^pt[j] B_jt[j]."""
+    jt, pt = zip(*_as_paulis(u @ qubit_pauli_basis(n) @ u.conj().T, n))
+    return jt, pt
+
+
+def _compose_key(table: tuple[tuple[int, ...], ...], key: tuple) -> tuple:
+    """Key of g @ u from the image table of g and the key of u."""
+    jt, pt = table
+    return tuple((jt[j], (ph + pt[j]) & 3) for j, ph in key)
 
 
 def _generators(n: int) -> dict[str, np.ndarray]:
@@ -322,171 +349,189 @@ def _generators(n: int) -> dict[str, np.ndarray]:
 _ENUM_CACHE: dict[int, list[CliffordElement]] = {}
 
 
-def _cache_path(n: int) -> str | None:
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    gens = "+".join(sorted(_generators(n)))
-    return os.path.join(root, f"clifford_n{n}_{gens}_v{_CACHE_VERSION}.npz")
-
-
 def enumerate_clifford(n: int) -> list[CliffordElement]:
     """All Clifford elements on n qubits, distinct modulo global phase.
 
     Breadth-first closure over generator words; 24 elements at n=1 and
-    11520 at n=2.  Results are memoized and optionally cached on disk
-    (set QPIPLAB_CACHE_DIR).
+    11520 at n=2.  Keys are composed through the generators' Pauli-image
+    tables.  Results are memoized.
     """
     if n not in (1, 2):
         raise ValueError("exact enumeration supports n in {1, 2}")
     if n in _ENUM_CACHE:
         return _ENUM_CACHE[n]
 
-    path = _cache_path(n)
-    if path and os.path.exists(path):
-        blob = np.load(path, allow_pickle=False)
-        mats = blob["matrices"]
-        words = [tuple(w.split("*")) if w else () for w in blob["words"]]
-        shape = RegisterShape((2,) * n)
-        elems = [CliffordElement(n, UnitaryMatrix(shape, m, check_unitary=False), w)
-                 for m, w in zip(mats, words)]
-        _ENUM_CACHE[n] = elems
-        return elems
-
-    gens = _generators(n)
+    gens = [(name, g, _image_table(g, n))
+            for name, g in _generators(n).items()]
     shape = RegisterShape((2,) * n)
     eye = np.eye(2 ** n, dtype=np.complex128)
-    start = CliffordElement(n, UnitaryMatrix(shape, eye, check_unitary=False), ())
+    start = CliffordElement(n, UnitaryMatrix(shape, eye, check_unitary=False),
+                            (), _identity_key(n))
     seen = {start.key: start}
     frontier = deque([start])
     while frontier:
         cur = frontier.popleft()
-        for name, g in gens.items():
-            m = g @ cur.matrix.entries
-            key = conjugation_key(m, n)
+        for name, g, table in gens:
+            key = _compose_key(table, cur.key)
             if key in seen:
                 continue
             elem = CliffordElement(
-                n, UnitaryMatrix(shape, m, check_unitary=False),
+                n, UnitaryMatrix(shape, g @ cur.matrix.entries,
+                                 check_unitary=False),
                 cur.generator_word + (name,), key)
             seen[key] = elem
             frontier.append(elem)
     elems = list(seen.values())
     _ENUM_CACHE[n] = elems
-
-    if path:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        np.savez_compressed(
-            path,
-            matrices=np.stack([e.matrix.entries for e in elems]),
-            words=np.array(["*".join(e.generator_word) for e in elems]))
     return elems
 
 
 # ------------------------------------------------------- random sampling
+#
+# Symplectic vectors are ints: bit 2i is x_i and bit 2i+1 is z_i, with
+# wire 0 in the lowest bits.  A Pauli basis index also keeps x below z
+# within each wire (only the wire order is reversed), so the same
+# symplectic form serves both.
 
-def _symp_form(u: np.ndarray, v: np.ndarray) -> int:
-    """Symplectic inner product on F_2^{2n}, layout (x_0, z_0, x_1, z_1, ...)."""
-    n = len(u) // 2
-    s = 0
-    for i in range(n):
-        s ^= (u[2 * i] & v[2 * i + 1]) ^ (u[2 * i + 1] & v[2 * i])
-    return s
-
-
-def _transvection_unitary(v: np.ndarray) -> np.ndarray:
-    """exp-style unitary (I + i P_v)/sqrt(2) for the Hermitian Pauli P_v."""
-    n = len(v) // 2
-    m = np.array([[1.0 + 0j]])
-    for i in range(n):
-        x, z = int(v[2 * i]), int(v[2 * i + 1])
-        p = pauli_matrix_1(2, x, z)
-        if x and z:
-            p = 1j * p  # Hermitian Y
-        m = np.kron(m, p)
-    dim = 2 ** n
-    return (np.eye(dim) + 1j * m) / np.sqrt(2)
+_EVEN_BITS = 0x5555555555555555
 
 
-def _find_transvections(u: np.ndarray, w: np.ndarray,
-                        fix: np.ndarray | None = None) -> list[np.ndarray]:
+def _symp(u: int, v: int) -> int:
+    """Symplectic inner product on F_2^{2n}."""
+    return (((u & (v >> 1)) ^ ((u >> 1) & v)) & _EVEN_BITS).bit_count() & 1
+
+
+_BIT_WEIGHTS = 1 << np.arange(16)
+
+
+def _to_int(bits: np.ndarray) -> int:
+    return int(bits @ _BIT_WEIGHTS[:len(bits)])
+
+
+def _pauli_index(v: int, n: int) -> int:
+    """Pauli basis index (wire 0 most significant) of a symplectic vector."""
+    return sum(((v >> (2 * i)) & 3) << (2 * (n - 1 - i)) for i in range(n))
+
+
+@lru_cache(maxsize=None)
+def _midpoint(u: int, w: int, width: int) -> int:
+    """First vector (in integer order) anticommuting with both u and w."""
+    for v in range(1, 2 ** width):
+        if _symp(u, v) and _symp(v, w):
+            return v
+    raise RuntimeError("no midpoint found")
+
+
+def _find_transvections(u: int, w: int, width: int,
+                        fix: int | None = None) -> list[int]:
     """Transvections mapping u to w, listed in application order.
 
     When `fix` is supplied it must anticommute with both u and w; the
     returned transvections then leave `fix` unchanged.
     """
-    if np.array_equal(u, w):
+    if u == w:
         return []
-    if _symp_form(u, w) == 1:
+    if _symp(u, w):
         return [u ^ w]
     if fix is None:
-        # scan for a midpoint anticommuting with both
-        width = len(u)
-        for idx in range(1, 2 ** width):
-            v = np.array([(idx >> b) & 1 for b in range(width)], dtype=np.int64)
-            if _symp_form(u, v) == 1 and _symp_form(v, w) == 1:
-                return [u ^ v, v ^ w]
-        raise RuntimeError("no midpoint found")
+        v = _midpoint(u, w, width)
+        return [u ^ v, v ^ w]
     # fix itself is a valid midpoint, and both steps leave it invariant
-    return [fix.copy(), u ^ fix ^ w]
+    return [fix, u ^ fix ^ w]
+
+
+def _symplectic_draw(n: int, rng: np.random.Generator) -> list[list[int]]:
+    """Transvections of a uniform symplectic action, one list per level.
+
+    Level n comes first: it picks uniform images (f1, h) for the first
+    hyperbolic pair, realizes them by at most four transvections, and
+    the next level recurses on the orthogonal complement (the remaining
+    qubits).
+    """
+    levels = []
+    for width in range(2 * n, 0, -2):
+        while True:
+            f1 = _to_int(rng.integers(0, 2, size=width))
+            if f1:
+                break
+        tv = _find_transvections(1, f1, width)  # e1 = x_0 to f1
+        while True:
+            h = _to_int(rng.integers(0, 2, size=width))
+            if _symp(f1, h):
+                break
+        u = 2  # e2 = z_0, carried through the transvections so far
+        for v in tv:
+            if _symp(u, v):
+                u ^= v
+        levels.append(tv + _find_transvections(u, h, width, fix=f1))
+    return levels
+
+
+@lru_cache(maxsize=None)
+def _transvection_unitary(v: int, n: int) -> np.ndarray:
+    """exp-style unitary (I + i P_v)/sqrt(2) for the Hermitian Pauli P_v."""
+    m = np.array([[1.0 + 0j]])
+    for i in range(n):
+        x, z = (v >> (2 * i)) & 1, (v >> (2 * i + 1)) & 1
+        p = pauli_matrix_1(2, x, z)
+        if x and z:
+            p = 1j * p  # Hermitian Y
+        m = np.kron(m, p)
+    out = (np.eye(2 ** n) + 1j * m) / np.sqrt(2)
+    out.setflags(write=False)  # cached: shared by every caller
+    return out
+
+
+@lru_cache(maxsize=None)
+def _transvection_table(v: int, level: int,
+                        n: int) -> tuple[tuple[int, ...], ...]:
+    """Image table of the level's transvection acting on the last wires."""
+    u = np.kron(np.eye(2 ** (n - level)), _transvection_unitary(v, level))
+    return _image_table(u, n)
+
+
+def _symplectic_matrix(levels: list[list[int]]) -> np.ndarray:
+    """Dense unitary prod_n @ (I (x) (prod_{n-1} @ (I (x) ...)))."""
+    mat = np.ones((1, 1), dtype=np.complex128)
+    for level, tv in enumerate(reversed(levels), start=1):
+        half = len(mat)
+        lifted = np.zeros((2 * half, 2 * half), dtype=np.complex128)
+        lifted[:half, :half] = lifted[half:, half:] = mat  # I (x) mat
+        prod = np.eye(2 ** level, dtype=np.complex128)
+        for v in tv:
+            prod = _transvection_unitary(v, level) @ prod
+        mat = prod @ lifted
+    return mat
 
 
 def _random_symplectic_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform symplectic action on n qubits, as a dense unitary.
-
-    Picks uniform images (f1, h) for the first hyperbolic pair, realizes
-    them by at most four transvections, and recurses on the orthogonal
-    complement (remaining qubits).
-    """
-    if n == 0:
-        return np.array([[1.0 + 0j]])
-    width = 2 * n
-    e1 = np.zeros(width, dtype=np.int64)
-    e1[0] = 1
-    e2 = np.zeros(width, dtype=np.int64)
-    e2[1] = 1
-
-    while True:
-        f1 = rng.integers(0, 2, size=width).astype(np.int64)
-        if f1.any():
-            break
-    tv = _find_transvections(e1, f1)
-
-    while True:
-        h = rng.integers(0, 2, size=width).astype(np.int64)
-        if _symp_form(f1, h) == 1:
-            break
-    u = e2.copy()
-    for v in tv:
-        if _symp_form(u, v) == 1:
-            u = u ^ v
-    tv = tv + _find_transvections(u, h, fix=f1)
-
-    prod = np.eye(2 ** n, dtype=np.complex128)
-    for v in tv:
-        prod = _transvection_unitary(v) @ prod
-    inner = _random_symplectic_unitary(n - 1, rng)
-    return prod @ np.kron(np.eye(2), inner)
+    """Uniform symplectic action on n qubits, as a dense unitary."""
+    return _symplectic_matrix(_symplectic_draw(n, rng))
 
 
 def sample_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
     """Uniform random Clifford element modulo phase.
 
     n <= 2 draws from the exact enumeration; n = 3 uses the symplectic
-    transvection construction followed by a uniform Pauli (experimental).
+    transvection construction followed by a uniform Pauli, keyed by
+    composing the factors' Pauli-image tables (Pauli first, then the
+    inner levels, then the outer).
     """
     if n in (1, 2):
         table = enumerate_clifford(n)
         return table[int(rng.integers(len(table)))]
     if n != 3:
         raise ValueError("sampling supports n <= 3")
-    u = _random_symplectic_unitary(n, rng)
-    xz = rng.integers(0, 2, size=2 * n)
-    p = SymbolicPauli(2, xz[0::2], xz[1::2])
-    m = u @ pauli_matrix(p).entries
+    levels = _symplectic_draw(n, rng)
+    p = _pauli_index(_to_int(rng.integers(0, 2, size=2 * n)), n)
+    key = tuple((j, 2 * _symp(p, j)) for j in _generator_indices(n))
+    for level, tv in enumerate(reversed(levels), start=1):
+        for v in tv:
+            key = _compose_key(_transvection_table(v, level, n), key)
+    m = _symplectic_matrix(levels) @ qubit_pauli_basis(n)[p]
     shape = RegisterShape((2,) * n)
     return CliffordElement(n, UnitaryMatrix(shape, m, check_unitary=False),
-                           None, key=conjugation_key(m, n))
+                           None, key)
 
 
 # ------------------------------------------------------- group averaging

@@ -160,6 +160,14 @@ class ExperimentConfig:
             else default_inputs
 
 
+def _wire_dim(cfg: ExperimentConfig) -> int:
+    """Wire dimension the adversary acts on: the delegated circuit's for
+    the protocol subcommands, else the audit mode's."""
+    if cfg.subcommand in ("qpip-clifford", "qpip-poly"):
+        return cfg.resolve_circuit()[0].wire_dim
+    return cfg.q if cfg.mode == "poly" else 2
+
+
 def build_policy(cfg: ExperimentConfig,
                  seed: int) -> audit.AdversaryPolicy:
     """Translate an adversary spec string into a policy."""
@@ -170,14 +178,13 @@ def build_policy(cfg: ExperimentConfig,
         return audit.AdversaryPolicy.zeno_demo(e=cfg.e, n_per=cfg.n_per,
                                                phi=cfg.phi)
     if spec == "random-unitary":
-        wire_dim = 2 if cfg.mode != "poly" else cfg.q
-        return audit.AdversaryPolicy.random_unitary((wire_dim,),
+        return audit.AdversaryPolicy.random_unitary((_wire_dim(cfg),),
                                                     seed=seed + 1)
     if spec.startswith("misreport:"):
         return audit.AdversaryPolicy.scripted(
             [], misreport_round=int(spec.split(":", 1)[1]))
     if spec.startswith("pauli:"):
-        wire_dim = 2 if cfg.mode != "poly" else cfg.q
+        wire_dim = _wire_dim(cfg)
         raw = json.loads(spec.split(":", 1)[1])
         plan = {}
         for rnd, steps in raw.items():
@@ -196,7 +203,7 @@ class ReportEnvelope:
     """Versioned wrapper every subcommand emits.
 
     The canonical payload (config echo, seed, result) is a pure function
-    of config and seed; wall time rides outside it.
+    of config and seed; wall time and per-phase timings ride outside it.
     """
 
     artifact_version: str
@@ -206,6 +213,7 @@ class ReportEnvelope:
     wall_time: float
     payload_kind: str
     payload: dict
+    timings: dict = dataclasses.field(default_factory=dict)
 
     def canonical_payload(self) -> str:
         body = {"config": self.config, "seed": self.seed,
@@ -267,7 +275,11 @@ def _run_lemmas(cfg: ExperimentConfig, seed: int):
     summary.append(f"{'all identities hold' if ledger.passed else 'FAILURES'}"
                    f" ({len(ledger.results)} checks)")
     return "lemma-ledger", ledger.to_dict(), (0 if ledger.passed else 1), \
-        summary
+        summary, {"lemma_suite_s": ledger.elapsed}
+
+
+# The attacks of the qas subcommands also act on one environment qubit.
+_ENV_QUBIT = qc.basis_state(qc.RegisterShape((2,)), (0,))
 
 
 def _run_qas_clifford(cfg: ExperimentConfig, seed: int):
@@ -276,8 +288,8 @@ def _run_qas_clifford(cfg: ExperimentConfig, seed: int):
     psi = _random_state(2, rng)
     attack = _random_unitary_on((2,) * (1 + cfg.e) + (2,), rng)
     mode = cfg.key_average
-    rec = ca.cqas_security_experiment(params, psi, attack, None, mode=mode,
-                                      rng=rng, trials=cfg.trials)
+    rec = ca.cqas_security_experiment(params, psi, attack, _ENV_QUBIT,
+                                      mode=mode, rng=rng, trials=cfg.trials)
     payload = dataclasses.asdict(rec)
     payload["band"] = 1e-8 if mode == "exact" else \
         3 / math.sqrt(max(rec.trials or cfg.trials, 1))
@@ -295,8 +307,8 @@ def _run_qas_poly(cfg: ExperimentConfig, seed: int):
     psi = _random_state(p.q, rng)
     attack = _random_unitary_on((p.q,) * p.m + (2,), rng)
     mode = "exact" if cfg.key_average == "exact" else "sampled"
-    rec = pq.pqas_security_experiment(p, psi, attack, None, mode=mode,
-                                      rng=rng, trials=cfg.trials,
+    rec = pq.pqas_security_experiment(p, psi, attack, _ENV_QUBIT,
+                                      mode=mode, rng=rng, trials=cfg.trials,
                                       enforce_bound=False)
     payload = dataclasses.asdict(rec)
     payload["band"] = 1e-8 if mode == "exact" else \
@@ -453,12 +465,15 @@ def run_config(cfg: ExperimentConfig,
                seed: int) -> tuple[ReportEnvelope, int, list[str]]:
     """Execute one config and wrap the result in an envelope."""
     start = time.monotonic()
-    kind, payload, code, summary = _RUNNERS[cfg.subcommand](cfg, seed)
+    # a runner may add a fifth element: its per-phase timings
+    kind, payload, code, summary, *timings = \
+        _RUNNERS[cfg.subcommand](cfg, seed)
     envelope = ReportEnvelope(
         artifact_version=ARTIFACT_VERSION, schema_version=SCHEMA_VERSION,
         config=cfg.to_dict(), seed=seed,
         wall_time=time.monotonic() - start, payload_kind=kind,
-        payload=_round_floats(payload))
+        payload=_round_floats(payload),
+        timings=timings[0] if timings else {})
     return envelope, code, summary
 
 

@@ -312,6 +312,98 @@ def test_three_qubit_sampler_preserves_form():
         assert np.array_equal((s.T @ jmat @ s) % 2, jmat)
 
 
+# ------------------------------------------- table-composed keys vs dense
+
+def test_enumerated_keys_match_dense_key():
+    for n in (1, 2):
+        for e in pa.enumerate_clifford(n):
+            assert e.key == pa.conjugation_key(e.matrix.entries, n)
+
+
+def test_three_qubit_keys_match_dense_key():
+    rng = qc.make_rng(106)
+    for _ in range(300):
+        e = pa.sample_clifford(3, rng)
+        assert e.key == pa.conjugation_key(e.matrix.entries, 3)
+
+
+# Oracle: the dense transvection construction on numpy bit-vectors, with a
+# full midpoint scan and dense keys.  The sampler must reproduce it draw
+# for draw.
+
+def _oracle_symp(u, v):
+    return int(sum(u[0::2] & v[1::2]) + sum(u[1::2] & v[0::2])) % 2
+
+
+def _oracle_transvection(v):
+    m = np.array([[1.0 + 0j]])
+    for x, z in zip(v[0::2], v[1::2]):
+        p = pa.pauli_matrix_1(2, int(x), int(z))
+        m = np.kron(m, 1j * p if x and z else p)
+    return (np.eye(len(m)) + 1j * m) / np.sqrt(2)
+
+
+def _oracle_find(u, w, fix=None):
+    if np.array_equal(u, w):
+        return []
+    if _oracle_symp(u, w):
+        return [u ^ w]
+    if fix is not None:
+        return [fix.copy(), u ^ fix ^ w]
+    for idx in range(1, 2 ** len(u)):
+        v = np.array([(idx >> b) & 1 for b in range(len(u))])
+        if _oracle_symp(u, v) and _oracle_symp(v, w):
+            return [u ^ v, v ^ w]
+    raise RuntimeError("no midpoint found")
+
+
+def _oracle_symplectic(n, rng):
+    if n == 0:
+        return np.array([[1.0 + 0j]])
+    e1, e2 = np.eye(2 * n, dtype=np.int64)[:2]
+    f1 = rng.integers(0, 2, size=2 * n)
+    while not f1.any():
+        f1 = rng.integers(0, 2, size=2 * n)
+    tv = _oracle_find(e1, f1)
+    h = rng.integers(0, 2, size=2 * n)
+    while not _oracle_symp(f1, h):
+        h = rng.integers(0, 2, size=2 * n)
+    u = e2.copy()
+    for v in tv:
+        if _oracle_symp(u, v):
+            u = u ^ v
+    prod = np.eye(2 ** n, dtype=np.complex128)
+    for v in tv + _oracle_find(u, h, fix=f1):
+        prod = _oracle_transvection(v) @ prod
+    return prod @ np.kron(np.eye(2), _oracle_symplectic(n - 1, rng))
+
+
+def _oracle_sample_three_qubits(rng):
+    u = _oracle_symplectic(3, rng)
+    xz = rng.integers(0, 2, size=6)
+    m = u @ pa.pauli_matrix(pa.SymbolicPauli(2, xz[0::2], xz[1::2])).entries
+    return m, pa.conjugation_key(m, 3)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_three_qubit_sampler_matches_dense_oracle(seed):
+    rng, ref_rng = qc.make_rng(seed), qc.make_rng(seed)
+    for _ in range(10):
+        e = pa.sample_clifford(3, rng)
+        m, key = _oracle_sample_three_qubits(ref_rng)
+        assert np.abs(e.matrix.entries - m).max() < 1e-12
+        assert e.key == key
+    assert rng.integers(2 ** 62) == ref_rng.integers(2 ** 62)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_symplectic_construction_matches_dense_oracle(n):
+    rng, ref_rng = qc.make_rng(107), qc.make_rng(107)
+    for _ in range(50):
+        u = pa._random_symplectic_unitary(n, rng)
+        assert np.abs(u - _oracle_symplectic(n, ref_rng)).max() < 1e-12
+
+
 # --------------------------------------------------------------- averaging
 
 def test_average_identity_attack():
