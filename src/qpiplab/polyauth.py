@@ -124,7 +124,7 @@ class ScanReport:
             "correlation_histogram": {str(c): n for c, n in
                                       sorted(self.correlation_histogram.items())},
             "num_maximizers": self.num_maximizers,
-            "worst": self.worst, "elapsed": self.elapsed,
+            "worst": self.worst,
         }
 
 

@@ -419,9 +419,3 @@ def state_fidelity(a: StateVector, b: StateVector) -> float:
 def make_rng(seed: int | None = None) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
-
-def spawn_rngs(seed: int | None, count: int) -> list[np.random.Generator]:
-    """Independent child generators from one root seed."""
-    root = np.random.SeedSequence(seed)
-    return [np.random.Generator(np.random.PCG64(s))
-            for s in root.spawn(count)]

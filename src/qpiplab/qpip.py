@@ -11,10 +11,12 @@ turns accept/reject into {1, 0, ABORT}.
 
 Two simulation engines back the qudit protocol.  The dense engine holds the
 whole physical register and is limited to Toffoli-free circuits at desk
-scale.  The logical-frame engine holds the small logical state plus one
-symbolic Pauli frame per block; Clifford rounds act on the logical state
-while keys and frames evolve by exact conjugation rules, which covers
-honest and Pauli-attacking provers at any gadget count.
+scale.  The logical-frame engine holds the logical state of the live blocks
+only, the n wires' current blocks plus the magic triple of the running
+gadget (q^(n+3) amplitudes whatever the gadget count), and one symbolic
+Pauli frame per block; Clifford rounds act on the logical state while keys
+and frames evolve by exact conjugation rules, which covers honest and
+Pauli-attacking provers at any gadget count.
 """
 
 from __future__ import annotations
@@ -928,21 +930,19 @@ def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
                          "or Pauli plans only")
     q, m = p.q, p.m
     blocks = schedule.block_count
-    if q ** blocks > _DENSE_AMPLITUDE_CAP:
+    L = schedule.toffoli_count
+    # The register holds only live blocks: the n wires' current blocks, plus
+    # one magic triple while its gadget runs, so q^(n+3) at any gadget count.
+    if q ** (circuit.n + 3 * (L > 0)) > _DENSE_AMPLITUDE_CAP:
         raise ValueError("logical register too large")
 
     sign = pc.random_sign_key(m, rng)
     keys = [pc.random_pauli_key(p, rng) for _ in range(blocks)]
     frames = [pa.SymbolicPauli.identity(q, m) for _ in range(blocks)]
 
-    state: qc.StateVector | None = None
-    shape1 = qc.RegisterShape((q,))
-    for digit in input_digits:
-        piece = qc.basis_state(shape1, (int(digit),))
-        state = piece if state is None else qc.tensor(state, piece)
-    for _ in range(schedule.toffoli_count):
-        state = qc.tensor(state, magic_state(q)) if state is not None \
-            else magic_state(q)
+    state = qc.basis_state(qc.RegisterShape((q,) * circuit.n),
+                           tuple(int(v) for v in input_digits))
+    live = list(range(circuit.n))  # block id held at each register wire
 
     vs = VerifierState(mode="poly", sign_key=sign, pauli_keys=keys)
     transcript = Transcript()
@@ -958,13 +958,16 @@ def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
         nonlocal state
         for tag, bs in ops:
             mat = _plain_logical_matrix(tag, q)
-            state = qc.apply_on_wires(state, mat, bs)
+            state = qc.apply_on_wires(state, mat,
+                                      tuple(live.index(b) for b in bs))
             keys[:] = list(pauli_key_update(keys, tag, bs, sign, p))
             _frame_update(frames, tag, bs, p)
 
     inject(0)
-    L = schedule.toffoli_count
     for i in range(L + 1):
+        if i < L:
+            state = qc.tensor(state, magic_state(q))
+            live.extend(schedule.gadgets[i].magic_blocks)
         run_round_ops(schedule.rounds[i])
         if i == L:
             break
@@ -972,7 +975,15 @@ def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
         round_no = i + 1
         vs.round_index = round_no
         inject(round_no)
-        values, state = qc.measure_wires(state, gadget.target_blocks, rng)
+        wires = tuple(live.index(b) for b in gadget.target_blocks)
+        values, state = qc.measure_wires(state, wires, rng)
+        # the measured blocks are basis states now: slice their axes out
+        amps = np.moveaxis(state.amplitudes.reshape(state.shape.dims),
+                           wires, (0, 1, 2))[values]
+        for b in gadget.target_blocks:
+            live.remove(b)
+        state = qc.StateVector(qc.RegisterShape((q,) * len(live)), amps,
+                               check_norm=False)
         raw_all: list[int] = []
         betas: list[int] = []
         for b, val in zip(gadget.target_blocks, values):
@@ -997,7 +1008,7 @@ def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
     outputs: list[int] = []
     for w in output_wires:
         b = schedule.final_map[w]
-        val, state = qc.measure_wires(state, (b,), rng)
+        val, state = qc.measure_wires(state, (live.index(b),), rng)
         raw = _sample_codeword_string(int(val[0]), sign, keys[b], frames[b],
                                       p, rng)
         transcript.add("prover->verifier", "classical-string", raw)

@@ -324,14 +324,6 @@ def _run_qas_poly(cfg: ExperimentConfig, seed: int):
 
 def _run_scan_signkey(cfg: ExperimentConfig, seed: int):
     rep = pq.sign_key_security_scan(cfg.code())
-    payload = {
-        "q": rep.q, "d": rep.d, "max_mass": rep.max_mass,
-        "proof_bound": rep.proof_bound, "bound_ok": rep.bound_ok,
-        "correlation_histogram": {str(k): v for k, v in
-                                  sorted(rep.correlation_histogram.items())},
-        "num_maximizers": rep.num_maximizers,
-        "worst": rep.worst,
-    }
     summary = [
         f"scanned {sum(rep.correlation_histogram.values())} "
         "non-identity Paulis",
@@ -342,7 +334,8 @@ def _run_scan_signkey(cfg: ExperimentConfig, seed: int):
             f"{k} keys -> {v}" for k, v in
             sorted(rep.correlation_histogram.items())),
     ]
-    return "scan-report", payload, (0 if rep.bound_ok else 1), summary
+    return "scan-report", rep.to_dict(), (0 if rep.bound_ok else 1), \
+        summary, {"scan_s": rep.elapsed}
 
 
 def _negative_control(cfg: ExperimentConfig) -> bool:

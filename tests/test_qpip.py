@@ -574,6 +574,137 @@ def test_frame_algebra_teleportation_shape():
     assert abs(abs(np.vdot(want.amplitudes, vec)) - 1) < 1e-12
 
 
+# ------------------------------------------ frame engine: live blocks only
+
+
+def _toffoli(*wires):
+    return qpip.CircuitGate(pa.GateTag("T"), wires)
+
+
+TOFFOLI2 = qpip.CircuitIR(3, Q, (_toffoli(0, 1, 2), _toffoli(0, 1, 2)))
+MIXED_TOFFOLI2 = qpip.CircuitIR(3, Q, (
+    qpip.CircuitGate(LG("LF", 1), (0,)),
+    _toffoli(0, 1, 2),
+    qpip.CircuitGate(LG("LSUM", 2), (1, 2)),
+    qpip.CircuitGate(LG("LCPG", 3), (2, 0)),
+    qpip.CircuitGate(LG("LM", 3), (1,)),
+    _toffoli(2, 0, 1),
+    qpip.CircuitGate(LG("LX", 1), (2,)),
+    qpip.CircuitGate(LG("LF", -1), (1,)),
+))
+X_COORD0 = pa.SymbolicPauli(Q, (1, 0, 0), (0, 0, 0))
+X_ALL = pa.SymbolicPauli(Q, (1, 1, 1), (0, 0, 0))
+
+# Records of the engine that held all n + 3L blocks in one register, for
+# fixed seeds: (circuit, inputs, Pauli plan, output wires, seed, verdict,
+# output, invalid rounds, transcript lines, the generator's next draw).
+# The live-block register must reproduce them, and every random draw.
+GOLDEN_FRAME_RECORDS = {
+    "toffoli2-honest": (
+        TOFFOLI2, (2, 3, 0), None, (2,), 101, "accept", (2,), (), [
+            "0\tverifier->prover\tquantum-block\t0,1,2,3,4,5,6,7,8",
+            "1\tprover->verifier\tclassical-string\t1,4,4,0,3,3,2,0,2",
+            "2\tverifier->prover\tclassical-string\t4,1,0",
+            "3\tprover->verifier\tclassical-string\t1,2,4,1,3,4,4,0,3",
+            "4\tverifier->prover\tclassical-string\t2,4,0",
+            "5\tprover->verifier\tclassical-string\t2,3,3",
+            "6\tverifier->prover\tverdict\taccept",
+        ], 2167140399949830950),
+    "toffoli2-x-coord0": (
+        TOFFOLI2, (2, 3, 0), {1: [(0, X_COORD0)]}, (2,), 102, "abort", (4,),
+        (1,), [
+            "0\tverifier->prover\tquantum-block\t0,1,2,3,4,5,6,7,8",
+            "1\tprover->verifier\tclassical-string\t0,0,4,2,1,4,0,1,4",
+            "2\tverifier->prover\tclassical-string\t4,2,1",
+            "3\tprover->verifier\tclassical-string\t2,0,0,4,3,2,3,1,0",
+            "4\tverifier->prover\tclassical-string\t4,4,2",
+            "5\tprover->verifier\tclassical-string\t3,4,4",
+            "6\tverifier->prover\tverdict\tabort",
+        ], 1346156798339011562),
+    "mixed-honest": (
+        MIXED_TOFFOLI2, (1, 4, 2), None, (0, 1, 2), 103, "accept", (3, 1, 3),
+        (), [
+            "0\tverifier->prover\tquantum-block\t0,1,2,3,4,5,6,7,8",
+            "1\tprover->verifier\tclassical-string\t3,4,0,3,3,2,2,4,2",
+            "2\tverifier->prover\tclassical-string\t0,0,1",
+            "3\tprover->verifier\tclassical-string\t4,2,0,2,2,2,1,2,4",
+            "4\tverifier->prover\tclassical-string\t1,3,1",
+            "5\tprover->verifier\tclassical-string\t4,0,4",
+            "6\tprover->verifier\tclassical-string\t4,0,0",
+            "7\tprover->verifier\tclassical-string\t2,3,1",
+            "8\tverifier->prover\tverdict\taccept",
+        ], 1291630524900328728),
+    "mixed-x-on-magic-blocks": (
+        MIXED_TOFFOLI2, (1, 4, 2), {1: [(5, X_COORD0)], 2: [(3, X_ALL)]},
+        (0, 1, 2), 104, "abort", (3, 2, 0), (2, 2), [
+            "0\tverifier->prover\tquantum-block\t0,1,2,3,4,5,6,7,8",
+            "1\tprover->verifier\tclassical-string\t3,2,1,0,2,2,0,3,2",
+            "2\tverifier->prover\tclassical-string\t4,0,3",
+            "3\tprover->verifier\tclassical-string\t3,2,1,0,0,0,1,0,4",
+            "4\tverifier->prover\tclassical-string\t1,3,0",
+            "5\tprover->verifier\tclassical-string\t1,3,4",
+            "6\tprover->verifier\tclassical-string\t1,0,0",
+            "7\tprover->verifier\tclassical-string\t2,0,2",
+            "8\tverifier->prover\tverdict\tabort",
+        ], 513511870780432109),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FRAME_RECORDS))
+def test_poly_frame_reproduces_golden_records(name):
+    (circ, inputs, plan, outputs, seed, verdict, output, invalid, lines,
+     next_draw) = GOLDEN_FRAME_RECORDS[name]
+    prover = qpip.honest_prover() if plan is None \
+        else qpip.fixed_pauli_prover(plan)
+    rng = qc.make_rng(seed)
+    rec = qpip.run_poly_qpip(circ, inputs, P, prover, rng,
+                             engine="logical-frame", output_wires=outputs)
+    assert rec.verdict == verdict
+    assert rec.output == output
+    assert rec.invalid_rounds == invalid
+    assert rec.rounds == 4
+    assert rec.transcript.to_lines() == lines
+    assert int(rng.integers(2 ** 62)) == next_draw
+
+
+@pytest.mark.parametrize("toffolis", [3, 10])
+def test_poly_frame_runs_long_toffoli_chains(toffolis):
+    gates = [_toffoli(k % 3, (k + 1) % 3, (k + 2) % 3)
+             for k in range(toffolis)]
+    circ = qpip.CircuitIR(3, Q, tuple(gates))
+    inputs = (2, 3, 1)
+    shape = qc.RegisterShape((Q,) * 3)
+    plain = qpip.apply_circuit_plain(circ, qc.basis_state(shape, inputs))
+    top = int(np.argmax(np.abs(plain.amplitudes)))
+    assert abs(plain.amplitudes[top]) == pytest.approx(1.0)
+    want = shape.index_to_digits(top)
+    assert want != inputs
+    rng = qc.make_rng(22)
+    for _ in range(3):
+        rec = qpip.run_poly_qpip(circ, inputs, P, qpip.honest_prover(), rng,
+                                 engine="logical-frame",
+                                 output_wires=(0, 1, 2))
+        assert rec.verdict == "accept"
+        assert rec.output == want
+        assert rec.transcript.entries[0].payload == \
+            tuple(range(3 + 3 * toffolis))
+
+
+def test_poly_frame_caps_the_live_register():
+    """q^(n+3) decides: 5^10 amplitudes exceed the cap, 5^7 do not."""
+    rng = qc.make_rng(23)
+    wide = qpip.CircuitIR(7, Q, (_toffoli(0, 1, 2),))
+    with pytest.raises(ValueError, match="logical register too large"):
+        qpip.run_poly_qpip(wide, (0,) * 7, P, qpip.honest_prover(), rng,
+                           engine="logical-frame")
+    clifford_only = qpip.CircuitIR(7, Q, (qpip.CircuitGate(LG("LSUM", 1),
+                                                          (0, 6)),))
+    rec = qpip.run_poly_qpip(clifford_only, (1,) + (0,) * 6, P,
+                             qpip.honest_prover(), rng,
+                             engine="logical-frame", output_wires=(6,))
+    assert rec.output == (1,)
+
+
 # ----------------------------------------------------- universal circuit
 
 

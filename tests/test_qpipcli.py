@@ -88,3 +88,48 @@ def test_envelope_without_timings_still_loads():
     del data["timings"]
     old = cli.ReportEnvelope.from_json(json.dumps(data))
     assert old.canonical_payload() == envelope.canonical_payload()
+
+
+def test_qpip_clifford_replays_exactly():
+    envelope, code = run_and_replay("qpip-clifford",
+                                    circuit_name="clifford-demo", trials=20)
+    assert code == 0
+    assert envelope.payload["trials"] == 20
+    assert envelope.payload["negative_control"] is False
+
+
+def test_scan_signkey_keeps_wall_clock_out_of_the_payload():
+    envelope, code = run_and_replay("scan-signkey")
+    assert code == 1  # the pinned finding: the mass exceeds the bound
+    assert envelope.payload["max_mass"] == 0.5
+    assert "elapsed" not in envelope.payload
+    assert envelope.timings["scan_s"] > 0
+
+
+def test_blindness_replays_exactly():
+    envelope, code = run_and_replay("blindness")
+    assert code == 0
+    assert envelope.payload["passed"] is True
+
+
+def test_confidence_replays_exactly():
+    envelope, code = run_and_replay("confidence")
+    assert code == 0
+    assert envelope.payload["distance"] <= envelope.payload["bound"] + 1e-6
+
+
+def test_zeno_demo_replays_exactly():
+    envelope, code = run_and_replay("zeno-demo", e=2, n_per=5, trials=4)
+    assert code == 0
+    assert envelope.payload["negative_control"] is True
+    assert envelope.payload["trials"] == 4
+
+
+def test_qpip_poly_logical_frame_runs_its_default_circuit():
+    args = cli.build_parser().parse_args(
+        ["qpip-poly", "--engine", "logical-frame"])
+    assert cli.config_from_args(args).circuit_name == "poly-toffoli"
+    envelope, code = run_and_replay("qpip-poly", circuit_name="poly-toffoli",
+                                    engine="logical-frame", trials=20)
+    assert code == 0
+    assert envelope.payload["accept_rate"] == 1.0
