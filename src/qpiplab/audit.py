@@ -1,19 +1,20 @@
-"""Adversary policies, statistical protocol audits, and the lemma suite.
+"""Example circuits, statistical protocol audits, and the lemma suite.
 
 This module turns the security statements into executable experiments:
 completeness and soundness estimation over the interactive engines,
 blindness audits of the prover's view, post-acceptance confidence audits,
 and a regression suite that replays every algebraic identity the security
-argument rests on at desk scale.  Reports carry their own bounds and
-confidence bands; statistical results are evidence, not proof, and say so.
+argument rests on at desk scale.  The experiments take their provers as
+`qpip.ProverImpl` values built by qpip's factories.  Reports carry their
+own bounds and confidence bands; statistical results are evidence, not
+proof, and say so.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -29,28 +30,19 @@ from . import qpip
 _VIEW_DIM_CAP = 4096
 
 
-# -------------------------------------------------------------- policies
+# --------------------------------------------------------- prover names
 
 
-def _hermitian_block_pauli(digits: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Tensor of single-qubit Paulis, phased so the product is hermitian."""
-    mat = np.eye(1, dtype=np.complex128)
-    for x, z in digits:
-        f = pa.pauli_matrix_1(2, x, z) * ((-1j) ** (x * z))
-        mat = np.kron(mat, f)
-    return mat
+class AdversaryPolicy:
+    # the benchmark (perfbench/workloads.py) builds its provers by these names
+    honest = staticmethod(qpip.honest_prover)
+    fixed_pauli = staticmethod(qpip.fixed_pauli_prover)
+    random_unitary = staticmethod(qpip.random_unitary_prover)
+    scripted = staticmethod(qpip.scripted_prover)
+    zeno_demo = staticmethod(qpip.zeno_prover)
 
 
-def _rotation_axes(num_qubits: int) -> list[np.ndarray]:
-    axes = []
-    for idx in range(1, 4 ** num_qubits):
-        digits = []
-        rest = idx
-        for _ in range(num_qubits):
-            digits.append((rest % 4 // 2, rest % 2))
-            rest //= 4
-        axes.append(_hermitian_block_pauli(digits))
-    return axes
+# ------------------------------------------------------- example circuits
 
 
 def zeno_demo_circuit(e: int, n_per: int = 40) -> qpip.CircuitIR:
@@ -64,106 +56,6 @@ def zeno_demo_circuit(e: int, n_per: int = 40) -> qpip.CircuitIR:
                              check_unitary=False)
     gates = tuple(qpip.CircuitGate(ident, (0,)) for _ in range(rounds - 1))
     return qpip.CircuitIR(1, 2, gates)
-
-
-@dataclass(frozen=True)
-class AdversaryPolicy:
-    """Named recipe for a prover implementation.
-
-    Policies act only on prover-held registers and received classical
-    data: the engines never hand them keys or verifier state.  build()
-    returns a fresh engine-level prover, so trial chunks can instantiate
-    independently.
-    """
-
-    kind: str
-    name: str
-    plan: Mapping[int, tuple[tuple[int, pa.SymbolicPauli], ...]] | None = None
-    steps: tuple = ()
-    misreport_round: int | None = None
-    env_dims: tuple[int, ...] = ()
-    seed: int | None = None
-    e: int = 2
-    n_per: int = 40
-    phi: float = 0.45
-
-    _KINDS = ("honest", "fixed-pauli", "random-unitary", "scripted",
-              "zeno-demo")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown policy kind {self.kind!r}")
-
-    @classmethod
-    def honest(cls) -> "AdversaryPolicy":
-        return cls(kind="honest", name="honest")
-
-    @classmethod
-    def fixed_pauli(cls, plan, name: str = "fixed-pauli"
-                    ) -> "AdversaryPolicy":
-        frozen = {int(r): tuple((int(b), op) for b, op in steps)
-                  for r, steps in plan.items()}
-        return cls(kind="fixed-pauli", name=name, plan=frozen)
-
-    @classmethod
-    def random_unitary(cls, env_dims: tuple[int, ...],
-                       seed: int | None = None) -> "AdversaryPolicy":
-        return cls(kind="random-unitary", name="random-unitary",
-                   env_dims=tuple(env_dims), seed=seed)
-
-    @classmethod
-    def scripted(cls, steps, misreport_round: int | None = None
-                 ) -> "AdversaryPolicy":
-        return cls(kind="scripted", name="scripted", steps=tuple(steps),
-                   misreport_round=misreport_round)
-
-    @classmethod
-    def zeno_demo(cls, e: int = 2, n_per: int = 40, phi: float = 0.45
-                  ) -> "AdversaryPolicy":
-        return cls(kind="zeno-demo", name="zeno-demo", e=e, n_per=n_per,
-                   phi=phi)
-
-    def build(self, chunk_seed: int | None = None) -> qpip.ProverImpl:
-        """A fresh prover; `chunk_seed` gives each trial chunk its own
-        random-unitary draws."""
-        if self.kind == "honest":
-            return qpip.honest_prover()
-        if self.kind == "fixed-pauli":
-            return qpip.fixed_pauli_prover(self.plan, name=self.name)
-        if self.kind == "random-unitary":
-            seed = self.seed
-            if chunk_seed is not None:
-                # a child of the chunk's seed: the chunk's trials draw from
-                # the seed itself, so the prover gets a stream of its own
-                child = np.random.SeedSequence(
-                    [chunk_seed, self.seed or 0]).spawn(1)[0]
-                seed = int(child.generate_state(1)[0])
-            return qpip.random_unitary_prover(self.env_dims, seed=seed)
-        if self.kind == "scripted":
-            return qpip.scripted_prover(list(self.steps),
-                                        misreport_round=self.misreport_round)
-        return self._build_zeno()
-
-    def _build_zeno(self) -> qpip.ProverImpl:
-        b = 1 + self.e
-        theta = self.phi / self.n_per
-        shape = qc.RegisterShape((2,) * b)
-        eye = np.eye(2 ** b, dtype=np.complex128)
-        rots = [qc.UnitaryMatrix(shape,
-                                 math.cos(theta) * eye
-                                 + 1j * math.sin(theta) * axis,
-                                 check_unitary=False)
-                for axis in _rotation_axes(b)]
-
-        def policy(state: qc.StateVector,
-                   ctx: qpip.PolicyContext) -> qc.StateVector:
-            rot = rots[(ctx.round_index - 1) % len(rots)]
-            return qc.apply_on_wires(state, rot, ctx.block_wires[0])
-
-        return qpip.ProverImpl(name=self.name, policy=policy)
-
-
-# ------------------------------------------------------- example circuits
 
 
 def biased_clifford_circuit(gamma: float) -> qpip.CircuitIR:
@@ -311,11 +203,10 @@ class ExperimentReport:
         }
 
 
-def _run_chunk(config: ProtocolConfig, policy: AdversaryPolicy,
+def _run_chunk(config: ProtocolConfig, prover: qpip.ProverImpl,
                trials: int, seed: int,
                reference: tuple[int, ...] | None) -> dict[str, int]:
     rng = qc.make_rng(seed)
-    prover = policy.build(chunk_seed=seed)
     counts = {"trials": trials, "accept": 0, "wrong_accept": 0, "abort": 0}
     for _ in range(trials):
         rec = config.run_once(prover, rng)
@@ -336,27 +227,20 @@ def _merge(parts: Sequence[dict[str, int]]) -> dict[str, int]:
     return out
 
 
-def _run_policy_trials(config: ProtocolConfig, policy: AdversaryPolicy,
-                       trials: int, master_seed: int,
-                       jobs: int = 1) -> dict[str, int]:
-    """Chunked trial runner: merge is associative, chunking is fixed.
+def _run_policy_trials(config: ProtocolConfig, prover: qpip.ProverImpl,
+                       trials: int, master_seed: int) -> dict[str, int]:
+    """Chunked trial runner over a fixed split of at most 16 chunks.
 
-    Results depend only on the master seed, never on the worker count,
-    because every chunk owns a spawned generator and a fresh prover.
+    Each chunk draws its trials from its own generator, seeded from the
+    master seed, so the counts depend only on the master seed.
     """
     reference = config.reference()
     n_chunks = min(trials, 16)
     sizes = [trials // n_chunks + (1 if i < trials % n_chunks else 0)
              for i in range(n_chunks)]
     seeds = np.random.SeedSequence(master_seed).generate_state(n_chunks)
-    args = [(config, policy, sz, int(sd), reference)
-            for sz, sd in zip(sizes, seeds) if sz > 0]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda a: _run_chunk(*a), args))
-    else:
-        parts = [_run_chunk(*a) for a in args]
-    return _merge(parts)
+    return _merge([_run_chunk(config, prover, sz, int(sd), reference)
+                   for sz, sd in zip(sizes, seeds) if sz > 0])
 
 
 def _report_from_counts(per_policy: dict[str, dict[str, int]],
@@ -378,35 +262,33 @@ def _report_from_counts(per_policy: dict[str, dict[str, int]],
 
 
 def estimate_completeness(config: ProtocolConfig, trials: int,
-                          rng: np.random.Generator,
-                          jobs: int = 1) -> ExperimentReport:
+                          rng: np.random.Generator) -> ExperimentReport:
     """Honest-prover acceptance rate against the 1 - gamma promise."""
     master = int(rng.integers(0, 2 ** 63 - 1))
-    policy = AdversaryPolicy.honest()
-    counts = _run_policy_trials(config, policy, trials, master, jobs)
-    return _report_from_counts({policy.name: counts}, config.bound,
+    prover = qpip.honest_prover()
+    counts = _run_policy_trials(config, prover, trials, master)
+    return _report_from_counts({prover.name: counts}, config.bound,
                                (master,))
 
 
 def estimate_soundness(config: ProtocolConfig,
-                       policy: AdversaryPolicy | Sequence[AdversaryPolicy],
-                       trials: int, rng: np.random.Generator,
-                       jobs: int = 1) -> ExperimentReport:
-    """Wrong-accept rate of adversarial policies against gamma + epsilon.
+                       prover: qpip.ProverImpl | Sequence[qpip.ProverImpl],
+                       trials: int,
+                       rng: np.random.Generator) -> ExperimentReport:
+    """Wrong-accept rate of adversarial provers against gamma + epsilon.
 
     Wrong accepts are counted only against a deterministic reference
     output, so circuit noise never enters the adversary's budget; use
     gamma = 0 instances for sharp tests.
     """
-    policies = tuple(policy) if isinstance(policy, (list, tuple)) \
-        else (policy,)
+    provers = tuple(prover) if isinstance(prover, (list, tuple)) \
+        else (prover,)
     per_policy: dict[str, dict[str, int]] = {}
     seeds = []
-    for pol in policies:
+    for pr in provers:
         master = int(rng.integers(0, 2 ** 63 - 1))
         seeds.append(master)
-        per_policy[pol.name] = _run_policy_trials(config, pol, trials,
-                                                  master, jobs)
+        per_policy[pr.name] = _run_policy_trials(config, pr, trials, master)
     return _report_from_counts(per_policy, config.bound, tuple(seeds))
 
 
@@ -721,16 +603,16 @@ class ConfidenceReport:
         }
 
 
-def _policy_block_pauli(policy: AdversaryPolicy, q: int,
+def _policy_block_pauli(prover: qpip.ProverImpl, q: int,
                         m: int) -> pa.SymbolicPauli:
     """Collapse a fixed-Pauli plan into one block operator for block 0."""
-    if policy.kind == "honest":
-        return pa.SymbolicPauli.identity(q, m)
-    if policy.kind != "fixed-pauli":
-        raise ValueError("confidence audits need honest or fixed-Pauli "
-                         "policies: their acceptance set is analytic")
     op = pa.SymbolicPauli.identity(q, m)
-    for _, steps in sorted(policy.plan.items()):
+    if prover.pauli_plan is None and prover.policy is None:
+        return op  # honest
+    if prover.pauli_plan is None:
+        raise ValueError("confidence audits need honest or fixed-Pauli "
+                         "provers: their acceptance set is analytic")
+    for _, steps in sorted(prover.pauli_plan.items()):
         for b, p_op in steps:
             if b != 0:
                 raise ValueError("the confidence audit is single-block")
@@ -744,12 +626,12 @@ def _c2_stack(m: int) -> np.ndarray:
     return np.stack([el.matrix.entries for el in els])
 
 
-def _clifford_confidence(policy: AdversaryPolicy, e: int, input_bit: int,
+def _clifford_confidence(prover: qpip.ProverImpl, e: int, input_bit: int,
                          beta_floor: float) -> ConfidenceReport:
     if e != 1:
         raise ValueError("exact enumeration supports e = 1")
     m = 1 + e
-    attack = _policy_block_pauli(policy, 2, m)
+    attack = _policy_block_pauli(prover, 2, m)
     p_mat = pa.pauli_matrix(attack).entries
     stack = _c2_stack(m)
     psi0 = np.zeros(2 ** m, dtype=np.complex128)
@@ -771,16 +653,16 @@ def _clifford_confidence(policy: AdversaryPolicy, e: int, input_bit: int,
     correct[input_bit, input_bit] = 1.0
     qubit = qc.RegisterShape((2,))
     dist = qc.trace_distance(_dm(rho, qubit), _dm(correct, qubit))
-    return ConfidenceReport(mode="clifford", policy=policy.name, beta=beta,
+    return ConfidenceReport(mode="clifford", policy=prover.name, beta=beta,
                             distance=dist, epsilon=eps, bound=eps / beta,
                             floor=beta_floor)
 
 
-def _poly_confidence(policy: AdversaryPolicy, p: pc.CodeParams,
+def _poly_confidence(prover: qpip.ProverImpl, p: pc.CodeParams,
                      input_digit: int,
                      beta_floor: float) -> ConfidenceReport:
     q, m = p.q, p.m
-    attack = _policy_block_pauli(policy, q, m)
+    attack = _policy_block_pauli(prover, q, m)
     p_mat = pa.pauli_matrix(attack).entries
     shape = qc.RegisterShape((q,) * m)
     pkey = pc.PauliKey.zero(m)
@@ -807,17 +689,17 @@ def _poly_confidence(policy: AdversaryPolicy, p: pc.CodeParams,
     correct = np.zeros(q)
     correct[input_digit % q] = 1.0
     dist = float(0.5 * np.sum(np.abs(cond - correct)))
-    return ConfidenceReport(mode="poly", policy=policy.name, beta=beta,
+    return ConfidenceReport(mode="poly", policy=prover.name, beta=beta,
                             distance=dist, epsilon=eps,
                             bound=2 * eps / beta, floor=beta_floor)
 
 
-def confidence_audit(mode: str, policy: AdversaryPolicy,
+def confidence_audit(mode: str, prover: qpip.ProverImpl,
                      rng: np.random.Generator | None = None, *,
                      e: int = 1, code: pc.CodeParams | None = None,
                      input_digit: int = 0,
                      beta_floor: float = 0.05) -> ConfidenceReport:
-    """Exact conditional post-acceptance state quality for Pauli policies.
+    """Exact conditional post-acceptance state quality for Pauli provers.
 
     Clifford mode averages the whole key group and compares the
     accept-conditioned message state to the correct one against epsilon /
@@ -828,10 +710,10 @@ def confidence_audit(mode: str, policy: AdversaryPolicy,
     """
     del rng
     if mode == "clifford":
-        return _clifford_confidence(policy, e, input_digit, beta_floor)
+        return _clifford_confidence(prover, e, input_digit, beta_floor)
     if mode == "poly":
         p = code if code is not None else pc.CodeParams()
-        return _poly_confidence(policy, p, input_digit, beta_floor)
+        return _poly_confidence(prover, p, input_digit, beta_floor)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -1383,7 +1265,7 @@ _LEMMA_CHECKS: dict[str, Callable] = {
 
 def lemma_suite(scope: str | Sequence[str] = "all",
                 c_vector: Sequence[int] | None = None,
-                seed: int = 0, jobs: int = 1) -> LemmaLedger:
+                seed: int = 0) -> LemmaLedger:
     """Execute the named algebraic identities and ledger their residuals.
 
     The coverage list is static: every listed name must resolve to an
@@ -1392,8 +1274,9 @@ def lemma_suite(scope: str | Sequence[str] = "all",
     interpolation ingredient fed to the two checks that validate it (the
     weight identity and the transversal Fourier), leaving the remaining
     checks on the canonical parameters; this is the suite's own fault
-    injection.  Checks are independent, so they may run in parallel;
-    the ledger order and content depend only on the seed.
+    injection.  Each check draws from its own generator, seeded from the
+    suite seed and its coverage index, so the ledger order and content
+    depend only on the seed and the scope.
     """
     start = time.monotonic()
     if scope == "all":
@@ -1425,11 +1308,6 @@ def lemma_suite(scope: str | Sequence[str] = "all",
                                f"raised {type(exc).__name__}: {exc}")
         return LemmaResult(name, residual < _LEMMA_TOL, residual)
 
-    items = [(LEMMA_COVERAGE.index(n), n) for n in selected]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, items))
-    else:
-        results = [run_one(it) for it in items]
+    results = [run_one((LEMMA_COVERAGE.index(n), n)) for n in selected]
     return LemmaLedger(results=tuple(results), seed=seed,
                        elapsed=time.monotonic() - start)

@@ -442,19 +442,16 @@ class DecodedResult:
 
 
 def decode_measurement(raw: Sequence[int], k: SignKey, pkey: PauliKey,
-                       p: CodeParams, apply_z_part: bool = False) -> DecodedResult:
+                       p: CodeParams) -> DecodedResult:
     """Classical decode of a standard-basis measurement string.
 
     Strips the X part of the Pauli key, reverses the interpolation circuit,
     and reads the message plus the d-coordinate validity residual.  The Z
-    part of the key only shifts phases, which no classical string sees;
-    apply_z_part exists to make that explicit and does nothing.
+    part of the key only shifts phases, which no classical string sees.
     """
     if len(raw) != p.m:
         raise ValueError("measurement string length mismatch")
     vec = (np.array(raw, dtype=np.int64) - np.array(pkey.x, dtype=np.int64)) % p.q
-    if apply_z_part:
-        pass  # phase flips are invisible on classical strings
     _, linv = _dk_maps(k.k, p)
     delta = linv @ vec % p.q
     residual = tuple(int(v) for v in delta[p.d + 1:])

@@ -1,4 +1,4 @@
-"""Finite-field scalars and dense linear algebra on mixed-radix qudit registers.
+"""Modular arithmetic and dense linear algebra on mixed-radix qudit registers.
 
 Everything here is exact-at-double-precision: dense complex arrays, no
 sparsity, no approximation.  Wire 0 is the most significant digit in all
@@ -29,65 +29,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class FieldElement:
-    """An element of the prime field F_q."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: int):
-        if not is_prime(modulus):
-            raise ValueError(f"modulus {modulus} is not prime")
-        self.value = int(value) % modulus
-        self.modulus = modulus
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli")
-            return other
-        return FieldElement(int(other), self.modulus)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.value + o.value, self.modulus)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.value - o.value, self.modulus)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.value * o.value, self.modulus)
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.modulus)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.value == other.value and self.modulus == other.modulus
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"FieldElement({self.value}, mod {self.modulus})"
-
-
-def field_inv(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse in F_q."""
-    if a.value == 0:
-        raise ValueError("zero has no inverse")
-    return FieldElement(pow(a.value, -1, a.modulus), a.modulus)
-
-
 def inv_mod(a: int, q: int) -> int:
-    """Inverse of a nonzero residue, plain-int convenience form."""
+    """Inverse of a nonzero residue modulo q."""
     if a % q == 0:
         raise ValueError("zero has no inverse")
     return pow(a, -1, q)

@@ -4,8 +4,8 @@ A nearly classical verifier delegates a circuit to an untrusted prover,
 hiding every wire inside an authenticated block.  This module supplies the
 pieces that turn the authentication layers into full protocols: a circuit
 representation, compilation of Toffoli gates into measurement rounds, the
-Toffoli-by-teleportation gadget, Pauli-key bookkeeping, transcripts, prover
-policies, the qubit (Clifford-authenticated) and qudit (polynomial-code)
+Toffoli-by-teleportation gadget, Pauli-key bookkeeping, transcripts, the
+provers, the qubit (Clifford-authenticated) and qudit (polynomial-code)
 protocol engines, a fixed universal circuit, and the symmetric wrapper that
 turns accept/reject into {1, 0, ABORT}.
 
@@ -21,6 +21,7 @@ Pauli-attacking provers at any gadget count.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -449,12 +450,12 @@ class TranscriptEntry:
     payload: tuple[int, ...] | str
 
     _DIRECTIONS = ("verifier->prover", "prover->verifier")
-    _KINDS = ("quantum-block", "classical-string", "verdict")
+    _KIND_NAMES = ("quantum-block", "classical-string", "verdict")
 
     def __post_init__(self):
         if self.direction not in self._DIRECTIONS:
             raise ValueError(f"bad direction {self.direction!r}")
-        if self.kind not in self._KINDS:
+        if self.kind not in self._KIND_NAMES:
             raise ValueError(f"bad kind {self.kind!r}")
         if not isinstance(self.payload, str):
             object.__setattr__(self, "payload",
@@ -553,7 +554,12 @@ class VerdictRecord:
 
 @dataclass(frozen=True)
 class PolicyContext:
-    """What a dense-engine policy sees when it gets the register."""
+    """What a dense-engine policy sees when it gets the register.
+
+    `rng` is the trial's generator: a randomised prover (random-unitary)
+    draws from it, so its draws follow the trial seed and no prover holds
+    state of its own.
+    """
 
     phase: str
     round_index: int
@@ -571,6 +577,8 @@ class ProverImpl:
     only adversarial language the logical-frame engine accepts.  The
     announce hook serves the symmetric wrapper.  Policies never see
     verifier keys; they receive only the register and public context.
+    A prover holds no state between calls, so one value serves every
+    trial of an experiment.
     """
 
     name: str
@@ -641,23 +649,67 @@ def scripted_prover(steps: Sequence[tuple[int, str, qc.UnitaryMatrix,
 
 
 def random_unitary_prover(env_dims: tuple[int, ...],
-                          seed: int | None = None,
                           name: str = "random-unitary") -> ProverImpl:
-    """Haar-random unitary over all held block wires plus the environment."""
+    """Haar-random unitary over all held block wires plus the environment,
+    drawn afresh at every exchange from the trial's generator."""
     from scipy.stats import unitary_group
-
-    draw_rng = qc.make_rng(seed)
 
     def policy(state: qc.StateVector, ctx: PolicyContext) -> qc.StateVector:
         wires = tuple(w for ws in ctx.block_wires for w in ws) + \
             ctx.env_wires
         dims = tuple(state.shape.dims[w] for w in wires)
         dim = int(np.prod(dims))
-        mat = unitary_group.rvs(dim, random_state=draw_rng)
+        mat = unitary_group.rvs(dim, random_state=ctx.rng)
         u = qc.UnitaryMatrix(qc.RegisterShape(dims), mat, check_unitary=False)
         return qc.apply_on_wires(state, u, wires)
 
-    return ProverImpl(name=name, policy=policy, env_dims=env_dims)
+    return ProverImpl(name=name, policy=policy, env_dims=tuple(env_dims))
+
+
+def _hermitian_block_pauli(digits: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Tensor of single-qubit Paulis, phased so the product is hermitian."""
+    mat = np.eye(1, dtype=np.complex128)
+    for x, z in digits:
+        f = pa.pauli_matrix_1(2, x, z) * ((-1j) ** (x * z))
+        mat = np.kron(mat, f)
+    return mat
+
+
+def _rotation_axes(num_qubits: int) -> list[np.ndarray]:
+    axes = []
+    for idx in range(1, 4 ** num_qubits):
+        digits = []
+        rest = idx
+        for _ in range(num_qubits):
+            digits.append((rest % 4 // 2, rest % 2))
+            rest //= 4
+        axes.append(_hermitian_block_pauli(digits))
+    return axes
+
+
+def zeno_prover(e: int = 2, n_per: int = 40, phi: float = 0.45,
+                name: str = "zeno-demo") -> ProverImpl:
+    """Accumulated-rotation attack on the 1 + e qubits of block 0.
+
+    Each exchange rotates by phi / n_per about the next hermitian Pauli
+    axis, round-robin, so every axis gathers a total angle of phi over
+    n_per rounds.
+    """
+    b = 1 + e
+    theta = phi / n_per
+    shape = qc.RegisterShape((2,) * b)
+    eye = np.eye(2 ** b, dtype=np.complex128)
+    rots = [qc.UnitaryMatrix(shape,
+                             math.cos(theta) * eye
+                             + 1j * math.sin(theta) * axis,
+                             check_unitary=False)
+            for axis in _rotation_axes(b)]
+
+    def policy(state: qc.StateVector, ctx: PolicyContext) -> qc.StateVector:
+        rot = rots[(ctx.round_index - 1) % len(rots)]
+        return qc.apply_on_wires(state, rot, ctx.block_wires[0])
+
+    return ProverImpl(name=name, policy=policy)
 
 
 def _run_policy(prover: ProverImpl, state: qc.StateVector, phase: str,
@@ -779,46 +831,6 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
 # ------------------------------------------------- qudit protocol engine
 
 
-def _transversal_apply(state: qc.StateVector, tag: pc.LogicalGateTag,
-                       blocks_wires: Sequence[Sequence[int]],
-                       p: pc.CodeParams) -> qc.StateVector:
-    """The physical circuit an honest prover runs for one logical gate.
-
-    Logical Paulis are key shifts on the verifier side, so the prover does
-    nothing for LX/LZ; the other gates act coordinate-wise.
-    """
-    q = p.q
-    if tag.name in ("LX", "LZ"):
-        return state
-    if tag.name == "LSUM":
-        t = tag.param % q
-        for i in range(p.m):
-            state = qc.apply_on_wires(state, pc._sum_power(t, q),
-                                      (blocks_wires[0][i],
-                                       blocks_wires[1][i]))
-        return state
-    if tag.name == "LCPG":
-        t = tag.param % q
-        for i in range(p.m):
-            state = qc.apply_on_wires(
-                state, pc._cpg_power(t * p.interp_c[i] % q, q),
-                (blocks_wires[0][i], blocks_wires[1][i]))
-        return state
-    if tag.name == "LF":
-        for i in range(p.m):
-            f = pa.gate_matrix(pa.GateTag("F_r", p.interp_c[i]), q)
-            mat = f.entries if tag.param == 1 else f.entries.conj().T
-            u = qc.UnitaryMatrix(f.shape, mat, check_unitary=False)
-            state = qc.apply_on_wires(state, u, (blocks_wires[0][i],))
-        return state
-    if tag.name == "LM":
-        m_gate = pa.gate_matrix(pa.GateTag("M_r", tag.param % q), q)
-        for i in range(p.m):
-            state = qc.apply_on_wires(state, m_gate, (blocks_wires[0][i],))
-        return state
-    raise ValueError(f"unknown logical gate {tag.name!r}")
-
-
 def _sample_codeword_string(value: int, k: pc.SignKey, pkey: pc.PauliKey,
                             frame: pa.SymbolicPauli, p: pc.CodeParams,
                             rng: np.random.Generator) -> tuple[int, ...]:
@@ -897,8 +909,9 @@ def _poly_dense(circuit: CircuitIR, schedule: LogicalSchedule,
 
     for gate in circuit.gates:
         tag = gate.op
-        wires_of = [block_wires[b] for b in gate.wires]
-        state = _transversal_apply(state, tag, wires_of, p)
+        if tag.name not in ("LX", "LZ"):  # logical Paulis are key shifts
+            wires_of = [block_wires[b] for b in gate.wires]
+            state = pc.apply_logical(tag, state, wires_of, sign, p)
         new_keys = pauli_key_update(keys, tag, gate.wires, sign, p)
         keys[:] = list(new_keys)
 

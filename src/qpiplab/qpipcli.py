@@ -29,7 +29,7 @@ from . import qcore as qc
 from . import qpip
 
 ARTIFACT_VERSION = "qpiplab-report"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 SEED_ENV_VAR = "QPIPLAB_SEED"
 DEFAULT_REPORT_PATH = "qpiplab-report.json"
 
@@ -106,15 +106,14 @@ class ExperimentConfig:
     c_vector: tuple[int, ...] | None = None
     n_per: int = 40
     phi: float = 0.45
-    jobs: int = 1
 
     def __post_init__(self):
         if self.subcommand not in SUBCOMMANDS:
             raise ValueError(f"unknown subcommand {self.subcommand!r}")
         if self.e < 1 or self.q < 2 or self.d < 1:
             raise ValueError("e, q, d must be positive protocol parameters")
-        if self.trials < 1 or self.jobs < 1 or self.n_per < 1:
-            raise ValueError("trials, jobs, n_per must be positive")
+        if self.trials < 1 or self.n_per < 1:
+            raise ValueError("trials and n_per must be positive")
         if self.engine not in ("dense", "logical-frame"):
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.key_average not in ("exact", "sampled"):
@@ -136,6 +135,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
+        if "subcommand" not in data:
+            raise ValueError("config has no subcommand")
         kwargs = dict(data)
         for key in ("alphas", "inputs", "c_vector"):
             if kwargs.get(key) is not None:
@@ -168,20 +172,17 @@ def _wire_dim(cfg: ExperimentConfig) -> int:
     return cfg.q if cfg.mode == "poly" else 2
 
 
-def build_policy(cfg: ExperimentConfig,
-                 seed: int) -> audit.AdversaryPolicy:
-    """Translate an adversary spec string into a policy."""
+def build_policy(cfg: ExperimentConfig) -> qpip.ProverImpl:
+    """Translate an adversary spec string into a prover."""
     spec = cfg.adversary
     if spec == "honest":
-        return audit.AdversaryPolicy.honest()
+        return qpip.honest_prover()
     if spec == "zeno":
-        return audit.AdversaryPolicy.zeno_demo(e=cfg.e, n_per=cfg.n_per,
-                                               phi=cfg.phi)
+        return qpip.zeno_prover(e=cfg.e, n_per=cfg.n_per, phi=cfg.phi)
     if spec == "random-unitary":
-        return audit.AdversaryPolicy.random_unitary((_wire_dim(cfg),),
-                                                    seed=seed + 1)
+        return qpip.random_unitary_prover((_wire_dim(cfg),))
     if spec.startswith("misreport:"):
-        return audit.AdversaryPolicy.scripted(
+        return qpip.scripted_prover(
             [], misreport_round=int(spec.split(":", 1)[1]))
     if spec.startswith("pauli:"):
         wire_dim = _wire_dim(cfg)
@@ -191,7 +192,7 @@ def build_policy(cfg: ExperimentConfig,
             plan[int(rnd)] = [
                 (int(block), pa.SymbolicPauli(wire_dim, xs, zs))
                 for block, xs, zs in steps]
-        return audit.AdversaryPolicy.fixed_pauli(plan, name="fixed-pauli")
+        return qpip.fixed_pauli_prover(plan)
     raise ValueError(f"unknown adversary spec {spec!r}")
 
 
@@ -235,7 +236,10 @@ class ReportEnvelope:
             raise ValueError(
                 f"schema version mismatch: {data.get('schema_version')!r}"
                 f" is not {SCHEMA_VERSION}")
-        return cls(**data)
+        try:
+            return cls(**data)
+        except TypeError as exc:  # a missing or an unknown field
+            raise ValueError(f"malformed report envelope: {exc}") from None
 
 
 def _round_floats(obj, places: int = 12):
@@ -270,7 +274,7 @@ def _random_unitary_on(dims: tuple[int, ...],
 
 def _run_lemmas(cfg: ExperimentConfig, seed: int):
     ledger = audit.lemma_suite(scope=cfg.scope, c_vector=cfg.c_vector,
-                               seed=seed, jobs=cfg.jobs)
+                               seed=seed)
     summary = ledger.to_lines()
     summary.append(f"{'all identities hold' if ledger.passed else 'FAILURES'}"
                    f" ({len(ledger.results)} checks)")
@@ -347,20 +351,18 @@ def _run_qpip(cfg: ExperimentConfig, seed: int, mode: str):
     protocol = audit.ProtocolConfig(
         mode=mode, circuit=circ, inputs=inputs, e=cfg.e, code=cfg.code(),
         engine=cfg.engine, broken_variant=cfg.broken_variant)
-    policy = build_policy(cfg, seed)
+    prover = build_policy(cfg)
     rng = qc.make_rng(seed)
-    if policy.kind == "honest":
-        rep = audit.estimate_completeness(protocol, cfg.trials, rng,
-                                          jobs=cfg.jobs)
+    if cfg.adversary == "honest":
+        rep = audit.estimate_completeness(protocol, cfg.trials, rng)
     else:
-        rep = audit.estimate_soundness(protocol, policy, cfg.trials, rng,
-                                       jobs=cfg.jobs)
+        rep = audit.estimate_soundness(protocol, prover, cfg.trials, rng)
     payload = rep.to_dict()
     violated = rep.wilson_wrong[0] > rep.bound
     payload["bound_violated"] = violated
     payload["negative_control"] = _negative_control(cfg)
     summary = [
-        f"{cfg.trials} trials, adversary {policy.name}",
+        f"{cfg.trials} trials, adversary {prover.name}",
         f"accept {rep.accept_rate:.4f}, wrong-accept "
         f"{rep.wrong_accept_rate:.4f}, abort {rep.abort_rate:.4f}",
         f"wrong-accept 95% interval {rep.wilson_wrong[0]:.4f}.."
@@ -417,14 +419,14 @@ def _run_blindness(cfg: ExperimentConfig, seed: int):
 
 def _run_confidence(cfg: ExperimentConfig, seed: int):
     mode = cfg.mode or "clifford"
-    policy = build_policy(cfg, seed)
-    rep = audit.confidence_audit(mode, policy, qc.make_rng(seed), e=cfg.e,
+    prover = build_policy(cfg)
+    rep = audit.confidence_audit(mode, prover, qc.make_rng(seed), e=cfg.e,
                                  code=cfg.code(),
                                  input_digit=cfg.input_digit)
     payload = rep.to_dict()
     ok = rep.distance <= rep.bound + 1e-6
     summary = [
-        f"{mode} post-acceptance audit, policy {policy.name}",
+        f"{mode} post-acceptance audit, policy {prover.name}",
         f"acceptance rate beta = {rep.beta:.6f}",
         f"conditional distance {rep.distance:.6f} <= bound "
         f"{rep.bound:.6f}: {ok}",
@@ -479,7 +481,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--output", default=None,
                     help=f"report path (default {DEFAULT_REPORT_PATH})")
     sp.add_argument("--trials", type=int, default=10_000)
-    sp.add_argument("--jobs", type=int, default=1)
 
 
 def _int_tuple(text: str) -> tuple[int, ...]:

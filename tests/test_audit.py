@@ -1,4 +1,4 @@
-"""Tests for adversary policies, protocol audits, and the lemma suite."""
+"""Tests for provers, protocol audits, and the lemma suite."""
 
 import dataclasses
 import json
@@ -19,32 +19,30 @@ def one_qubit_circuit(tag_name: str) -> qpip.CircuitIR:
                                                   (0,)),))
 
 
-# ----- adversary policies
+# ----- provers
 
 
-def test_policy_kinds_build_provers():
-    policies = [
-        audit.AdversaryPolicy.honest(),
-        audit.AdversaryPolicy.fixed_pauli(
-            {0: [(0, pa.SymbolicPauli(2, [1, 0], [0, 0]))]}, name="px"),
-        audit.AdversaryPolicy.random_unitary((2,), seed=5),
-        audit.AdversaryPolicy.scripted([], misreport_round=2),
-        audit.AdversaryPolicy.zeno_demo(e=1, n_per=10),
-    ]
-    for pol in policies:
-        prover = pol.build()
+def test_prover_factories_build_named_provers():
+    x_data = pa.SymbolicPauli(2, [1, 0], [0, 0])
+    provers = {
+        "honest": qpip.honest_prover(),
+        "fixed-pauli": qpip.fixed_pauli_prover({0: [(0, x_data)]}),
+        "px": qpip.fixed_pauli_prover({0: [(0, x_data)]}, name="px"),
+        "random-unitary": qpip.random_unitary_prover((2,)),
+        "scripted": qpip.scripted_prover([], misreport_round=2),
+        "zeno-demo": qpip.zeno_prover(e=1, n_per=10),
+    }
+    for name, prover in provers.items():
         assert isinstance(prover, qpip.ProverImpl)
-    assert policies[1].build().name == "px"
-
-
-def test_policy_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="kind"):
-        audit.AdversaryPolicy(kind="omniscient", name="x")
-
-
-def test_policy_builds_are_independent():
-    pol = audit.AdversaryPolicy.random_unitary((2,), seed=9)
-    assert pol.build() is not pol.build()
+        assert prover.name == name
+    assert provers["random-unitary"].env_dims == (2,)
+    assert provers["scripted"].misreport_round == 2
+    # the benchmark's names reach the same factories
+    assert audit.AdversaryPolicy.honest is qpip.honest_prover
+    assert audit.AdversaryPolicy.fixed_pauli is qpip.fixed_pauli_prover
+    assert audit.AdversaryPolicy.random_unitary is qpip.random_unitary_prover
+    assert audit.AdversaryPolicy.scripted is qpip.scripted_prover
+    assert audit.AdversaryPolicy.zeno_demo is qpip.zeno_prover
 
 
 def test_policy_context_exposes_no_verifier_secrets():
@@ -63,8 +61,7 @@ def test_zeno_circuit_shape():
 
 
 def test_zeno_policy_applies_small_rotations():
-    pol = audit.AdversaryPolicy.zeno_demo(e=1, n_per=10, phi=0.3)
-    prover = pol.build()
+    prover = qpip.zeno_prover(e=1, n_per=10, phi=0.3)
     shape = qc.RegisterShape((2, 2))
     state = qc.basis_state(shape, (0, 0))
     ctx = qpip.PolicyContext(phase="send", round_index=1,
@@ -172,15 +169,6 @@ def test_completeness_poly_engine_is_exact():
     assert rep.abort_rate == 0.0
 
 
-def test_trial_runner_is_deterministic_across_jobs():
-    cfg = audit.ProtocolConfig(mode="clifford",
-                               circuit=one_qubit_circuit("H"), inputs=(0,))
-    rep1 = audit.estimate_completeness(cfg, 70, qc.make_rng(13), jobs=1)
-    rep2 = audit.estimate_completeness(cfg, 70, qc.make_rng(13), jobs=4)
-    assert rep1.per_policy == rep2.per_policy
-    assert rep1.seeds == rep2.seeds
-
-
 # ----- soundness estimation
 
 
@@ -189,7 +177,7 @@ def test_soundness_fixed_pauli_matches_exact_rates():
                                                   (0, 1)),))
     cfg = audit.ProtocolConfig(mode="clifford", circuit=circ,
                                inputs=(1, 1))
-    attack = audit.AdversaryPolicy.fixed_pauli(
+    attack = qpip.fixed_pauli_prover(
         {2: [(0, pa.SymbolicPauli(2, [1, 0], [0, 0]))]}, name="x-data")
     rep = audit.estimate_soundness(cfg, attack, 900, qc.make_rng(21))
     sigma_w = math.sqrt((4 / 15) * (11 / 15) / 900)
@@ -202,8 +190,7 @@ def test_soundness_fixed_pauli_matches_exact_rates():
 def test_soundness_breaks_down_per_policy():
     cfg = audit.ProtocolConfig(mode="clifford",
                                circuit=one_qubit_circuit("H"), inputs=(0,))
-    pols = [audit.AdversaryPolicy.honest(),
-            audit.AdversaryPolicy.random_unitary((2,), seed=8)]
+    pols = [qpip.honest_prover(), qpip.random_unitary_prover((2,))]
     rep = audit.estimate_soundness(cfg, pols, 60, qc.make_rng(4))
     assert set(rep.per_policy) == {"honest", "random-unitary"}
     assert rep.trials == 120
@@ -215,11 +202,68 @@ def test_zeno_policy_runs_against_broken_variant():
     circ = audit.zeno_demo_circuit(1, n_per=6)
     cfg = audit.ProtocolConfig(mode="clifford", circuit=circ, inputs=(1,),
                                e=1, broken_variant=True)
-    pol = audit.AdversaryPolicy.zeno_demo(e=1, n_per=6, phi=0.45)
+    pol = qpip.zeno_prover(e=1, n_per=6, phi=0.45)
     rep = audit.estimate_soundness(cfg, pol, 40, qc.make_rng(17))
     counts = rep.per_policy["zeno-demo"]
     assert counts["trials"] == 40
     assert counts["accept"] + counts["wrong_accept"] + counts["abort"] == 40
+
+
+# ----- golden trial records
+
+X_DATA = pa.SymbolicPauli(2, [1, 0], [0, 0])
+CLIFFORD_DEMO = audit.ProtocolConfig(mode="clifford",
+                                     circuit=audit.clifford_demo_circuit(),
+                                     inputs=(1, 0), e=1)
+ZENO_BROKEN = audit.ProtocolConfig(mode="clifford",
+                                   circuit=audit.zeno_demo_circuit(1, n_per=6),
+                                   inputs=(1,), e=1, broken_variant=True)
+
+# Counts and master seeds of the trial runner at fixed seeds, recorded
+# when each prover was rebuilt per trial chunk: (config, prover or None
+# for completeness, trials, rng seed, per-policy counts, seeds).  The
+# stateless provers must reproduce them.
+GOLDEN_TRIAL_RECORDS = {
+    "honest-poly-dense": (
+        lambda: audit.ProtocolConfig(mode="poly",
+                                     circuit=audit.poly_demo_circuit(),
+                                     inputs=(3,)),
+        None, 40, 101,
+        {"honest": {"trials": 40, "accept": 40, "wrong_accept": 0,
+                    "abort": 0}},
+        (8702551328111905720,)),
+    "fixed-pauli-clifford": (
+        lambda: CLIFFORD_DEMO,
+        lambda: qpip.fixed_pauli_prover({3: [(0, X_DATA)]}), 48, 102,
+        {"fixed-pauli": {"trials": 48, "accept": 10, "wrong_accept": 11,
+                         "abort": 27}},
+        (1475657852977072745,)),
+    "scripted-misreport": (
+        lambda: CLIFFORD_DEMO,
+        lambda: qpip.scripted_prover([], misreport_round=2), 40, 103,
+        {"scripted": {"trials": 40, "accept": 0, "wrong_accept": 0,
+                      "abort": 40}},
+        (2883993785090188392,)),
+    "zeno-broken-variant": (
+        lambda: ZENO_BROKEN,
+        lambda: qpip.zeno_prover(e=1, n_per=6), 40, 104,
+        {"zeno-demo": {"trials": 40, "accept": 20, "wrong_accept": 13,
+                       "abort": 7}},
+        (7734395241499546637,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRIAL_RECORDS))
+def test_trial_runner_reproduces_golden_records(name):
+    config, prover, trials, seed, per_policy, seeds = \
+        GOLDEN_TRIAL_RECORDS[name]
+    rng = qc.make_rng(seed)
+    if prover is None:
+        rep = audit.estimate_completeness(config(), trials, rng)
+    else:
+        rep = audit.estimate_soundness(config(), prover(), trials, rng)
+    assert rep.per_policy == per_policy
+    assert rep.seeds == seeds
 
 
 # ----- blindness audits
@@ -303,8 +347,7 @@ def test_universal_pair_shares_the_circuit_and_hides_programs():
 
 
 def test_confidence_honest_prover_is_perfect():
-    rep = audit.confidence_audit("clifford",
-                                 audit.AdversaryPolicy.honest(),
+    rep = audit.confidence_audit("clifford", qpip.honest_prover(),
                                  input_digit=0)
     assert rep.beta == pytest.approx(1.0, abs=1e-9)
     assert rep.distance < 1e-9
@@ -312,7 +355,7 @@ def test_confidence_honest_prover_is_perfect():
 
 
 def test_confidence_aux_flip_exact_values():
-    flip = audit.AdversaryPolicy.fixed_pauli(
+    flip = qpip.fixed_pauli_prover(
         {0: [(0, pa.SymbolicPauli(2, [0, 1], [0, 0]))]}, name="aux-flip")
     rep = audit.confidence_audit("clifford", flip, input_digit=0)
     assert rep.beta == pytest.approx(7 / 15, abs=1e-9)
@@ -323,7 +366,7 @@ def test_confidence_aux_flip_exact_values():
 
 
 def test_confidence_poly_phase_attack_is_invisible():
-    phase = audit.AdversaryPolicy.fixed_pauli(
+    phase = qpip.fixed_pauli_prover(
         {0: [(0, pa.SymbolicPauli(5, [0, 0, 0], [1, 2, 3]))]},
         name="phase-only")
     rep = audit.confidence_audit("poly", phase, input_digit=2)
@@ -332,7 +375,7 @@ def test_confidence_poly_phase_attack_is_invisible():
 
 
 def test_confidence_poly_footprint_attack_exact_values():
-    foot = audit.AdversaryPolicy.fixed_pauli(
+    foot = qpip.fixed_pauli_prover(
         {0: [(0, pa.SymbolicPauli(5, [1, 1, 1], [0, 0, 0]))]},
         name="uniform-x")
     rep = audit.confidence_audit("poly", foot, input_digit=0)
@@ -343,7 +386,7 @@ def test_confidence_poly_footprint_attack_exact_values():
 
 
 def test_confidence_refuses_vacuous_bounds():
-    lone = audit.AdversaryPolicy.fixed_pauli(
+    lone = qpip.fixed_pauli_prover(
         {0: [(0, pa.SymbolicPauli(5, [1, 0, 0], [0, 0, 0]))]},
         name="single-x")
     with pytest.raises(ValueError, match="floor"):
@@ -353,18 +396,20 @@ def test_confidence_refuses_vacuous_bounds():
 def test_confidence_rejects_non_analytic_policies():
     with pytest.raises(ValueError, match="Pauli"):
         audit.confidence_audit(
-            "clifford", audit.AdversaryPolicy.random_unitary((2,), seed=1))
-    multi = audit.AdversaryPolicy.fixed_pauli(
+            "clifford", qpip.random_unitary_prover((2,)))
+    with pytest.raises(ValueError, match="Pauli"):
+        audit.confidence_audit(
+            "clifford", qpip.scripted_prover([], misreport_round=1))
+    multi = qpip.fixed_pauli_prover(
         {0: [(1, pa.SymbolicPauli(2, [1, 0], [0, 0]))]}, name="wrong-block")
     with pytest.raises(ValueError, match="single-block"):
         audit.confidence_audit("clifford", multi)
     with pytest.raises(ValueError, match="mode"):
-        audit.confidence_audit("teleport", audit.AdversaryPolicy.honest())
+        audit.confidence_audit("teleport", qpip.honest_prover())
 
 
 def test_confidence_report_serializes():
-    rep = audit.confidence_audit("clifford",
-                                 audit.AdversaryPolicy.honest())
+    rep = audit.confidence_audit("clifford", qpip.honest_prover())
     blob = json.dumps(rep.to_dict())
     assert "slack" in blob
 
@@ -384,14 +429,6 @@ def test_lemma_suite_is_deterministic():
     first = audit.lemma_suite(seed=11)
     second = audit.lemma_suite(seed=11)
     assert first.results == second.results
-
-
-def test_lemma_suite_parallel_matches_serial():
-    scope = ("logical-x", "pauli-twirl", "clifford-mixing",
-             "interpolation-weights", "unitary-commutation")
-    serial = audit.lemma_suite(scope=scope, seed=3, jobs=1)
-    parallel = audit.lemma_suite(scope=scope, seed=3, jobs=3)
-    assert serial.results == parallel.results
 
 
 def test_lemma_suite_fault_injection_localizes():

@@ -449,8 +449,6 @@ def test_pauli_key_round_trip():
     plain = pc.decode_measurement(raw, k, pc.PauliKey.zero(M), P)
     keyed = pc.decode_measurement(masked, k, pkey, P)
     assert plain == keyed
-    assert keyed == pc.decode_measurement(masked, k, pkey, P,
-                                          apply_z_part=True)
 
 
 # --------------------------------------------------- correlated operators

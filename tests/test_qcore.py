@@ -1,4 +1,4 @@
-"""Register core: field arithmetic, state algebra, measurement, distances."""
+"""Register core: modular inverses, state algebra, measurement, distances."""
 
 import numpy as np
 import pytest
@@ -25,38 +25,20 @@ def sum_gate(q: int) -> qc.UnitaryMatrix:
 
 # ---------------------------------------------------------------- field
 
-def test_field_inv_identity():
-    assert qc.field_inv(qc.FieldElement(1, 5)) == qc.FieldElement(1, 5)
-
-
 def test_field_inv_matches_brute_force():
     # oracle: scan all residues for the one whose product is 1
     for q in (5, 7):
         for a in range(1, q):
             expect = next(b for b in range(q) if (a * b) % q == 1)
-            assert qc.field_inv(qc.FieldElement(a, q)).value == expect
-    assert qc.field_inv(qc.FieldElement(2, 5)).value == 3
-    assert qc.field_inv(qc.FieldElement(4, 7)).value == 2
+            assert qc.inv_mod(a, q) == expect
+            assert qc.inv_mod(a + q, q) == expect
 
 
 def test_field_inv_zero_raises():
     with pytest.raises(ValueError):
-        qc.field_inv(qc.FieldElement(0, 5))
-    with pytest.raises(ValueError):
         qc.inv_mod(0, 5)
-
-
-def test_field_element_arithmetic():
-    a = qc.FieldElement(3, 5)
-    b = qc.FieldElement(4, 5)
-    assert (a + b).value == 2
-    assert (a - b).value == 4
-    assert (a * b).value == 2
-    assert (-a).value == 2
     with pytest.raises(ValueError):
-        qc.FieldElement(1, 6)
-    with pytest.raises(ValueError):
-        a + qc.FieldElement(1, 7)
+        qc.inv_mod(7, 7)
 
 
 # ---------------------------------------------------------------- shapes

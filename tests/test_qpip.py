@@ -268,7 +268,8 @@ def test_key_update_commutes_with_transversal_action(tag):
     physical = qc.StateVector(qc.RegisterShape((Q,) * (nb * M)),
                               iso @ psi.amplitudes, check_norm=False)
     blocks_wires = [tuple(range(b * M, (b + 1) * M)) for b in range(nb)]
-    physical = qpip._transversal_apply(physical, tag, blocks_wires, P)
+    if tag.name not in ("LX", "LZ"):  # logical Paulis are key shifts only
+        physical = pc.apply_logical(tag, physical, blocks_wires, sign, P)
     new_keys = qpip.pauli_key_update(keys, tag, tuple(range(nb)), sign, P)
 
     dec = np.eye(1)
@@ -406,7 +407,7 @@ def test_clifford_broken_variant_checks_every_round():
 def test_clifford_random_unitary_prover_runs():
     rng = qc.make_rng(11)
     circ = qpip.CircuitIR(1, 2, (identity_gate(),))
-    prover = qpip.random_unitary_prover(env_dims=(2,), seed=3)
+    prover = qpip.random_unitary_prover(env_dims=(2,))
     verdicts = {"accept": 0, "reject": 0}
     for _ in range(80):
         rec = qpip.run_clifford_qpip(circ, (1,), 1, prover, rng)
@@ -805,3 +806,77 @@ def test_sym_wrapper_requires_announcement():
     lang, comp = _membership_runners()
     with pytest.raises(ValueError):
         qpip.run_qpip_sym(lang, comp, 1, qpip.honest_prover(), rng)
+
+
+# ------------------------------------------- dense engine: golden records
+
+# Deterministic output: the LZ and LCPG between the two Fouriers shift
+# wire 0, so a wrong LX, LZ, LCPG or LF action changes the record.
+MIXED_DENSE = qpip.CircuitIR(2, Q, (
+    qpip.CircuitGate(LG("LX", 3), (1,)),
+    qpip.CircuitGate(LG("LSUM", 2), (1, 0)),
+    qpip.CircuitGate(LG("LM", 2), (0,)),
+    qpip.CircuitGate(LG("LF", 1), (0,)),
+    qpip.CircuitGate(LG("LCPG", 3), (0, 1)),
+    qpip.CircuitGate(LG("LZ", 1), (0,)),
+    qpip.CircuitGate(LG("LF", -1), (0,)),
+    qpip.CircuitGate(LG("LSUM", 4), (0, 1)),
+))
+
+# Records of the dense engine when it ran its own copy of the transversal
+# gates, for fixed seeds: (inputs, Pauli plan, seed, verdict, output,
+# invalid rounds, transcript lines, the generator's next draw).
+GOLDEN_DENSE_RECORDS = {
+    "honest": (
+        (1, 3), None, 201, "accept", (0, 1), (), [
+            "0\tverifier->prover\tquantum-block\t0,1",
+            "1\tprover->verifier\tclassical-string\t4,4,0",
+            "2\tprover->verifier\tclassical-string\t4,2,0",
+            "3\tverifier->prover\tverdict\taccept",
+        ], 2334987829646676659),
+    "honest-b": (
+        (4, 0), None, 204, "accept", (0, 3), (), [
+            "0\tverifier->prover\tquantum-block\t0,1",
+            "1\tprover->verifier\tclassical-string\t4,2,2",
+            "2\tprover->verifier\tclassical-string\t3,0,3",
+            "3\tverifier->prover\tverdict\taccept",
+        ], 1974360707012260350),
+    "x-coord0": (
+        (1, 3), {1: [(0, X_COORD0)]}, 202, "abort", (2, 1), (1,), [
+            "0\tverifier->prover\tquantum-block\t0,1",
+            "1\tprover->verifier\tclassical-string\t1,4,1",
+            "2\tprover->verifier\tclassical-string\t4,1,4",
+            "3\tverifier->prover\tverdict\tabort",
+        ], 1454546307345730425),
+    "z-all": (
+        (4, 2), {1: [(1, pa.SymbolicPauli(Q, (0, 0, 0), (1, 1, 1)))]}, 203,
+        "accept", (4, 1), (), [
+            "0\tverifier->prover\tquantum-block\t0,1",
+            "1\tprover->verifier\tclassical-string\t3,3,0",
+            "2\tprover->verifier\tclassical-string\t4,1,4",
+            "3\tverifier->prover\tverdict\taccept",
+        ], 864515368670982352),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DENSE_RECORDS))
+def test_poly_dense_reproduces_golden_records(name):
+    inputs, plan, seed, verdict, output, invalid, lines, next_draw = \
+        GOLDEN_DENSE_RECORDS[name]
+    prover = qpip.honest_prover() if plan is None \
+        else qpip.fixed_pauli_prover(plan)
+    rng = qc.make_rng(seed)
+    rec = qpip.run_poly_qpip(MIXED_DENSE, inputs, P, prover, rng,
+                             output_wires=(0, 1))
+    assert rec.verdict == verdict
+    assert rec.output == output
+    assert rec.invalid_rounds == invalid
+    assert rec.rounds == 2
+    assert rec.transcript.to_lines() == lines
+    assert int(rng.integers(2 ** 62)) == next_draw
+    if plan is None:
+        shape = qc.RegisterShape((Q, Q))
+        plain = qpip.apply_circuit_plain(MIXED_DENSE,
+                                         qc.basis_state(shape, inputs))
+        assert abs(plain.amplitudes[shape.digits_to_index(output)]) == \
+            pytest.approx(1.0)

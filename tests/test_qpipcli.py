@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from qpiplab import audit
 from qpiplab import qcore as qc
 from qpiplab import qpip
 from qpiplab import qpipcli as cli
@@ -45,8 +44,8 @@ def test_qpip_poly_pauli_adversary_acts_on_code_wires():
     cfg = cli.ExperimentConfig(subcommand="qpip-poly",
                                circuit_name="poly-demo",
                                adversary=PAULI_ON_CODE_BLOCK)
-    policy = cli.build_policy(cfg, 0)
-    ((_, op),) = policy.plan[1]
+    prover = cli.build_policy(cfg)
+    ((_, op),) = prover.pauli_plan[1]
     assert op.q == cfg.q
     envelope, code = run_and_replay("qpip-poly", circuit_name="poly-demo",
                                     adversary=PAULI_ON_CODE_BLOCK, trials=20)
@@ -58,28 +57,32 @@ def test_qpip_poly_random_unitary_environment_matches_wires():
     cfg = cli.ExperimentConfig(subcommand="qpip-poly",
                                circuit_name="poly-demo",
                                adversary="random-unitary")
-    assert cli.build_policy(cfg, 0).env_dims == (cfg.q,)
+    assert cli.build_policy(cfg).env_dims == (cfg.q,)
 
 
-def _first_draw(prover: qpip.ProverImpl) -> np.ndarray:
+def _first_draw(prover: qpip.ProverImpl, seed: int) -> np.ndarray:
     state = qc.basis_state(qc.RegisterShape((2, 2)), (0, 0))
     ctx = qpip.PolicyContext(phase="gate", round_index=1,
                              block_wires=((0,),), env_wires=(1,),
-                             rng=qc.make_rng(0))
+                             rng=qc.make_rng(seed))
     return prover.policy(state, ctx).amplitudes
 
 
-def test_random_unitary_chunks_draw_independently():
-    policy = audit.AdversaryPolicy.random_unitary((2,), seed=9)
+def test_random_unitary_draws_follow_the_trial_generator():
+    prover = qpip.random_unitary_prover((2,))
     a, b = (int(s) for s in np.random.SeedSequence(1).generate_state(2))
-    chunk_a = _first_draw(policy.build(chunk_seed=a))
-    assert not np.allclose(chunk_a, _first_draw(policy.build(chunk_seed=b)))
-    assert np.array_equal(chunk_a, _first_draw(policy.build(chunk_seed=a)))
-    # the prover's stream is not the chunk's trial stream
-    unseeded = audit.AdversaryPolicy.random_unitary((2,))
-    trial_stream = _first_draw(qpip.random_unitary_prover((2,), seed=a))
-    assert not np.allclose(_first_draw(unseeded.build(chunk_seed=a)),
-                           trial_stream)
+    draw_a = _first_draw(prover, a)
+    assert not np.allclose(draw_a, _first_draw(prover, b))
+    assert np.array_equal(draw_a, _first_draw(prover, a))
+    assert np.array_equal(draw_a,
+                          _first_draw(qpip.random_unitary_prover((2,)), a))
+
+
+def test_qpip_poly_random_unitary_replays_exactly():
+    envelope, code = run_and_replay("qpip-poly", circuit_name="poly-demo",
+                                    adversary="random-unitary", trials=2)
+    assert code == 0
+    assert envelope.payload["per_policy"]["random-unitary"]["trials"] == 2
 
 
 def test_envelope_without_timings_still_loads():
@@ -133,3 +136,91 @@ def test_qpip_poly_logical_frame_runs_its_default_circuit():
                                     engine="logical-frame", trials=20)
     assert code == 0
     assert envelope.payload["accept_rate"] == 1.0
+
+
+# ----- golden payloads and the replay boundary
+
+# Payloads of the protocol and confidence runs, recorded when provers were
+# rebuilt per trial chunk; the config echo is left out (it then held jobs).
+GOLDEN_CLI_PAYLOADS = {
+    "qpip-clifford": (
+        {"circuit_name": "clifford-demo", "trials": 40,
+         "adversary": 'pauli:{"3": [[0, [1, 0], [0, 0]]]}'},
+        {"abort_rate": 0.575, "accept_rate": 0.275, "bound": 0.5,
+         "bound_violated": False, "negative_control": False,
+         "note": "statistical evidence, not proof",
+         "per_policy": {"fixed-pauli": {"abort": 23, "accept": 11,
+                                        "trials": 40, "wrong_accept": 6}},
+         "seeds": [5765488047046174020], "trials": 40,
+         "wilson_accept": [0.161078534331, 0.428352508331],
+         "wilson_wrong": [0.070610917085, 0.29072626039],
+         "wrong_accept_rate": 0.15}),
+    "confidence": (
+        {"adversary": 'pauli:{"0": [[0, [0, 1], [0, 0]]]}'},
+        {"beta": 0.466666666667, "bound": 1.071428571429,
+         "distance": 0.571428571429, "epsilon": 0.5, "floor": 0.05,
+         "mode": "clifford", "policy": "fixed-pauli", "slack": 0.5}),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(GOLDEN_CLI_PAYLOADS))
+def test_cli_payloads_match_golden_records(subcommand):
+    kwargs, payload = GOLDEN_CLI_PAYLOADS[subcommand]
+    envelope, code, _ = cli.run_config(
+        cli.ExperimentConfig(subcommand=subcommand, **kwargs), 7)
+    assert code == 0
+    assert envelope.payload == payload
+
+
+def test_console_lemmas_run_and_replay(tmp_path):
+    path = str(tmp_path / "lemmas.json")
+    assert cli.main(["lemmas", "--scope", "logical-x",
+                     "--output", path]) == 0
+    assert cli.main(["replay", path]) == 0
+
+
+def _stored_lemmas(tmp_path) -> tuple[str, dict]:
+    path = tmp_path / "lemmas.json"
+    assert cli.main(["lemmas", "--scope", "logical-x",
+                     "--output", str(path)]) == 0
+    return str(path), json.loads(path.read_text())
+
+
+def test_replay_refuses_schema_1_envelopes(tmp_path, capsys):
+    path, data = _stored_lemmas(tmp_path)
+    data["schema_version"] = 1
+    data["config"]["jobs"] = 1
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    assert cli.main(["replay", path]) == 2
+    assert "schema version mismatch" in capsys.readouterr().err
+
+
+def test_replay_names_unknown_config_keys(tmp_path, capsys):
+    path, data = _stored_lemmas(tmp_path)
+    data["config"]["workers"] = 2
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    assert cli.main(["replay", path]) == 2
+    assert "unknown config keys: ['workers']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda d: d.update(extra=1), "unexpected keyword argument 'extra'"),
+    (lambda d: d.pop("seed"), "missing 1 required positional argument"),
+    (lambda d: d["config"].pop("subcommand"), "config has no subcommand"),
+])
+def test_replay_rejects_malformed_envelopes(tmp_path, capsys, corrupt,
+                                           message):
+    path, data = _stored_lemmas(tmp_path)
+    corrupt(data)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    assert cli.main(["replay", path]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_jobs_option_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lemmas", "--jobs", "2"])
+    assert exc.value.code == 2
