@@ -264,11 +264,7 @@ def _report_from_counts(per_policy: dict[str, dict[str, int]],
 def estimate_completeness(config: ProtocolConfig, trials: int,
                           rng: np.random.Generator) -> ExperimentReport:
     """Honest-prover acceptance rate against the 1 - gamma promise."""
-    master = int(rng.integers(0, 2 ** 63 - 1))
-    prover = qpip.honest_prover()
-    counts = _run_policy_trials(config, prover, trials, master)
-    return _report_from_counts({prover.name: counts}, config.bound,
-                               (master,))
+    return estimate_soundness(config, qpip.honest_prover(), trials, rng)
 
 
 def estimate_soundness(config: ProtocolConfig,
@@ -665,7 +661,7 @@ def _poly_confidence(prover: qpip.ProverImpl, p: pc.CodeParams,
     attack = _policy_block_pauli(prover, q, m)
     p_mat = pa.pauli_matrix(attack).entries
     shape = qc.RegisterShape((q,) * m)
-    pkey = pc.PauliKey.zero(m)
+    pkey = pa.SymbolicPauli.identity(q, m)
     accept_mass = 0.0
     cond = np.zeros(q, dtype=np.float64)
     keys = pc.all_sign_keys(m)
@@ -879,7 +875,7 @@ def _check_decode_diagonalization(rng, cvec, p) -> float:
     q = p.q
     res = 0.0
     target_shape = qc.RegisterShape((q,) * p.m)
-    zero_pad = pc.PauliKey.zero(p.m)
+    zero_pad = pa.SymbolicPauli.identity(p.q, p.m)
     for k in pc.all_sign_keys(p.m):
         kk = k.residues(q)
         for a in range(q):
@@ -999,7 +995,7 @@ def _check_completeness(rng, cvec, p) -> float:
             res = max(res, 1.0)
             continue
         res = max(res, 1.0 - qc.state_fidelity(dec, psi))
-    zero_pad = pc.PauliKey.zero(p.m)
+    zero_pad = pa.SymbolicPauli.identity(p.q, p.m)
     for k in pc.all_sign_keys(p.m):
         for a in range(p.q):
             enc = pc.encode_Ek(qc.basis_state(qc.RegisterShape((p.q,)),

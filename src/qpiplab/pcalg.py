@@ -1,12 +1,14 @@
 """Pauli and Clifford algebra over prime-dimension wires.
 
-Symbolic Paulis carry exponent vectors only (phases dropped); every
-symbolic identity used downstream is checked against dense conjugation up
-to phase.  A qubit Clifford element is keyed by its tableau, the Pauli
-images of the 2n generators with their phases, and keys compose by
-Pauli-image table lookup.  C_1 and C_2 are enumerated exactly by closure
-over generator words; three-qubit elements come from the random
-symplectic transvection construction.
+Symbolic Paulis carry exponent vectors only (phases dropped); they serve
+as pad keys, attack frames and attacks alike, and `pauli_matrix` gives
+their dense form.  The conjugation rules that move them through the
+transversal logical gates live in one table, `qpip.pauli_key_update`.  A
+qubit Clifford element is keyed by its tableau, the Pauli images of the
+2n generators with their phases, and keys compose by Pauli-image table
+lookup.  C_1 and C_2 are enumerated exactly by closure over generator
+words; three-qubit elements come from the random symplectic transvection
+construction.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .qcore import RegisterShape, UnitaryMatrix, inv_mod
+from .qcore import RegisterShape, UnitaryMatrix
 
 # Guard for exact group averaging: elements * dim^3 budget.
 _AVERAGE_FLOP_CAP = 2e10
@@ -154,77 +156,6 @@ def gate_matrix(g: GateTag, q: int) -> UnitaryMatrix:
     n = g.arity
     return UnitaryMatrix(RegisterShape((q,) * n), np.asarray(m, dtype=np.complex128),
                          check_unitary=False)
-
-
-def conjugate_symbolic(g: GateTag, p: SymbolicPauli,
-                       wires: Sequence[int] | None = None,
-                       power: int = 1,
-                       dagger: bool = False) -> SymbolicPauli:
-    """Exponent-level image of g P g^dag (phase dropped).
-
-    `wires` selects which wires of p the gate touches (defaults to all,
-    which then must match the gate arity).  `power` repeats the gate;
-    `dagger` conjugates by the inverse instead.
-    """
-    q = p.q
-    if wires is None:
-        wires = tuple(range(p.num_wires))
-    if len(wires) != g.arity:
-        raise ValueError(f"{g.name} acts on {g.arity} wires, got {len(wires)}")
-    x = p.x.copy()
-    z = p.z.copy()
-    t = (-power if dagger else power) % q
-
-    if g.name in ("SUM", "CNOT"):
-        a, b = wires
-        # SUM^t: Z^zA X^xA (x) Z^zB X^xB -> Z^{zA-t zB} X^xA (x) Z^zB X^{xB+t xA}
-        z[a] = (z[a] - t * z[b]) % q
-        x[b] = (x[b] + t * x[a]) % q
-    elif g.name == "CPG":
-        a, b = wires
-        z[a] = (z[a] + t * x[b]) % q
-        z[b] = (z[b] + t * x[a]) % q
-    elif g.name in ("F", "F_r", "H"):
-        if power != 1:
-            raise ValueError("Fourier conjugation supports power 1 only")
-        r = g.r % q if g.name == "F_r" else 1
-        (i,) = wires
-        if dagger:
-            # inverse of (z,x) -> (r x, -r^{-1} z)
-            z[i], x[i] = (-r * x[i]) % q, (inv_mod(r, q) * z[i]) % q
-        else:
-            z[i], x[i] = (r * x[i]) % q, (-inv_mod(r, q) * z[i]) % q
-    elif g.name == "M_r":
-        if power != 1:
-            raise ValueError("M_r conjugation supports power 1 only")
-        r = g.r % q
-        (i,) = wires
-        if dagger:
-            r = inv_mod(r, q)
-        z[i] = (inv_mod(r, q) * z[i]) % q
-        x[i] = (r * x[i]) % q
-    elif g.name == "K":
-        (i,) = wires
-        # K X K^dag = i XZ, K Z K^dag = Z
-        z[i] = (z[i] + t * x[i]) % 2
-    else:
-        raise ValueError(f"no symbolic rule for gate {g.name!r}")
-    return SymbolicPauli(q, x, z)
-
-
-def conjugate_through(circuit: Iterable[tuple[GateTag, Sequence[int], int]],
-                      p: SymbolicPauli, dagger: bool = False) -> SymbolicPauli:
-    """Conjugate p through a gate list [(tag, wires, power)].
-
-    With dagger=False computes (g_k ... g_1) P (g_k ... g_1)^dag reading
-    the list left to right as application order; dagger=True undoes it.
-    """
-    steps = list(circuit)
-    if dagger:
-        steps = steps[::-1]
-    for tag, wires, power in steps:
-        p = conjugate_symbolic(tag, p, wires=wires, power=power, dagger=dagger)
-    return p
 
 
 # ------------------------------------------------------------------ qubits

@@ -20,7 +20,7 @@ from . import qcore as qc
 @dataclass(frozen=True)
 class PolyQasKey:
     sign: pc.SignKey
-    pauli: pc.PauliKey
+    pauli: pa.SymbolicPauli
 
 
 def random_poly_key(p: pc.CodeParams, rng: np.random.Generator) -> PolyQasKey:
@@ -30,9 +30,7 @@ def random_poly_key(p: pc.CodeParams, rng: np.random.Generator) -> PolyQasKey:
 # --------------------------------------------------------- encode/decode
 
 def _pad_matrix(key: PolyQasKey, p: pc.CodeParams) -> np.ndarray:
-    op = pa.SymbolicPauli(p.q, np.array(key.pauli.x, dtype=np.int64),
-                          np.array(key.pauli.z, dtype=np.int64))
-    return pa.pauli_matrix(op).entries
+    return pa.pauli_matrix(key.pauli).entries
 
 
 def pqas_encode(psi: qc.StateVector, key: PolyQasKey,
@@ -413,7 +411,7 @@ def measure_resend_experiment(p: pc.CodeParams, psi: qc.StateVector,
                 cands = _candidate_keys(v, p) or keys
                 for guess in cands:
                     ahat = pc.decode_measurement(
-                        v, guess, pc.PauliKey.zero(m), p).value
+                        v, guess, pa.SymbolicPauli.identity(q, m), p).value
                     resent = pc.codeword_state((ahat + 1) % q, guess, p)
                     dec = pc.decode_Ek(resent, k, p)
                     sector = dec.amplitudes.reshape(q, q ** (m - 1))[:, 0]
@@ -431,8 +429,8 @@ def measure_resend_experiment(p: pc.CodeParams, psi: qc.StateVector,
             v, _ = qc.measure_wires(enc, tuple(range(m)), rng)
             cands = _candidate_keys(v, p) or keys
             guess = cands[int(rng.integers(len(cands)))]
-            ahat = pc.decode_measurement(v, guess, pc.PauliKey.zero(m),
-                                         p).value
+            ahat = pc.decode_measurement(
+                v, guess, pa.SymbolicPauli.identity(q, m), p).value
             resent = pc.codeword_state((ahat + 1) % q, guess, p)
             stripped = _pad_matrix(key, p).conj().T @ resent.amplitudes
             dec = pc.decode_Ek(qc.StateVector(p.shape(), stripped,

@@ -172,25 +172,11 @@ def random_sign_key(m: int, rng: np.random.Generator) -> SignKey:
     return SignKey(tuple(int(v) for v in rng.choice([1, -1], size=m)))
 
 
-@dataclass(frozen=True)
-class PauliKey:
-    """One-time-pad exponents (z, x) in F_q^m for a single block."""
-
-    z: tuple[int, ...]
-    x: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.z) != len(self.x):
-            raise ValueError("z and x must have equal length")
-
-    @classmethod
-    def zero(cls, m: int) -> "PauliKey":
-        return cls((0,) * m, (0,) * m)
-
-
-def random_pauli_key(p: CodeParams, rng: np.random.Generator) -> PauliKey:
-    return PauliKey(tuple(int(v) for v in rng.integers(0, p.q, size=p.m)),
-                    tuple(int(v) for v in rng.integers(0, p.q, size=p.m)))
+def random_pauli_key(p: CodeParams,
+                     rng: np.random.Generator) -> pa.SymbolicPauli:
+    """Uniform one-time pad Z^z X^x for one block (z drawn first)."""
+    z = rng.integers(0, p.q, size=p.m)
+    return pa.SymbolicPauli(p.q, rng.integers(0, p.q, size=p.m), z)
 
 
 @dataclass(frozen=True)
@@ -441,7 +427,8 @@ class DecodedResult:
     residual: tuple[int, ...]
 
 
-def decode_measurement(raw: Sequence[int], k: SignKey, pkey: PauliKey,
+def decode_measurement(raw: Sequence[int], k: SignKey,
+                       pkey: pa.SymbolicPauli,
                        p: CodeParams) -> DecodedResult:
     """Classical decode of a standard-basis measurement string.
 
@@ -451,7 +438,7 @@ def decode_measurement(raw: Sequence[int], k: SignKey, pkey: PauliKey,
     """
     if len(raw) != p.m:
         raise ValueError("measurement string length mismatch")
-    vec = (np.array(raw, dtype=np.int64) - np.array(pkey.x, dtype=np.int64)) % p.q
+    vec = (np.array(raw, dtype=np.int64) - pkey.x) % p.q
     _, linv = _dk_maps(k.k, p)
     delta = linv @ vec % p.q
     residual = tuple(int(v) for v in delta[p.d + 1:])

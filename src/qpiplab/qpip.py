@@ -17,13 +17,17 @@ gadget (q^(n+3) amplitudes whatever the gadget count), and one symbolic
 Pauli frame per block; Clifford rounds act on the logical state while keys
 and frames evolve by exact conjugation rules, which covers honest and
 Pauli-attacking provers at any gadget count.
+
+Verifier keys and attack frames share one type, `pcalg.SymbolicPauli`,
+and one rule table, `pauli_key_update`, which moves either through a
+transversal gate at a cost independent of the block count.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -367,74 +371,52 @@ def toffoli_gadget(state: qc.StateVector, target_wires: Sequence[int],
 # ---------------------------------------------------- Pauli key updates
 
 
-def _update_xz(tag: pc.LogicalGateTag, xs: list[np.ndarray],
-               zs: list[np.ndarray], k: pc.SignKey | None,
-               p: pc.CodeParams) -> None:
-    """Shared conjugation rules on (x, z) exponent vectors, in place.
+def pauli_key_update(paulis: list[pa.SymbolicPauli],
+                     gate: pc.LogicalGateTag, blocks: Sequence[int],
+                     p: pc.CodeParams, sign: pc.SignKey | None = None) -> None:
+    """Conjugate the Paulis of the touched blocks through one logical gate.
 
-    The same algebra moves verifier keys and adversarial Pauli frames
-    through a transversal gate; only LX/LZ need the sign key, because the
-    verifier implements logical Paulis purely as key shifts.
+    The one rule table for verifier keys and attack frames.  With `sign`
+    the entries are verifier keys, and LX/LZ shift them, because the
+    verifier implements logical Paulis purely as key shifts; with
+    sign=None they are attack frames, which LX/LZ leave alone, because
+    key-shift gates have no physical circuit to pass through.  Only the
+    touched entries of `paulis` are replaced, in place.
     """
-    q = p.q
+    q, name = p.q, gate.name
     c = np.array(p.interp_c, dtype=np.int64)
-    cinv = np.array([qc.inv_mod(int(v), q) for v in p.interp_c],
-                    dtype=np.int64)
-    if tag.name == "LX":
-        kv = np.array(k.k, dtype=np.int64)
-        xs[0][:] = (xs[0] - tag.param * kv) % q
-    elif tag.name == "LZ":
-        kv = np.array(k.k, dtype=np.int64)
-        zs[0][:] = (zs[0] - tag.param * c * kv) % q
-    elif tag.name == "LSUM":
-        t = tag.param % q
-        zs[0][:] = (zs[0] - t * zs[1]) % q
-        xs[1][:] = (xs[1] + t * xs[0]) % q
-    elif tag.name == "LCPG":
-        t = tag.param % q
-        za = (zs[0] + t * c * xs[1]) % q
-        zb = (zs[1] + t * c * xs[0]) % q
-        zs[0][:], zs[1][:] = za, zb
-    elif tag.name == "LF":
-        if tag.param == 1:
-            nx = (-cinv * zs[0]) % q
-            nz = (c * xs[0]) % q
-        else:
-            nx = (cinv * zs[0]) % q
-            nz = (-c * xs[0]) % q
-        xs[0][:], zs[0][:] = nx, nz
-    elif tag.name == "LM":
-        r = tag.param % q
-        xs[0][:] = (r * xs[0]) % q
-        zs[0][:] = (qc.inv_mod(r, q) * zs[0]) % q
+    old = [paulis[b] for b in blocks]
+    if name in ("LX", "LZ"):
+        if sign is None:
+            return
+        (a,) = old
+        shift = gate.param * np.array(sign.k, dtype=np.int64)
+        new = [pa.SymbolicPauli(q, a.x - shift, a.z) if name == "LX"
+               else pa.SymbolicPauli(q, a.x, a.z - shift * c)]
+    elif name == "LSUM":
+        a, b = old
+        t = gate.param % q
+        new = [pa.SymbolicPauli(q, a.x, a.z - t * b.z),
+               pa.SymbolicPauli(q, b.x + t * a.x, b.z)]
+    elif name == "LCPG":
+        a, b = old
+        t = gate.param % q
+        new = [pa.SymbolicPauli(q, a.x, a.z + t * c * b.x),
+               pa.SymbolicPauli(q, b.x, b.z + t * c * a.x)]
+    elif name == "LF":
+        (a,) = old
+        cinv = np.array([qc.inv_mod(int(v), q) for v in p.interp_c],
+                        dtype=np.int64)
+        s = gate.param  # F_{c_i} per wire, or its inverse
+        new = [pa.SymbolicPauli(q, -s * cinv * a.z, s * c * a.x)]
+    elif name == "LM":
+        (a,) = old
+        r = gate.param % q
+        new = [pa.SymbolicPauli(q, r * a.x, qc.inv_mod(r, q) * a.z)]
     else:
-        raise ValueError(f"no key rule for gate {tag.name!r}")
-
-
-def pauli_key_update(keys: Sequence[pc.PauliKey], gate: pc.LogicalGateTag,
-                     blocks: Sequence[int], k: pc.SignKey,
-                     p: pc.CodeParams) -> tuple[pc.PauliKey, ...]:
-    """Return the key list after one logical gate on the given blocks."""
-    out = list(keys)
-    xs = [np.array(out[b].x, dtype=np.int64) for b in blocks]
-    zs = [np.array(out[b].z, dtype=np.int64) for b in blocks]
-    _update_xz(gate, xs, zs, k, p)
-    for i, b in enumerate(blocks):
-        out[b] = pc.PauliKey(z=tuple(int(v) for v in zs[i]),
-                             x=tuple(int(v) for v in xs[i]))
-    return tuple(out)
-
-
-def _frame_update(frames: list[pa.SymbolicPauli], gate: pc.LogicalGateTag,
-                  blocks: Sequence[int], p: pc.CodeParams) -> None:
-    """Conjugate attack frames through the transversal gate, in place."""
-    if gate.name in ("LX", "LZ"):
-        return  # key-shift gates have no physical circuit to pass through
-    xs = [frames[b].x.copy() for b in blocks]
-    zs = [frames[b].z.copy() for b in blocks]
-    _update_xz(gate, xs, zs, None, p)
-    for i, b in enumerate(blocks):
-        frames[b] = pa.SymbolicPauli(p.q, xs[i], zs[i])
+        raise ValueError(f"no key rule for gate {name!r}")
+    for b, pauli in zip(blocks, new):
+        paulis[b] = pauli
 
 
 # ------------------------------------------------------------ transcript
@@ -520,18 +502,6 @@ class Transcript:
                     else ()
             out.append(TranscriptEntry(int(seq), direction, kind, payload))
         return out
-
-
-@dataclass
-class VerifierState:
-    """Verifier-held secrets and flags; never serialized into transcripts."""
-
-    mode: str
-    sign_key: pc.SignKey | None = None
-    pauli_keys: list[pc.PauliKey] | None = None
-    clifford_keys: list[ca.CliffordKey] | None = None
-    round_index: int = 0
-    invalid_rounds: list[int] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -765,7 +735,6 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
                         for b in range(n))
     env_wires = tuple(range(n * m_b, n * m_b + len(prover.env_dims)))
 
-    vs = VerifierState(mode="clifford", clifford_keys=keys)
     transcript = Transcript()
     transcript.add("verifier->prover", "quantum-block", tuple(range(n)))
 
@@ -777,7 +746,6 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
 
     total_rounds = len(circuit.gates) + 1
     for i, gate in enumerate(circuit.gates, start=1):
-        vs.round_index = i
         if prover.misreport_round == i:
             transcript.add("prover->verifier", "verdict", "abort")
             return VerdictRecord("abort", None, transcript, i)
@@ -808,7 +776,6 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
         transcript.add("verifier->prover", "quantum-block", touched)
 
     final = total_rounds
-    vs.round_index = final
     if prover.misreport_round == final:
         transcript.add("prover->verifier", "verdict", "abort")
         return VerdictRecord("abort", None, transcript, final)
@@ -831,7 +798,8 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
 # ------------------------------------------------- qudit protocol engine
 
 
-def _sample_codeword_string(value: int, k: pc.SignKey, pkey: pc.PauliKey,
+def _sample_codeword_string(value: int, k: pc.SignKey,
+                            pkey: pa.SymbolicPauli,
                             frame: pa.SymbolicPauli, p: pc.CodeParams,
                             rng: np.random.Generator) -> tuple[int, ...]:
     """Digits a standard-basis readout of an authenticated block produces."""
@@ -840,7 +808,7 @@ def _sample_codeword_string(value: int, k: pc.SignKey, pkey: pc.PauliKey,
     vec[0] = value % p.q
     vec[1:p.d + 1] = rng.integers(0, p.q, size=p.d)
     w = lmap @ vec % p.q
-    raw = (w + np.array(pkey.x, dtype=np.int64) + frame.x) % p.q
+    raw = (w + pkey.x + frame.x) % p.q
     return tuple(int(v) for v in raw)
 
 
@@ -901,7 +869,7 @@ def _poly_dense(circuit: CircuitIR, schedule: LogicalSchedule,
     block_wires = tuple(tuple(range(b * m, (b + 1) * m)) for b in range(n))
     env_wires = tuple(range(n * m, n * m + len(prover.env_dims)))
 
-    vs = VerifierState(mode="poly", sign_key=sign, pauli_keys=keys)
+    invalid_rounds: list[int] = []
     transcript = Transcript()
     transcript.add("verifier->prover", "quantum-block", tuple(range(n)))
     state = _run_policy(prover, state, "recv", 0, block_wires, env_wires,
@@ -912,11 +880,9 @@ def _poly_dense(circuit: CircuitIR, schedule: LogicalSchedule,
         if tag.name not in ("LX", "LZ"):  # logical Paulis are key shifts
             wires_of = [block_wires[b] for b in gate.wires]
             state = pc.apply_logical(tag, state, wires_of, sign, p)
-        new_keys = pauli_key_update(keys, tag, gate.wires, sign, p)
-        keys[:] = list(new_keys)
+        pauli_key_update(keys, tag, gate.wires, p, sign)
 
     final_round = 1
-    vs.round_index = final_round
     state = _run_policy(prover, state, "send", final_round, block_wires,
                         env_wires, rng)
     outputs: list[int] = []
@@ -925,13 +891,13 @@ def _poly_dense(circuit: CircuitIR, schedule: LogicalSchedule,
         transcript.add("prover->verifier", "classical-string", raw)
         decoded = pc.decode_measurement(raw, sign, keys[w], p)
         if not decoded.valid:
-            vs.invalid_rounds.append(final_round)
+            invalid_rounds.append(final_round)
         outputs.append(decoded.value)
-    verdict = "abort" if vs.invalid_rounds else "accept"
+    verdict = "abort" if invalid_rounds else "accept"
     transcript.add("verifier->prover", "verdict", verdict)
     return VerdictRecord(verdict, tuple(outputs), transcript,
                          rounds=final_round + 1,
-                         invalid_rounds=tuple(vs.invalid_rounds))
+                         invalid_rounds=tuple(invalid_rounds))
 
 
 def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
@@ -957,7 +923,7 @@ def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
                            tuple(int(v) for v in input_digits))
     live = list(range(circuit.n))  # block id held at each register wire
 
-    vs = VerifierState(mode="poly", sign_key=sign, pauli_keys=keys)
+    invalid_rounds: list[int] = []
     transcript = Transcript()
     transcript.add("verifier->prover", "quantum-block", tuple(range(blocks)))
 
@@ -973,8 +939,8 @@ def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
             mat = _plain_logical_matrix(tag, q)
             state = qc.apply_on_wires(state, mat,
                                       tuple(live.index(b) for b in bs))
-            keys[:] = list(pauli_key_update(keys, tag, bs, sign, p))
-            _frame_update(frames, tag, bs, p)
+            pauli_key_update(keys, tag, bs, p, sign)
+            pauli_key_update(frames, tag, bs, p)
 
     inject(0)
     for i in range(L + 1):
@@ -986,7 +952,6 @@ def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
             break
         gadget = schedule.gadgets[i]
         round_no = i + 1
-        vs.round_index = round_no
         inject(round_no)
         wires = tuple(live.index(b) for b in gadget.target_blocks)
         values, state = qc.measure_wires(state, wires, rng)
@@ -1005,7 +970,7 @@ def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
             raw_all.extend(raw)
             decoded = pc.decode_measurement(raw, sign, keys[b], p)
             if not decoded.valid:
-                vs.invalid_rounds.append(round_no)
+                invalid_rounds.append(round_no)
             betas.append(decoded.value)
         transcript.add("prover->verifier", "classical-string",
                        tuple(raw_all))
@@ -1016,7 +981,6 @@ def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
         run_round_ops(mapped)
 
     final_round = L + 1
-    vs.round_index = final_round
     inject(final_round)
     outputs: list[int] = []
     for w in output_wires:
@@ -1027,13 +991,13 @@ def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
         transcript.add("prover->verifier", "classical-string", raw)
         decoded = pc.decode_measurement(raw, sign, keys[b], p)
         if not decoded.valid:
-            vs.invalid_rounds.append(final_round)
+            invalid_rounds.append(final_round)
         outputs.append(decoded.value)
-    verdict = "abort" if vs.invalid_rounds else "accept"
+    verdict = "abort" if invalid_rounds else "accept"
     transcript.add("verifier->prover", "verdict", verdict)
     return VerdictRecord(verdict, tuple(outputs), transcript,
                          rounds=final_round + 1,
-                         invalid_rounds=tuple(vs.invalid_rounds))
+                         invalid_rounds=tuple(invalid_rounds))
 
 
 # ----------------------------------------------------- universal circuit

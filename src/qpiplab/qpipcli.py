@@ -43,19 +43,6 @@ _LOGICAL_NAMES = ("LX", "LZ", "LSUM", "LCPG", "LF", "LM")
 # --------------------------------------------------------- circuit codec
 
 
-def circuit_to_obj(circ: qpip.CircuitIR) -> dict:
-    """JSON-ready description of a tag-only circuit."""
-    gates = []
-    for gate in circ.gates:
-        if isinstance(gate.op, qc.UnitaryMatrix):
-            raise ValueError("matrix gates have no text form; use tags")
-        param = gate.op.param if hasattr(gate.op, "param") else gate.op.r
-        gates.append({"tag": gate.op.name, "param": int(param),
-                      "wires": list(gate.wires)})
-    return {"n": circ.n, "wire_dim": circ.wire_dim, "gamma": circ.gamma,
-            "gates": gates}
-
-
 def circuit_from_obj(obj: dict) -> qpip.CircuitIR:
     gates = []
     for g in obj["gates"]:
@@ -353,10 +340,7 @@ def _run_qpip(cfg: ExperimentConfig, seed: int, mode: str):
         engine=cfg.engine, broken_variant=cfg.broken_variant)
     prover = build_policy(cfg)
     rng = qc.make_rng(seed)
-    if cfg.adversary == "honest":
-        rep = audit.estimate_completeness(protocol, cfg.trials, rng)
-    else:
-        rep = audit.estimate_soundness(protocol, prover, cfg.trials, rng)
+    rep = audit.estimate_soundness(protocol, prover, cfg.trials, rng)
     payload = rep.to_dict()
     violated = rep.wilson_wrong[0] > rep.bound
     payload["bound_violated"] = violated

@@ -1,4 +1,4 @@
-"""Pauli/Clifford algebra: gates, conjugation rules, enumeration, averaging."""
+"""Pauli/Clifford algebra: gates, enumeration, averaging."""
 
 import numpy as np
 import pytest
@@ -90,82 +90,13 @@ def test_gate_tag_validation():
 
 
 def test_k_gate_phase_identity():
-    # K X K^dag = i X.Z, the phase the symbolic layer drops
+    # K X K^dag = i X.Z
     k = pa.gate_matrix(pa.GateTag("K"), 2).entries
     x = pa.pauli_matrix_1(2, 1, 0)
     z = pa.pauli_matrix_1(2, 0, 1)
     assert np.allclose(k @ x @ k.conj().T, 1j * (x @ z))
     # and Z.X = -X.Z, so the stored Z^z X^x form differs only in phase
     assert np.allclose(pa.pauli_matrix_1(2, 1, 1), z @ x)
-
-
-# ------------------------------------------------------------ conjugation
-
-def test_conjugate_sum_example():
-    p = pa.SymbolicPauli(5, [0, 0], [0, 1])  # I (x) Z
-    out = pa.conjugate_symbolic(pa.GateTag("SUM"), p)
-    assert out == pa.SymbolicPauli(5, [0, 0], [4, 1])
-
-
-def test_conjugate_fourier_example():
-    p = pa.SymbolicPauli(5, [0], [1])  # Z
-    out = pa.conjugate_symbolic(pa.GateTag("F"), p)
-    assert out == pa.SymbolicPauli(5, [4], [0])  # X^{-1}
-
-
-def test_conjugate_multiply_example():
-    p = pa.SymbolicPauli(5, [1], [0])  # X
-    out = pa.conjugate_symbolic(pa.GateTag("M_r", 2), p)
-    assert out == pa.SymbolicPauli(5, [2], [0])
-
-
-def test_conjugate_unsupported_gate():
-    p = pa.SymbolicPauli(5, [0, 0, 0], [0, 0, 0])
-    with pytest.raises(ValueError):
-        pa.conjugate_symbolic(pa.GateTag("T"), p)
-
-
-@pytest.mark.parametrize("tag,q", [
-    (pa.GateTag("SUM"), 5), (pa.GateTag("F"), 5), (pa.GateTag("F_r", 2), 5),
-    (pa.GateTag("F_r", 4), 5), (pa.GateTag("M_r", 2), 5),
-    (pa.GateTag("M_r", 3), 5), (pa.GateTag("CPG"), 5),
-    (pa.GateTag("H"), 2), (pa.GateTag("K"), 2), (pa.GateTag("CNOT"), 2),
-])
-def test_conjugation_matches_dense(tag, q):
-    gm = pa.gate_matrix(tag, q).entries
-    n = tag.arity
-    for xi in range(q ** n):
-        for zi in range(q ** n):
-            shape = qc.RegisterShape((q,) * n)
-            p = pa.SymbolicPauli(q, shape.index_to_digits(xi),
-                                 shape.index_to_digits(zi))
-            for dagger in (False, True):
-                g = gm.conj().T if dagger else gm
-                out = pa.conjugate_symbolic(tag, p, dagger=dagger)
-                lhs = g @ pa.pauli_matrix(p).entries @ g.conj().T
-                assert phase_free_equal(lhs, pa.pauli_matrix(out).entries)
-
-
-def test_conjugation_powers_match_dense():
-    q = 5
-    for tag in (pa.GateTag("SUM"), pa.GateTag("CPG")):
-        gm = pa.gate_matrix(tag, q).entries
-        for t in range(2, 5):
-            gt = np.linalg.matrix_power(gm, t)
-            p = pa.SymbolicPauli(q, [2, 1], [3, 4])
-            out = pa.conjugate_symbolic(tag, p, power=t)
-            lhs = gt @ pa.pauli_matrix(p).entries @ gt.conj().T
-            assert phase_free_equal(lhs, pa.pauli_matrix(out).entries)
-
-
-def test_conjugate_through_round_trip():
-    q = 5
-    circuit = [(pa.GateTag("SUM"), (0, 2), 3), (pa.GateTag("F"), (1,), 1),
-               (pa.GateTag("M_r", 4), (0,), 1), (pa.GateTag("CPG"), (1, 2), 2)]
-    p = pa.SymbolicPauli(q, [1, 2, 3], [4, 0, 2])
-    fwd = pa.conjugate_through(circuit, p)
-    back = pa.conjugate_through(circuit, fwd, dagger=True)
-    assert back == p
 
 
 # ------------------------------------------------------------ enumeration

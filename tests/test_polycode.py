@@ -252,7 +252,7 @@ def test_logical_fourier_measurement_statistics():
     """Encoded Fourier then decode-measure reproduces plain Fourier stats."""
     f = pa.gate_matrix(pa.GateTag("F"), Q).entries
     k = pc.SignKey((1, -1, 1))
-    zero_key = pc.PauliKey.zero(M)
+    zero_key = pa.SymbolicPauli.identity(Q, M)
     for a in range(Q):
         ref = np.abs(f @ np.eye(Q)[a]) ** 2
         got = pc.apply_logical(pc.LogicalGateTag("LF"),
@@ -405,7 +405,7 @@ def test_logical_cpg_matches_plain_on_superpositions():
 # ---------------------------------------------------------- measurement
 
 def test_decode_untampered_support_exhaustive():
-    zero_key = pc.PauliKey.zero(M)
+    zero_key = pa.SymbolicPauli.identity(Q, M)
     for k in KEYS:
         for a in range(Q):
             amps = pc.codeword_state(a, k, P).amplitudes
@@ -418,7 +418,7 @@ def test_decode_untampered_support_exhaustive():
 def test_decode_sampled_draws():
     rng = qc.make_rng(5)
     k = pc.SignKey((1, 1, -1))
-    zero_key = pc.PauliKey.zero(M)
+    zero_key = pa.SymbolicPauli.identity(Q, M)
     state = pc.codeword_state(3, k, P)
     for _ in range(100):
         digits, _ = qc.measure_wires(state, tuple(range(M)), rng)
@@ -427,7 +427,7 @@ def test_decode_sampled_draws():
 
 
 def test_single_coordinate_shift_always_invalid():
-    zero_key = pc.PauliKey.zero(M)
+    zero_key = pa.SymbolicPauli.identity(Q, M)
     for k in KEYS:
         for j in range(M):
             amps = pc.codeword_state(1, k, P).amplitudes
@@ -446,7 +446,7 @@ def test_pauli_key_round_trip():
     idx = np.nonzero(np.abs(amps) > 1e-12)[0][2]
     raw = P.shape().index_to_digits(idx)
     masked = tuple((v + xv) % Q for v, xv in zip(raw, pkey.x))
-    plain = pc.decode_measurement(raw, k, pc.PauliKey.zero(M), P)
+    plain = pc.decode_measurement(raw, k, pa.SymbolicPauli.identity(Q, M), P)
     keyed = pc.decode_measurement(masked, k, pkey, P)
     assert plain == keyed
 
@@ -639,7 +639,7 @@ def test_any_support_string_decodes(a, draw, key_idx):
     amps = pc.codeword_state(a, k, P).amplitudes
     support = np.nonzero(np.abs(amps) > 1e-12)[0]
     digits = P.shape().index_to_digits(support[draw % len(support)])
-    res = pc.decode_measurement(digits, k, pc.PauliKey.zero(M), P)
+    res = pc.decode_measurement(digits, k, pa.SymbolicPauli.identity(Q, M), P)
     assert res.valid and res.value == a
 
 
@@ -666,4 +666,4 @@ def test_random_single_tamper_detected(key_idx, shift, wire):
         digits = list(P.shape().index_to_digits(idx))
         digits[wire] = (digits[wire] + shift) % Q
         assert not pc.decode_measurement(
-            digits, k, pc.PauliKey.zero(M), P).valid
+            digits, k, pa.SymbolicPauli.identity(Q, M), P).valid

@@ -185,38 +185,37 @@ def test_gadget_rejects_malformed_magic():
 
 
 def test_key_update_logical_x_rule():
-    key = pc.PauliKey((1, 2, 3), (4, 0, 1))
-    sign = pc.SignKey((1, -1, 1))
-    (new,) = qpip.pauli_key_update([key], LG("LX", 1), (0,), sign, P)
-    assert new.x == tuple((x - k) % Q for x, k in zip(key.x, (1, -1, 1)))
-    assert new.z == key.z
+    key = pa.SymbolicPauli(Q, (4, 0, 1), (1, 2, 3))
+    keys = [key]
+    qpip.pauli_key_update(keys, LG("LX", 1), (0,), P, pc.SignKey((1, -1, 1)))
+    assert keys[0] == pa.SymbolicPauli(Q, (3, 1, 0), (1, 2, 3))
 
 
 def test_key_update_sum_rule():
-    ka = pc.PauliKey((1, 2, 3), (4, 0, 1))
-    kb = pc.PauliKey((2, 2, 0), (1, 3, 3))
-    sign = pc.SignKey((1, 1, 1))
-    na, nb = qpip.pauli_key_update([ka, kb], LG("LSUM", 1), (0, 1), sign, P)
-    assert na.z == tuple((za - zb) % Q for za, zb in zip(ka.z, kb.z))
-    assert na.x == ka.x
-    assert nb.x == tuple((xb + xa) % Q for xb, xa in zip(kb.x, ka.x))
-    assert nb.z == kb.z
+    ka = pa.SymbolicPauli(Q, (4, 0, 1), (1, 2, 3))
+    kb = pa.SymbolicPauli(Q, (1, 3, 3), (2, 2, 0))
+    keys = [ka, kb]
+    qpip.pauli_key_update(keys, LG("LSUM", 1), (0, 1), P,
+                          pc.SignKey((1, 1, 1)))
+    assert keys[0] == pa.SymbolicPauli(Q, ka.x, ka.z - kb.z)
+    assert keys[1] == pa.SymbolicPauli(Q, kb.x + ka.x, kb.z)
 
 
 def test_key_update_fourier_rule():
-    key = pc.PauliKey((1, 2, 3), (4, 0, 1))
-    sign = pc.SignKey((1, 1, -1))
-    (new,) = qpip.pauli_key_update([key], LG("LF", 1), (0,), sign, P)
+    key = pa.SymbolicPauli(Q, (4, 0, 1), (1, 2, 3))
+    keys = [key]
+    qpip.pauli_key_update(keys, LG("LF", 1), (0,), P, pc.SignKey((1, 1, -1)))
     for i, c in enumerate(P.interp_c):
         cinv = qc.inv_mod(c, Q)
-        assert new.x[i] == (-cinv * key.z[i]) % Q
-        assert new.z[i] == (c * key.x[i]) % Q
+        assert keys[0].x[i] == (-cinv * key.z[i]) % Q
+        assert keys[0].z[i] == (c * key.x[i]) % Q
 
 
 def test_key_update_rejects_non_logical_gates():
     with pytest.raises(ValueError):
-        qpip.pauli_key_update([pc.PauliKey.zero(M)] * 3, pa.GateTag("T"),
-                              (0, 1, 2), pc.SignKey((1, 1, 1)), P)
+        qpip.pauli_key_update([pa.SymbolicPauli.identity(Q, M)] * 3,
+                              pa.GateTag("T"), (0, 1, 2), P,
+                              pc.SignKey((1, 1, 1)))
 
 
 def _encode_isometry(sign, pkey):
@@ -251,12 +250,16 @@ def _decode_block_matrix(sign, pkey):
     return dk @ pad.conj().T
 
 
-@pytest.mark.parametrize("tag", [
-    LG("LX", 2), LG("LZ", 3), LG("LF", 1), LG("LF", -1), LG("LM", 2),
-    LG("LSUM", 2), LG("LCPG", 3),
-])
+# gate -> fixed seed of its case
+KEY_UPDATE_CASES = {
+    LG("LX", 2): 301, LG("LZ", 3): 302, LG("LF", 1): 303, LG("LF", -1): 304,
+    LG("LM", 2): 305, LG("LSUM", 2): 306, LG("LCPG", 3): 307,
+}
+
+
+@pytest.mark.parametrize("tag", list(KEY_UPDATE_CASES))
 def test_key_update_commutes_with_transversal_action(tag):
-    rng = qc.make_rng(int(abs(hash((tag.name, tag.param)))) % 2 ** 31)
+    rng = qc.make_rng(KEY_UPDATE_CASES[tag])
     sign = pc.random_sign_key(M, rng)
     nb = 2 if tag.name in ("LSUM", "LCPG") else 1
     keys = [pc.random_pauli_key(P, rng) for _ in range(nb)]
@@ -270,7 +273,8 @@ def test_key_update_commutes_with_transversal_action(tag):
     blocks_wires = [tuple(range(b * M, (b + 1) * M)) for b in range(nb)]
     if tag.name not in ("LX", "LZ"):  # logical Paulis are key shifts only
         physical = pc.apply_logical(tag, physical, blocks_wires, sign, P)
-    new_keys = qpip.pauli_key_update(keys, tag, tuple(range(nb)), sign, P)
+    new_keys = list(keys)
+    qpip.pauli_key_update(new_keys, tag, tuple(range(nb)), P, sign)
 
     dec = np.eye(1)
     for b in range(nb):
@@ -292,10 +296,51 @@ def test_key_update_commutes_with_transversal_action(tag):
 def test_key_update_covers_compiled_corrections():
     rng = qc.make_rng(99)
     sign = pc.random_sign_key(M, rng)
-    keys = [pc.random_pauli_key(P, rng) for _ in range(3)]
+    keys = [pc.random_pauli_key(P, rng) for _ in range(4)]
+    untouched = keys[3]
     for tag, blocks in qpip.toffoli_correction_tags(1, 2, 3, Q):
-        keys = list(qpip.pauli_key_update(keys, tag, blocks, sign, P))
-    assert all(isinstance(k, pc.PauliKey) for k in keys)
+        qpip.pauli_key_update(keys, tag, blocks, P, sign)
+    assert all(isinstance(k, pa.SymbolicPauli) and k.num_wires == M
+               for k in keys)
+    assert keys[3] is untouched
+
+
+@pytest.mark.parametrize("tag", [LG("LF", 1), LG("LF", -1), LG("LM", 2),
+                                 LG("LSUM", 2), LG("LCPG", 3)])
+def test_frame_update_matches_dense_conjugation(tag):
+    """U P U^dag equals the updated frame up to phase, U the gate
+    pc.apply_logical applies, checked on a random state of the blocks."""
+    rng = qc.make_rng(KEY_UPDATE_CASES[tag] + 100)
+    sign = pc.random_sign_key(M, rng)
+    nb = 2 if tag.name in ("LSUM", "LCPG") else 1
+    wires_of = [tuple(range(b * M, (b + 1) * M)) for b in range(nb)]
+    touched = (2, 0)[:nb]  # list positions of the touched frames
+    frames = [pa.SymbolicPauli(Q, rng.integers(0, Q, M),
+                               rng.integers(0, Q, M)) for _ in range(3)]
+    before = list(frames)
+    qpip.pauli_key_update(frames, tag, touched, P)
+    assert frames[1] is before[1]
+    psi = random_state((Q,) * (nb * M), rng)
+    lhs, rhs = psi, pc.apply_logical(tag, psi, wires_of, sign, P)
+    for b, wires in zip(touched, wires_of):
+        lhs = qc.apply_on_wires(lhs, pa.pauli_matrix(before[b]), wires)
+        rhs = qc.apply_on_wires(rhs, pa.pauli_matrix(frames[b]), wires)
+    lhs = pc.apply_logical(tag, lhs, wires_of, sign, P)
+    overlap = np.vdot(rhs.amplitudes, lhs.amplitudes)
+    assert abs(abs(overlap) - 1) < 1e-9
+
+
+@pytest.mark.parametrize("tag", [LG("LX", 2), LG("LZ", 3)])
+def test_frame_update_leaves_frames_under_logical_paulis(tag):
+    rng = qc.make_rng(406)
+    frames = [pa.SymbolicPauli(Q, rng.integers(0, Q, M),
+                               rng.integers(0, Q, M)) for _ in range(2)]
+    before = list(frames)
+    qpip.pauli_key_update(frames, tag, (1,), P)
+    assert frames == before
+    keys = list(before)
+    qpip.pauli_key_update(keys, tag, (1,), P, pc.random_sign_key(M, rng))
+    assert keys[1] != before[1] and keys[0] is before[0]
 
 
 # ------------------------------------------------------------ transcript

@@ -142,7 +142,21 @@ def test_qpip_poly_logical_frame_runs_its_default_circuit():
 
 # Payloads of the protocol and confidence runs, recorded when provers were
 # rebuilt per trial chunk; the config echo is left out (it then held jobs).
+# The honest qpip-clifford payload was recorded when honest runs went
+# through their own estimator.
 GOLDEN_CLI_PAYLOADS = {
+    "qpip-clifford-honest": (
+        {"subcommand": "qpip-clifford", "circuit_name": "clifford-demo",
+         "trials": 40},
+        {"abort_rate": 0.0, "accept_rate": 1.0, "bound": 0.5,
+         "bound_violated": False, "negative_control": False,
+         "note": "statistical evidence, not proof",
+         "per_policy": {"honest": {"abort": 0, "accept": 40,
+                                   "trials": 40, "wrong_accept": 0}},
+         "seeds": [5765488047046174020], "trials": 40,
+         "wilson_accept": [0.91237546075, 1.0],
+         "wilson_wrong": [0.0, 0.08762453925],
+         "wrong_accept_rate": 0.0}),
     "qpip-clifford": (
         {"circuit_name": "clifford-demo", "trials": 40,
          "adversary": 'pauli:{"3": [[0, [1, 0], [0, 0]]]}'},
@@ -166,8 +180,8 @@ GOLDEN_CLI_PAYLOADS = {
 @pytest.mark.parametrize("subcommand", sorted(GOLDEN_CLI_PAYLOADS))
 def test_cli_payloads_match_golden_records(subcommand):
     kwargs, payload = GOLDEN_CLI_PAYLOADS[subcommand]
-    envelope, code, _ = cli.run_config(
-        cli.ExperimentConfig(subcommand=subcommand, **kwargs), 7)
+    kwargs = {"subcommand": subcommand, **kwargs}
+    envelope, code, _ = cli.run_config(cli.ExperimentConfig(**kwargs), 7)
     assert code == 0
     assert envelope.payload == payload
 
