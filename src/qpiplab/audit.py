@@ -16,7 +16,7 @@ import math
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -126,7 +126,15 @@ class ProtocolConfig:
         return self.circuit.gamma + self.epsilon
 
     def reference(self) -> tuple[int, ...] | None:
-        """Deterministic output digits, or None for biased circuits."""
+        """Deterministic output digits, or None for biased circuits.
+
+        Computed on the first call and kept on the instance: the config
+        is frozen, so every later call returns the same digits.
+        """
+        return self._reference
+
+    @cached_property
+    def _reference(self) -> tuple[int, ...] | None:
         if self.target is not None:
             return self.target
         shape = qc.RegisterShape((self.circuit.wire_dim,) * self.circuit.n)

@@ -40,6 +40,13 @@ class SymbolicPauli:
         self.x = x
         self.z = z
 
+    @classmethod
+    def _trusted(cls, q: int, x: np.ndarray, z: np.ndarray) -> "SymbolicPauli":
+        """Wrap int64 vectors already reduced mod q, with no checks."""
+        out = cls.__new__(cls)
+        out.q, out.x, out.z = q, x, z
+        return out
+
     @property
     def num_wires(self) -> int:
         return len(self.x)
@@ -194,7 +201,7 @@ class CliffordElement:
     modulo global phase.
     """
 
-    __slots__ = ("n", "matrix", "generator_word", "key")
+    __slots__ = ("n", "matrix", "generator_word", "key", "_dagger")
 
     def __init__(self, n: int, matrix: UnitaryMatrix,
                  generator_word: tuple[str, ...] | None,
@@ -203,9 +210,15 @@ class CliffordElement:
         self.matrix = matrix
         self.generator_word = generator_word
         self.key = key if key is not None else conjugation_key(matrix.entries, n)
+        self._dagger: np.ndarray | None = None
 
     def dagger_matrix(self) -> np.ndarray:
-        return self.matrix.entries.conj().T
+        """u^dag, computed on first use and shared (read-only) after."""
+        if self._dagger is None:
+            dag = self.matrix.entries.conj().T
+            dag.setflags(write=False)
+            self._dagger = dag
+        return self._dagger
 
     def __repr__(self):
         word = "*".join(self.generator_word) if self.generator_word else "<built>"

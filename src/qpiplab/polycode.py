@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -342,61 +342,55 @@ def apply_logical(tag: LogicalGateTag, state: qc.StateVector,
     for b in blocks:
         if len(b) != p.m:
             raise ValueError("blocks must have m wires")
-
     if tag.name in ("LSUM", "LCPG"):
         if len(blocks) != 2:
             raise ValueError(f"{tag.name} needs control and target blocks")
         if keys[0] != keys[1]:
             raise ValueError(f"{tag.name} blocks must share a sign key")
-        t = tag.param % p.q
-        if tag.name == "LSUM":
-            for i in range(p.m):
-                state = qc.apply_on_wires(
-                    state, _sum_power(t, p.q), (blocks[0][i], blocks[1][i]))
-        else:
+    elif len(blocks) != 1:
+        raise ValueError(f"{tag.name} acts on one block")
+    for u, wires in _logical_ops(tag, blocks, keys[0], p):
+        state = qc.apply_on_wires(state, u, wires)
+    return state
+
+
+def _logical_ops(tag: LogicalGateTag, blocks: Sequence[Sequence[int]],
+                 key: SignKey, p: CodeParams
+                 ) -> Iterator[tuple[qc.UnitaryMatrix, tuple[int, ...]]]:
+    """The transversal gates realising `tag`, as (unitary, wires) in order.
+
+    Trusts its caller to have checked the blocks, as `apply_logical` does;
+    the dense protocol engine applies them with `qcore._apply_raw`.
+    """
+    q = p.q
+    if tag.name in ("LSUM", "LCPG"):
+        t = tag.param % q
+        for i, pair in enumerate(zip(*blocks)):
             # transversal CPG^{t c_i}: the phases interpolate to the
             # logical product because c recovers degree <= m-1 at zero
-            for i in range(p.m):
-                state = qc.apply_on_wires(
-                    state, _cpg_power(t * p.interp_c[i] % p.q, p.q),
-                    (blocks[0][i], blocks[1][i]))
-        return state
-    if len(blocks) != 1:
-        raise ValueError(f"{tag.name} acts on one block")
-    block, key = blocks[0], keys[0]
-
+            yield (_sum_power(t, q) if tag.name == "LSUM"
+                   else _cpg_power(t * p.interp_c[i] % q, q)), pair
+        return
     if tag.name == "LX":
         foot = logical_x_footprint(tag.param, key, p)
-        for i in range(p.m):
-            u = qc.UnitaryMatrix(qc.RegisterShape((p.q,)),
-                                 pa.pauli_matrix_1(p.q, int(foot.x[i]), 0),
-                                 check_unitary=False)
-            state = qc.apply_on_wires(state, u, (block[i],))
-        return state
-    if tag.name == "LZ":
+        mats = [pa.pauli_matrix_1(q, int(x), 0) for x in foot.x]
+    elif tag.name == "LZ":
         foot = logical_z_footprint(tag.param, key, p)
-        for i in range(p.m):
-            u = qc.UnitaryMatrix(qc.RegisterShape((p.q,)),
-                                 pa.pauli_matrix_1(p.q, 0, int(foot.z[i])),
-                                 check_unitary=False)
-            state = qc.apply_on_wires(state, u, (block[i],))
-        return state
-    if tag.name == "LF":
-        for i in range(p.m):
-            f = pa.gate_matrix(pa.GateTag("F_r", p.interp_c[i]), p.q)
-            mat = f.entries if tag.param == 1 else f.entries.conj().T
-            u = qc.UnitaryMatrix(f.shape, mat, check_unitary=False)
-            state = qc.apply_on_wires(state, u, (block[i],))
-        return state
-    if tag.name == "LM":
-        r = tag.param % p.q
+        mats = [pa.pauli_matrix_1(q, 0, int(z)) for z in foot.z]
+    elif tag.name == "LF":
+        fs = [pa.gate_matrix(pa.GateTag("F_r", c), q).entries
+              for c in p.interp_c]
+        mats = fs if tag.param == 1 else [f.conj().T for f in fs]
+    elif tag.name == "LM":
+        r = tag.param % q
         if r == 0:
             raise ValueError("LM requires an invertible multiplier")
-        m_gate = pa.gate_matrix(pa.GateTag("M_r", r), p.q)
-        for i in range(p.m):
-            state = qc.apply_on_wires(state, m_gate, (block[i],))
-        return state
-    raise ValueError(f"unknown logical gate {tag.name!r}")
+        mats = [pa.gate_matrix(pa.GateTag("M_r", r), q).entries] * p.m
+    else:
+        raise ValueError(f"unknown logical gate {tag.name!r}")
+    wire = qc.RegisterShape((q,))
+    for w, mat in zip(blocks[0], mats):
+        yield qc.UnitaryMatrix(wire, mat, check_unitary=False), (w,)
 
 
 @lru_cache(maxsize=None)
@@ -406,7 +400,9 @@ def _sum_power(t: int, q: int) -> qc.UnitaryMatrix:
     for a in range(q):
         for b in range(q):
             mat[a * q + (b + t * a) % q, a * q + b] = 1.0
-    return qc.UnitaryMatrix(qc.RegisterShape((q, q)), mat, check_unitary=False)
+    u = qc.UnitaryMatrix(qc.RegisterShape((q, q)), mat, check_unitary=False)
+    u.entries.setflags(write=False)  # cached: shared by every caller
+    return u
 
 
 @lru_cache(maxsize=None)
@@ -414,8 +410,10 @@ def _cpg_power(t: int, q: int) -> qc.UnitaryMatrix:
     """Diagonal phase |a,b> -> w^{t a b} |a,b> on a two-wire register."""
     a = np.arange(q)
     phases = np.exp(2j * np.pi / q) ** (t * np.outer(a, a) % q)
-    return qc.UnitaryMatrix(qc.RegisterShape((q, q)),
-                            np.diag(phases.reshape(-1)), check_unitary=False)
+    u = qc.UnitaryMatrix(qc.RegisterShape((q, q)),
+                         np.diag(phases.reshape(-1)), check_unitary=False)
+    u.entries.setflags(write=False)  # cached: shared by every caller
+    return u
 
 
 # ------------------------------------------------------------- decoding

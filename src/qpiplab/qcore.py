@@ -3,12 +3,21 @@
 Everything here is exact-at-double-precision: dense complex arrays, no
 sparsity, no approximation.  Wire 0 is the most significant digit in all
 index arithmetic, matching `numpy.reshape` with C ordering.
+
+The public functions validate their input: register shapes, wire lists,
+dimensions and outcome digits, raising `ValueError` on anything wrong.
+The `_`-prefixed kernels, `_apply_raw` and `_measure_raw`, act on a flat
+amplitude array and its dims tuple and trust their callers; the protocol
+engines validate once at entry and then call the kernels directly.  Both
+layers share one memoised wire plan per (dims, wires), so a repeated call
+costs no list building, no `argsort` and no primality test.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,11 +71,7 @@ class RegisterShape:
         return len(self.dims)
 
     def index_to_digits(self, index: int) -> tuple[int, ...]:
-        digits = []
-        for d in reversed(self.dims):
-            digits.append(index % d)
-            index //= d
-        return tuple(reversed(digits))
+        return _index_to_digits(index, self.dims)
 
     def digits_to_index(self, digits: Sequence[int]) -> int:
         if len(digits) != len(self.dims):
@@ -94,14 +99,55 @@ class RegisterShape:
         return f"RegisterShape{self.dims}"
 
 
-def _check_wires(shape: RegisterShape, wires: Sequence[int]) -> tuple[int, ...]:
-    wires = tuple(int(w) for w in wires)
+def _index_to_digits(index: int, dims: tuple[int, ...]) -> tuple[int, ...]:
+    digits = []
+    for d in reversed(dims):
+        digits.append(index % d)
+        index //= d
+    return tuple(reversed(digits))
+
+
+class _WirePlan(NamedTuple):
+    """How to bring the listed wires of a register to the front and back."""
+
+    wires: tuple[int, ...]
+    rest: tuple[int, ...]       # the other wires, ascending
+    order: tuple[int, ...]      # wires + rest: the forward transpose
+    inverse: tuple[int, ...]    # argsort(order): the transpose back
+    moved_dims: tuple[int, ...]  # dims in `order`
+    block: int                  # product of the listed wires' dims
+    leading: bool               # wires are 0..k-1: no transpose needed
+    sort_perm: tuple[int, ...]  # ascending wire axes -> listed order
+
+
+@lru_cache(maxsize=None)
+def _wire_plan(dims: tuple[int, ...], wires: tuple[int, ...]) -> _WirePlan:
+    """Validated plan for `wires` of a register with `dims`.
+
+    A repeated or out-of-range wire raises; lru_cache does not store
+    exceptions, so a bad wire list raises on every call.
+    """
     if len(set(wires)) != len(wires):
         raise ValueError("repeated wire")
     for w in wires:
-        if not 0 <= w < shape.num_wires:
+        if not 0 <= w < len(dims):
             raise ValueError(f"wire {w} out of range")
-    return wires
+    rest = tuple(i for i in range(len(dims)) if i not in wires)
+    order = wires + rest
+    block = 1
+    for w in wires:
+        block *= dims[w]
+    inverse = tuple(int(i) for i in np.argsort(order))
+    ascending = sorted(wires)
+    return _WirePlan(wires, rest, order, inverse,
+                     tuple(dims[i] for i in order), block,
+                     wires == tuple(range(len(wires))),
+                     tuple(ascending.index(w) for w in wires))
+
+
+def _check_wires(shape: RegisterShape, wires: Sequence[int]) -> _WirePlan:
+    """The validated plan for a public call's wires (any integer type)."""
+    return _wire_plan(shape.dims, tuple(map(int, wires)))
 
 
 class StateVector:
@@ -206,19 +252,13 @@ def tensor(a, b):
 
 def _apply_raw(amps: np.ndarray, dims: tuple[int, ...], u: np.ndarray,
                wires: tuple[int, ...]) -> np.ndarray:
-    """U acting on the listed wires of a flat amplitude vector."""
-    n = len(dims)
-    block = 1
-    for w in wires:
-        block *= dims[w]
-    psi = amps.reshape(dims)
-    rest = [i for i in range(n) if i not in wires]
-    psi = np.transpose(psi, wires + tuple(rest))
-    psi = psi.reshape(block, -1)
-    psi = u @ psi
-    psi = psi.reshape([dims[w] for w in wires] + [dims[i] for i in rest])
-    inv = np.argsort(wires + tuple(rest))
-    return np.transpose(psi, inv).reshape(-1)
+    """U acting on the listed wires of a flat amplitude vector (unchecked)."""
+    plan = _wire_plan(dims, wires)
+    if plan.leading:
+        return (u @ amps.reshape(plan.block, -1)).reshape(-1)
+    psi = amps.reshape(dims).transpose(plan.order).reshape(plan.block, -1)
+    psi = (u @ psi).reshape(plan.moved_dims)
+    return psi.transpose(plan.inverse).reshape(-1)
 
 
 def apply_on_wires(state, u: UnitaryMatrix, wires: Sequence[int]):
@@ -226,15 +266,15 @@ def apply_on_wires(state, u: UnitaryMatrix, wires: Sequence[int]):
 
     States map as U|psi>, density matrices as U rho U^dag.
     """
-    wires = _check_wires(state.shape, wires)
-    sub = state.shape.subshape(wires)
-    if u.shape.dim != sub.dim:
+    plan = _check_wires(state.shape, wires)
+    if u.shape.dim != plan.block:
         raise ValueError("unitary dimension does not match listed wires")
     if isinstance(state, StateVector):
-        out = _apply_raw(state.amplitudes, state.shape.dims, u.entries, wires)
+        out = _apply_raw(state.amplitudes, state.shape.dims, u.entries,
+                         plan.wires)
         return StateVector(state.shape, out, check_norm=False)
     if isinstance(state, DensityMatrix):
-        full = embed_unitary(u, wires, state.shape).entries
+        full = embed_unitary(u, plan.wires, state.shape).entries
         return DensityMatrix(state.shape, full @ state.entries @ full.conj().T,
                              check_psd=False)
     raise ValueError(f"cannot apply unitary to {type(state).__name__}")
@@ -243,39 +283,64 @@ def apply_on_wires(state, u: UnitaryMatrix, wires: Sequence[int]):
 def embed_unitary(u: UnitaryMatrix, wires: Sequence[int],
                   shape: RegisterShape) -> UnitaryMatrix:
     """Extend u by identity to the full register."""
-    wires = _check_wires(shape, wires)
-    n = shape.num_wires
-    rest = [i for i in range(n) if i not in wires]
-    rest_dim = 1
-    for i in rest:
-        rest_dim *= shape.dims[i]
-    big = np.kron(u.entries, np.eye(rest_dim))
+    plan = _check_wires(shape, wires)
+    big = np.kron(u.entries, np.eye(shape.dim // plan.block))
     # big acts on order (wires..., rest...); permute rows and columns back
-    order = wires + tuple(rest)
-    perm_shape = [shape.dims[i] for i in order]
-    inv = np.argsort(order)
-    idx = np.arange(shape.dim).reshape(perm_shape)
-    idx = np.transpose(idx, inv).reshape(-1)
+    idx = np.arange(shape.dim).reshape(plan.moved_dims)
+    idx = np.transpose(idx, plan.inverse).reshape(-1)
     # idx[j] = row of `big` corresponding to register index j
     out = big[np.ix_(idx, idx)]
     return UnitaryMatrix(shape, out, check_unitary=False)
 
 
+def _probabilities_raw(amps: np.ndarray, dims: tuple[int, ...],
+                       plan: _WirePlan) -> np.ndarray:
+    probs = np.abs(amps.reshape(dims)) ** 2
+    if plan.rest:
+        probs = probs.sum(axis=plan.rest)
+    # axes of probs are now in wire order sorted ascending; permute to `wires`
+    return np.transpose(probs, plan.sort_perm).reshape(-1)
+
+
+def _project_raw(amps: np.ndarray, dims: tuple[int, ...],
+                 wires: tuple[int, ...], outcome: Sequence[int]
+                 ) -> tuple[float, np.ndarray]:
+    psi = amps.reshape(dims)
+    sl = [slice(None)] * len(dims)
+    for w, o in zip(wires, outcome):
+        sl[w] = o
+    sl = tuple(sl)
+    branch = np.zeros_like(psi)
+    branch[sl] = psi[sl]
+    prob = float(np.vdot(branch, branch).real)
+    if prob < 1e-12:
+        raise ValueError("projection onto a numerically zero branch")
+    return prob, branch.reshape(-1) / math.sqrt(prob)
+
+
+def _measure_raw(amps: np.ndarray, dims: tuple[int, ...],
+                 wires: tuple[int, ...], rng: np.random.Generator
+                 ) -> tuple[tuple[int, ...], np.ndarray]:
+    """Born-rule measurement of the listed wires of a flat amplitude vector.
+
+    The one measurement kernel (unchecked wires): one `rng.choice` draw,
+    then the renormalised post-measurement amplitudes.
+    """
+    plan = _wire_plan(dims, wires)
+    probs = _probabilities_raw(amps, dims, plan)
+    total = probs.sum()
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"probabilities sum to {total}")
+    flat = int(rng.choice(len(probs), p=probs / total))
+    outcome = _index_to_digits(flat, plan.moved_dims[:len(wires)])
+    return outcome, _project_raw(amps, dims, wires, outcome)[1]
+
+
 def measurement_probabilities(state: StateVector,
                               wires: Sequence[int]) -> np.ndarray:
     """Born distribution over outcomes of the listed wires (flattened)."""
-    wires = _check_wires(state.shape, wires)
-    dims = state.shape.dims
-    psi = state.amplitudes.reshape(dims)
-    rest = tuple(i for i in range(len(dims)) if i not in wires)
-    probs = np.abs(psi) ** 2
-    if rest:
-        probs = probs.sum(axis=rest)
-    # axes of probs are now in wire order sorted ascending; permute to `wires`
-    kept_sorted = tuple(sorted(wires))
-    perm = [kept_sorted.index(w) for w in wires]
-    probs = np.transpose(probs, perm)
-    return probs.reshape(-1)
+    plan = _check_wires(state.shape, wires)
+    return _probabilities_raw(state.amplitudes, state.shape.dims, plan)
 
 
 def project_wires(state: StateVector, wires: Sequence[int],
@@ -284,20 +349,12 @@ def project_wires(state: StateVector, wires: Sequence[int],
 
     Returns (probability, post_state).  Zero-probability branches raise.
     """
-    wires = _check_wires(state.shape, wires)
+    wires = _check_wires(state.shape, wires).wires
     dims = state.shape.dims
-    psi = state.amplitudes.reshape(dims)
-    sl = [slice(None)] * len(dims)
     for w, o in zip(wires, outcome):
         if not 0 <= o < dims[w]:
             raise ValueError("outcome digit out of range")
-        sl[w] = o
-    branch = np.zeros_like(psi)
-    branch[tuple(sl)] = psi[tuple(sl)]
-    prob = float(np.vdot(branch, branch).real)
-    if prob < 1e-12:
-        raise ValueError("projection onto a numerically zero branch")
-    post = branch.reshape(-1) / math.sqrt(prob)
+    prob, post = _project_raw(state.amplitudes, dims, wires, outcome)
     return prob, StateVector(state.shape, post, check_norm=False)
 
 
@@ -309,31 +366,24 @@ def measure_wires(state: StateVector, wires: Sequence[int],
     Samples from the Born distribution using rng; the same seed replays
     the same outcome.  Returns (outcome digits, renormalized post-state).
     """
-    wires = _check_wires(state.shape, wires)
-    probs = measurement_probabilities(state, wires)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"probabilities sum to {total}")
-    flat = int(rng.choice(len(probs), p=probs / total))
-    sub = state.shape.subshape(wires)
-    outcome = sub.index_to_digits(flat)
-    _, post = project_wires(state, wires, outcome)
-    return outcome, post
+    wires = _check_wires(state.shape, wires).wires
+    outcome, post = _measure_raw(state.amplitudes, state.shape.dims, wires,
+                                 rng)
+    return outcome, StateVector(state.shape, post, check_norm=False)
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Trace out every wire not in `keep`; kept wires stay in listed order."""
-    keep = _check_wires(rho.shape, keep)
+    plan = _check_wires(rho.shape, keep)
+    keep = plan.wires
     dims = rho.shape.dims
     n = len(dims)
-    rest = tuple(i for i in range(n) if i not in keep)
     t = rho.entries.reshape(dims + dims)
     # pair up bra/ket axes of each traced wire
-    for k, w in enumerate(rest):
+    for k, w in enumerate(plan.rest):
         t = np.trace(t, axis1=w - k, axis2=w - k + n - k)
     # remaining axes follow ascending wire order; permute to `keep`
-    kept_sorted = tuple(sorted(keep))
-    perm = [kept_sorted.index(w) for w in keep]
+    perm = list(plan.sort_perm)
     m = len(keep)
     t = np.transpose(t, perm + [m + p for p in perm])
     d = 1

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -134,27 +135,30 @@ class CircuitIR:
                    if isinstance(g.op, pa.GateTag) and g.op.name == "T")
 
 
+@lru_cache(maxsize=None)
 def _plain_logical_matrix(tag: pc.LogicalGateTag, q: int) -> qc.UnitaryMatrix:
-    """Action of a logical gate on bare qudits (the unencoded reference)."""
-    if tag.name == "LX":
-        mat = pa.pauli_matrix_1(q, tag.param % q, 0)
-        return qc.UnitaryMatrix(qc.RegisterShape((q,)), mat,
-                                check_unitary=False)
-    if tag.name == "LZ":
-        mat = pa.pauli_matrix_1(q, 0, tag.param % q)
-        return qc.UnitaryMatrix(qc.RegisterShape((q,)), mat,
-                                check_unitary=False)
-    if tag.name == "LSUM":
-        return pc._sum_power(tag.param % q, q)
-    if tag.name == "LCPG":
-        return pc._cpg_power(tag.param % q, q)
-    if tag.name == "LF":
+    """Action of a logical gate on bare qudits (the unencoded reference).
+
+    Memoised per (tag, q); the matrix is read-only, shared by every caller.
+    """
+    if tag.name in ("LX", "LZ"):
+        x, z = (tag.param % q, 0) if tag.name == "LX" else (0, tag.param % q)
+        u = qc.UnitaryMatrix(qc.RegisterShape((q,)),
+                             pa.pauli_matrix_1(q, x, z), check_unitary=False)
+    elif tag.name == "LSUM":
+        u = pc._sum_power(tag.param % q, q)
+    elif tag.name == "LCPG":
+        u = pc._cpg_power(tag.param % q, q)
+    elif tag.name == "LF":
         f = pa.gate_matrix(pa.GateTag("F"), q)
         mat = f.entries if tag.param == 1 else f.entries.conj().T
-        return qc.UnitaryMatrix(f.shape, mat, check_unitary=False)
-    if tag.name == "LM":
-        return pa.gate_matrix(pa.GateTag("M_r", tag.param % q), q)
-    raise ValueError(f"unknown logical gate {tag.name!r}")
+        u = qc.UnitaryMatrix(f.shape, mat, check_unitary=False)
+    elif tag.name == "LM":
+        u = pa.gate_matrix(pa.GateTag("M_r", tag.param % q), q)
+    else:
+        raise ValueError(f"unknown logical gate {tag.name!r}")
+    u.entries.setflags(write=False)
+    return u
 
 
 def apply_circuit_plain(circuit: CircuitIR,
@@ -288,14 +292,20 @@ def apply_schedule_plain(schedule: LogicalSchedule, circuit: CircuitIR,
 # ------------------------------------------------------- Toffoli gadget
 
 
+@lru_cache(maxsize=None)
 def magic_state(q: int) -> qc.StateVector:
-    """The three-wire resource (1/q) sum_{a,b} |a, b, ab>."""
+    """The three-wire resource (1/q) sum_{a,b} |a, b, ab>.
+
+    Memoised per q; the amplitudes are read-only, shared by every caller.
+    """
     shape = qc.RegisterShape((q, q, q))
     amps = np.zeros(q ** 3, dtype=np.complex128)
     for a in range(q):
         for b in range(q):
             amps[shape.digits_to_index((a, b, a * b % q))] = 1.0
-    return qc.StateVector(shape, amps / q)
+    state = qc.StateVector(shape, amps / q)
+    state.amplitudes.setflags(write=False)
+    return state
 
 
 def toffoli_correction_tags(x: int, y: int, z: int, q: int
@@ -381,38 +391,41 @@ def pauli_key_update(paulis: list[pa.SymbolicPauli],
     verifier implements logical Paulis purely as key shifts; with
     sign=None they are attack frames, which LX/LZ leave alone, because
     key-shift gates have no physical circuit to pass through.  Only the
-    touched entries of `paulis` are replaced, in place.
+    touched entries of `paulis` are replaced, in place.  Every rule
+    reduces its int64 exponents mod q itself, so the new Paulis skip the
+    checks of the public constructor.
     """
     q, name = p.q, gate.name
     c = np.array(p.interp_c, dtype=np.int64)
+    new_pauli = pa.SymbolicPauli._trusted
     old = [paulis[b] for b in blocks]
     if name in ("LX", "LZ"):
         if sign is None:
             return
         (a,) = old
         shift = gate.param * np.array(sign.k, dtype=np.int64)
-        new = [pa.SymbolicPauli(q, a.x - shift, a.z) if name == "LX"
-               else pa.SymbolicPauli(q, a.x, a.z - shift * c)]
+        new = [new_pauli(q, (a.x - shift) % q, a.z) if name == "LX"
+               else new_pauli(q, a.x, (a.z - shift * c) % q)]
     elif name == "LSUM":
         a, b = old
         t = gate.param % q
-        new = [pa.SymbolicPauli(q, a.x, a.z - t * b.z),
-               pa.SymbolicPauli(q, b.x + t * a.x, b.z)]
+        new = [new_pauli(q, a.x, (a.z - t * b.z) % q),
+               new_pauli(q, (b.x + t * a.x) % q, b.z)]
     elif name == "LCPG":
         a, b = old
         t = gate.param % q
-        new = [pa.SymbolicPauli(q, a.x, a.z + t * c * b.x),
-               pa.SymbolicPauli(q, b.x, b.z + t * c * a.x)]
+        new = [new_pauli(q, a.x, (a.z + t * c * b.x) % q),
+               new_pauli(q, b.x, (b.z + t * c * a.x) % q)]
     elif name == "LF":
         (a,) = old
         cinv = np.array([qc.inv_mod(int(v), q) for v in p.interp_c],
                         dtype=np.int64)
         s = gate.param  # F_{c_i} per wire, or its inverse
-        new = [pa.SymbolicPauli(q, -s * cinv * a.z, s * c * a.x)]
+        new = [new_pauli(q, (-s * cinv * a.z) % q, (s * c * a.x) % q)]
     elif name == "LM":
         (a,) = old
         r = gate.param % q
-        new = [pa.SymbolicPauli(q, r * a.x, qc.inv_mod(r, q) * a.z)]
+        new = [new_pauli(q, (r * a.x) % q, (qc.inv_mod(r, q) * a.z) % q)]
     else:
         raise ValueError(f"no key rule for gate {name!r}")
     for b, pauli in zip(blocks, new):
@@ -682,17 +695,26 @@ def zeno_prover(e: int = 2, n_per: int = 40, phi: float = 0.45,
     return ProverImpl(name=name, policy=policy)
 
 
-def _run_policy(prover: ProverImpl, state: qc.StateVector, phase: str,
-                round_index: int,
+def _run_policy(prover: ProverImpl, amps: np.ndarray,
+                shape: qc.RegisterShape, phase: str, round_index: int,
                 block_wires: tuple[tuple[int, ...], ...],
                 env_wires: tuple[int, ...],
-                rng: np.random.Generator) -> qc.StateVector:
+                rng: np.random.Generator) -> np.ndarray:
+    """Hand the register to the prover's policy: the engines' only wrap.
+
+    The policy is untrusted code, so the state it returns is checked
+    against the register shape before the engine takes its amplitudes.
+    """
     if prover.policy is None:
-        return state
+        return amps
     ctx = PolicyContext(phase=phase, round_index=round_index,
                         block_wires=block_wires, env_wires=env_wires,
                         rng=rng)
-    return prover.policy(state, ctx)
+    out = prover.policy(qc.StateVector(shape, amps, check_norm=False), ctx)
+    if not isinstance(out, qc.StateVector) or out.shape != shape:
+        raise ValueError(f"prover {prover.name!r} returned a state that "
+                         f"does not match the register {shape.dims}")
+    return out.amplitudes
 
 
 # ------------------------------------------------- qubit protocol engine
@@ -711,11 +733,20 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
     round, on the output block; checking them every round and reusing keys
     (broken_variant=True) reproduces the insecure protocol cousin that the
     accumulated-small-rotation attack defeats.
+
+    Validation happens once, here at entry: the circuit (checked when it
+    was built), the input length, the output wire and the register shape,
+    prover environment included.  The rounds then run on the flat
+    amplitude array through `qcore._apply_raw` and `qcore._measure_raw`;
+    the array is wrapped in a `StateVector` only for the prover's policy,
+    whose returned state is checked against the register shape.
     """
     if circuit.mode != "clifford":
         raise ValueError("this engine runs qubit circuits")
     if len(input_bits) != circuit.n:
         raise ValueError("input length mismatch")
+    if not 0 <= output_wire < circuit.n:
+        raise ValueError(f"output wire {output_wire} out of range")
     n, m_b = circuit.n, 1 + e
     total_amps = 2 ** (n * m_b) * int(np.prod(prover.env_dims or (1,)))
     if total_amps > _DENSE_AMPLITUDE_CAP:
@@ -731,66 +762,60 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
     for dim in prover.env_dims:
         state = qc.tensor(state, qc.basis_state(qc.RegisterShape((dim,)),
                                                 (0,)))
+    shape, amps = state.shape, state.amplitudes
+    dims = shape.dims
     block_wires = tuple(tuple(range(b * m_b, (b + 1) * m_b))
                         for b in range(n))
+    aux_wires = tuple(ws[1:] for ws in block_wires)
     env_wires = tuple(range(n * m_b, n * m_b + len(prover.env_dims)))
 
     transcript = Transcript()
     transcript.add("verifier->prover", "quantum-block", tuple(range(n)))
-
-    def block_unitary(key: ca.CliffordKey, dagger: bool) -> qc.UnitaryMatrix:
-        mat = key.element.dagger_matrix() if dagger else \
-            key.element.matrix.entries
-        return qc.UnitaryMatrix(qc.RegisterShape((2,) * m_b), mat,
-                                check_unitary=False)
 
     total_rounds = len(circuit.gates) + 1
     for i, gate in enumerate(circuit.gates, start=1):
         if prover.misreport_round == i:
             transcript.add("prover->verifier", "verdict", "abort")
             return VerdictRecord("abort", None, transcript, i)
-        state = _run_policy(prover, state, "send", i, block_wires,
-                            env_wires, rng)
+        amps = _run_policy(prover, amps, shape, "send", i, block_wires,
+                           env_wires, rng)
         touched = gate.wires
         transcript.add("prover->verifier", "quantum-block", touched)
         for b in touched:
-            state = qc.apply_on_wires(state, block_unitary(keys[b], True),
-                                      block_wires[b])
+            amps = qc._apply_raw(amps, dims, keys[b].element.dagger_matrix(),
+                                 block_wires[b])
         if broken_variant:
             for b in touched:
-                aux = block_wires[b][1:]
-                outcome, state = qc.measure_wires(state, aux, rng)
+                outcome, amps = qc._measure_raw(amps, dims, aux_wires[b], rng)
                 if any(outcome):
                     transcript.add("verifier->prover", "verdict", "reject")
                     return VerdictRecord("reject", None, transcript, i)
         data = tuple(block_wires[b][0] for b in touched)
-        if isinstance(gate.op, pa.GateTag):
-            state = qc.apply_on_wires(state, pa.gate_matrix(gate.op, 2), data)
-        else:
-            state = qc.apply_on_wires(state, gate.op, data)
+        op = pa.gate_matrix(gate.op, 2) if isinstance(gate.op, pa.GateTag) \
+            else gate.op
+        amps = qc._apply_raw(amps, dims, op.entries, data)
         for b in touched:
             if not broken_variant:
                 keys[b] = ca.random_clifford_key(params, rng)
-            state = qc.apply_on_wires(state, block_unitary(keys[b], False),
-                                      block_wires[b])
+            amps = qc._apply_raw(amps, dims, keys[b].element.matrix.entries,
+                                 block_wires[b])
         transcript.add("verifier->prover", "quantum-block", touched)
 
     final = total_rounds
     if prover.misreport_round == final:
         transcript.add("prover->verifier", "verdict", "abort")
         return VerdictRecord("abort", None, transcript, final)
-    state = _run_policy(prover, state, "send", final, block_wires,
-                        env_wires, rng)
+    amps = _run_policy(prover, amps, shape, "send", final, block_wires,
+                       env_wires, rng)
     out_block = output_wire
     transcript.add("prover->verifier", "quantum-block", (out_block,))
-    state = qc.apply_on_wires(state, block_unitary(keys[out_block], True),
-                              block_wires[out_block])
-    aux = block_wires[out_block][1:]
-    outcome, state = qc.measure_wires(state, aux, rng)
+    amps = qc._apply_raw(amps, dims, keys[out_block].element.dagger_matrix(),
+                         block_wires[out_block])
+    outcome, amps = qc._measure_raw(amps, dims, aux_wires[out_block], rng)
     if any(outcome):
         transcript.add("verifier->prover", "verdict", "reject")
         return VerdictRecord("reject", None, transcript, final)
-    bit, state = qc.measure_wires(state, (block_wires[out_block][0],), rng)
+    bit, amps = qc._measure_raw(amps, dims, (block_wires[out_block][0],), rng)
     transcript.add("verifier->prover", "verdict", "accept")
     return VerdictRecord("accept", (int(bit[0]),), transcript, final)
 
@@ -831,6 +856,8 @@ def run_poly_qpip(circuit: CircuitIR, input_digits: Sequence[int],
         raise ValueError("circuit and code parameters disagree")
     if len(input_digits) != circuit.n:
         raise ValueError("input length mismatch")
+    if any(not 0 <= w < circuit.n for w in output_wires):
+        raise ValueError("output wire out of range")
     schedule = compile_to_logical(circuit)
     if engine == "dense":
         return _poly_dense(circuit, schedule, input_digits, p, prover, rng,
@@ -845,6 +872,10 @@ def _poly_dense(circuit: CircuitIR, schedule: LogicalSchedule,
                 input_digits: Sequence[int], p: pc.CodeParams,
                 prover: ProverImpl, rng: np.random.Generator,
                 output_wires: tuple[int, ...]) -> VerdictRecord:
+    # Validation happens once, here and in run_poly_qpip: the circuit
+    # compiled, the register fits, and the encoded state carries a checked
+    # shape.  The gates and measurements below then run on the flat
+    # amplitude array; only the prover's policy sees a StateVector.
     if schedule.toffoli_count > 0:
         raise ValueError("the dense engine runs Toffoli-free circuits; use "
                          "the logical-frame engine for gadget rounds")
@@ -866,28 +897,31 @@ def _poly_dense(circuit: CircuitIR, schedule: LogicalSchedule,
     for dim in prover.env_dims:
         state = qc.tensor(state, qc.basis_state(qc.RegisterShape((dim,)),
                                                 (0,)))
+    shape, amps = state.shape, state.amplitudes
+    dims = shape.dims
     block_wires = tuple(tuple(range(b * m, (b + 1) * m)) for b in range(n))
     env_wires = tuple(range(n * m, n * m + len(prover.env_dims)))
 
     invalid_rounds: list[int] = []
     transcript = Transcript()
     transcript.add("verifier->prover", "quantum-block", tuple(range(n)))
-    state = _run_policy(prover, state, "recv", 0, block_wires, env_wires,
-                        rng)
+    amps = _run_policy(prover, amps, shape, "recv", 0, block_wires,
+                       env_wires, rng)
 
     for gate in circuit.gates:
         tag = gate.op
         if tag.name not in ("LX", "LZ"):  # logical Paulis are key shifts
             wires_of = [block_wires[b] for b in gate.wires]
-            state = pc.apply_logical(tag, state, wires_of, sign, p)
+            for u, wires in pc._logical_ops(tag, wires_of, sign, p):
+                amps = qc._apply_raw(amps, dims, u.entries, wires)
         pauli_key_update(keys, tag, gate.wires, p, sign)
 
     final_round = 1
-    state = _run_policy(prover, state, "send", final_round, block_wires,
-                        env_wires, rng)
+    amps = _run_policy(prover, amps, shape, "send", final_round, block_wires,
+                       env_wires, rng)
     outputs: list[int] = []
     for w in output_wires:
-        raw, state = qc.measure_wires(state, block_wires[w], rng)
+        raw, amps = qc._measure_raw(amps, dims, block_wires[w], rng)
         transcript.add("prover->verifier", "classical-string", raw)
         decoded = pc.decode_measurement(raw, sign, keys[w], p)
         if not decoded.valid:
@@ -904,6 +938,10 @@ def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
                  input_digits: Sequence[int], p: pc.CodeParams,
                  prover: ProverImpl, rng: np.random.Generator,
                  output_wires: tuple[int, ...]) -> VerdictRecord:
+    # Validation happens once, here and in run_poly_qpip: the circuit
+    # compiled, the prover speaks Pauli plans, the peak register fits and
+    # the input digits form a basis state.  The register below is a flat
+    # amplitude array over q^len(live), moved by the raw qcore kernels.
     if prover.policy is not None and prover.pauli_plan is None:
         raise ValueError("the logical-frame engine accepts honest provers "
                          "or Pauli plans only")
@@ -919,8 +957,8 @@ def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
     keys = [pc.random_pauli_key(p, rng) for _ in range(blocks)]
     frames = [pa.SymbolicPauli.identity(q, m) for _ in range(blocks)]
 
-    state = qc.basis_state(qc.RegisterShape((q,) * circuit.n),
-                           tuple(int(v) for v in input_digits))
+    amps = qc.basis_state(qc.RegisterShape((q,) * circuit.n),
+                          tuple(int(v) for v in input_digits)).amplitudes
     live = list(range(circuit.n))  # block id held at each register wire
 
     invalid_rounds: list[int] = []
@@ -934,18 +972,19 @@ def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
             frames[b] = frames[b].compose(op)
 
     def run_round_ops(ops) -> None:
-        nonlocal state
+        nonlocal amps
+        dims = (q,) * len(live)
         for tag, bs in ops:
-            mat = _plain_logical_matrix(tag, q)
-            state = qc.apply_on_wires(state, mat,
-                                      tuple(live.index(b) for b in bs))
+            mat = _plain_logical_matrix(tag, q).entries
+            amps = qc._apply_raw(amps, dims, mat,
+                                 tuple(live.index(b) for b in bs))
             pauli_key_update(keys, tag, bs, p, sign)
             pauli_key_update(frames, tag, bs, p)
 
     inject(0)
     for i in range(L + 1):
         if i < L:
-            state = qc.tensor(state, magic_state(q))
+            amps = np.kron(amps, magic_state(q).amplitudes)
             live.extend(schedule.gadgets[i].magic_blocks)
         run_round_ops(schedule.rounds[i])
         if i == L:
@@ -953,15 +992,14 @@ def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
         gadget = schedule.gadgets[i]
         round_no = i + 1
         inject(round_no)
+        dims = (q,) * len(live)
         wires = tuple(live.index(b) for b in gadget.target_blocks)
-        values, state = qc.measure_wires(state, wires, rng)
+        values, amps = qc._measure_raw(amps, dims, wires, rng)
         # the measured blocks are basis states now: slice their axes out
-        amps = np.moveaxis(state.amplitudes.reshape(state.shape.dims),
-                           wires, (0, 1, 2))[values]
+        amps = np.moveaxis(amps.reshape(dims), wires,
+                           (0, 1, 2))[values].reshape(-1)
         for b in gadget.target_blocks:
             live.remove(b)
-        state = qc.StateVector(qc.RegisterShape((q,) * len(live)), amps,
-                               check_norm=False)
         raw_all: list[int] = []
         betas: list[int] = []
         for b, val in zip(gadget.target_blocks, values):
@@ -985,7 +1023,8 @@ def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
     outputs: list[int] = []
     for w in output_wires:
         b = schedule.final_map[w]
-        val, state = qc.measure_wires(state, (live.index(b),), rng)
+        val, amps = qc._measure_raw(amps, (q,) * len(live), (live.index(b),),
+                                    rng)
         raw = _sample_codeword_string(int(val[0]), sign, keys[b], frames[b],
                                       p, rng)
         transcript.add("prover->verifier", "classical-string", raw)

@@ -314,3 +314,101 @@ def test_trace_distance_triangle(seed):
     ab = qc.trace_distance(a, b)
     assert ab <= qc.trace_distance(a, c) + qc.trace_distance(c, b) + 1e-8
     assert np.isclose(ab, qc.trace_distance(b, a))
+
+
+# ------------------------------------------- boundary checks and the kernels
+
+def random_state(dims, rng) -> qc.StateVector:
+    dim = int(np.prod(dims))
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return qc.StateVector(qc.RegisterShape(dims), v / np.linalg.norm(v))
+
+
+def test_apply_on_wires_rejects_bad_wires_after_a_valid_call():
+    state = random_state((2, 3, 5), qc.make_rng(40))
+    u23 = qc.UnitaryMatrix(qc.RegisterShape((2, 3)),
+                           haar_unitary(6, qc.make_rng(41)))
+    qc.apply_on_wires(state, u23, (0, 1))  # fills the plan for these dims
+    qc.apply_on_wires(state, u23, (0, 1))
+    with pytest.raises(ValueError, match="repeated wire"):
+        qc.apply_on_wires(state, u23, (0, 0))
+    for bad in ((0, 3), (-1, 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            qc.apply_on_wires(state, u23, bad)
+    with pytest.raises(ValueError, match="dimension does not match"):
+        qc.apply_on_wires(state, u23, (1, 2))
+    with pytest.raises(ValueError, match="dimension does not match"):
+        qc.apply_on_wires(state, u23, (2,))
+
+
+def test_measure_wires_rejects_bad_wires_after_a_valid_call():
+    state = random_state((2, 3, 5), qc.make_rng(42))
+    rng = qc.make_rng(43)
+    qc.measure_wires(state, (2, 0), rng)  # fills the plan for these dims
+    with pytest.raises(ValueError, match="repeated wire"):
+        qc.measure_wires(state, (2, 2), rng)
+    for bad in ((3,), (0, -1)):
+        with pytest.raises(ValueError, match="out of range"):
+            qc.measure_wires(state, bad, rng)
+    with pytest.raises(ValueError, match="out of range"):
+        qc.project_wires(state, (2, 0), (5, 0))
+
+
+def test_wire_lists_and_numpy_ints_are_accepted():
+    state = random_state((2, 3, 5), qc.make_rng(44))
+    u25 = qc.UnitaryMatrix(qc.RegisterShape((2, 5)),
+                           haar_unitary(10, qc.make_rng(45)))
+    want = qc.apply_on_wires(state, u25, (0, 2)).amplitudes
+    for wires in ([0, 2], (np.int64(0), np.int64(2)), np.array([0, 2])):
+        got = qc.apply_on_wires(state, u25, wires).amplitudes
+        assert np.array_equal(got, want)
+    outcome, post = qc.measure_wires(state, (2, 1), qc.make_rng(46))
+    for wires in ([2, 1], (np.int64(2), np.int64(1))):
+        got_outcome, got_post = qc.measure_wires(state, wires,
+                                                 qc.make_rng(46))
+        assert got_outcome == outcome
+        assert all(type(d) is int for d in got_outcome)
+        assert np.array_equal(got_post.amplitudes, post.amplitudes)
+
+
+@pytest.mark.parametrize("wires", [(0,), (0, 1), (1,), (2, 0), (1, 3, 0),
+                                   (3, 2, 1, 0)])
+def test_apply_on_wires_matches_the_embedded_unitary(wires):
+    dims = (2, 3, 5, 2)
+    rng = qc.make_rng(47)
+    state = random_state(dims, rng)
+    sub = tuple(dims[w] for w in wires)
+    u = qc.UnitaryMatrix(qc.RegisterShape(sub),
+                         haar_unitary(int(np.prod(sub)), rng))
+    full = qc.embed_unitary(u, wires, state.shape).entries
+    got = qc.apply_on_wires(state, u, wires).amplitudes
+    assert np.allclose(got, full @ state.amplitudes, atol=1e-12)
+
+
+def measure_oracle(state: qc.StateVector, wires, rng):
+    """Test-only oracle, not the code under test: the composition that
+    `measure_wires` was before the one measurement kernel existed, namely
+    the Born distribution, one `rng.choice` draw, then the projection."""
+    probs = qc.measurement_probabilities(state, wires)
+    flat = int(rng.choice(len(probs), p=probs / probs.sum()))
+    sub = qc.RegisterShape(tuple(state.shape.dims[w] for w in wires))
+    outcome = sub.index_to_digits(flat)
+    _, post = qc.project_wires(state, wires, outcome)
+    return outcome, post
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_measure_wires_matches_the_oracle(seed):
+    rng = qc.make_rng(500 + seed)
+    dims = ((2, 3, 5, 2), (5, 5, 5), (2, 2, 2, 2, 2))[seed % 3]
+    state = random_state(dims, rng)
+    for _ in range(6):
+        k = int(rng.integers(1, len(dims) + 1))
+        wires = tuple(int(w) for w in rng.permutation(len(dims))[:k])
+        ours, oracle = qc.make_rng(seed), qc.make_rng(seed)
+        for _ in range(3):
+            got = qc.measure_wires(state, wires, ours)
+            want = measure_oracle(state, wires, oracle)
+            assert got[0] == want[0]
+            assert np.array_equal(got[1].amplitudes, want[1].amplitudes)
+        assert int(ours.integers(2 ** 62)) == int(oracle.integers(2 ** 62))

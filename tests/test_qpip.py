@@ -1,9 +1,12 @@
 """Tests for the interactive delegation engines and their compilation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from qpiplab import audit
 from qpiplab import pcalg as pa
 from qpiplab import polyauth as pq
 from qpiplab import polycode as pc
@@ -458,6 +461,94 @@ def test_clifford_random_unitary_prover_runs():
         rec = qpip.run_clifford_qpip(circ, (1,), 1, prover, rng)
         verdicts[rec.verdict] += 1
     assert verdicts["reject"] > 0  # scrambling the block trips the check
+
+
+# Records of the engine that rebuilt a StateVector for every kernel call,
+# taken before it moved to raw amplitude arrays, at e=2: (circuit, inputs,
+# prover, broken variant, seed, verdict, output, rounds, transcript lines
+# or their count and sha256, the generator's next draw).  The raw-array
+# engine must reproduce them, and every random draw.
+CLIFFORD_DEMO_LINES = [
+    "0\tverifier->prover\tquantum-block\t0,1",
+    "1\tprover->verifier\tquantum-block\t0,1",
+    "2\tverifier->prover\tquantum-block\t0,1",
+    "3\tprover->verifier\tquantum-block\t1",
+    "4\tverifier->prover\tquantum-block\t1",
+    "5\tprover->verifier\tquantum-block\t1",
+    "6\tverifier->prover\tquantum-block\t1",
+    "7\tprover->verifier\tquantum-block\t0,1",
+    "8\tverifier->prover\tquantum-block\t0,1",
+    "9\tprover->verifier\tquantum-block\t0",
+    "10\tverifier->prover\tquantum-block\t0",
+    "11\tprover->verifier\tquantum-block\t0",
+    "12\tverifier->prover\tquantum-block\t0",
+    "13\tprover->verifier\tquantum-block\t0",
+    "14\tverifier->prover\tquantum-block\t0",
+    "15\tprover->verifier\tquantum-block\t0",
+    "16\tverifier->prover\tquantum-block\t0",
+    "17\tprover->verifier\tquantum-block\t0,1",
+    "18\tverifier->prover\tquantum-block\t0,1",
+    "19\tprover->verifier\tquantum-block\t0,1",
+    "20\tverifier->prover\tquantum-block\t0,1",
+    "21\tprover->verifier\tquantum-block\t0",
+    "22\tverifier->prover\tverdict\taccept",
+]
+
+
+X_ON_DATA = pa.SymbolicPauli(2, (1, 0, 0), (0, 0, 0))
+GOLDEN_CLIFFORD_RECORDS = {
+    "demo-honest": (
+        audit.clifford_demo_circuit(), (1, 0), qpip.honest_prover(), False,
+        301, "accept", (1,), 11, CLIFFORD_DEMO_LINES, 2225275437830987182),
+    # X on block 0's data qubit before the final round: a wrong accept
+    "demo-fixed-pauli": (
+        audit.clifford_demo_circuit(), (1, 0),
+        qpip.fixed_pauli_prover({3: [(0, X_ON_DATA)]}), False, 302,
+        "accept", (0,), 11, CLIFFORD_DEMO_LINES, 3114364727008424794),
+    "zeno-broken-variant": (
+        audit.zeno_demo_circuit(2, 2), (1,), qpip.zeno_prover(e=2, n_per=2),
+        True, 303, "reject", None, 96,
+        (193, "3332afea29ccd9e68e58a1f04cd882277c0d3c68"
+              "560521ca6e3a6a7cb178cc36"), 1342264341294693594),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CLIFFORD_RECORDS))
+def test_clifford_reproduces_golden_records(name):
+    (circ, inputs, prover, broken, seed, verdict, output, rounds, lines,
+     next_draw) = GOLDEN_CLIFFORD_RECORDS[name]
+    rng = qc.make_rng(seed)
+    rec = qpip.run_clifford_qpip(circ, inputs, 2, prover, rng,
+                                 broken_variant=broken)
+    assert rec.verdict == verdict
+    assert rec.output == output
+    assert rec.rounds == rounds
+    got = rec.transcript.to_lines()
+    if isinstance(lines, list):
+        assert got == lines
+    else:
+        count, digest = lines
+        assert len(got) == count
+        assert hashlib.sha256("\n".join(got).encode()).hexdigest() == digest
+    assert int(rng.integers(2 ** 62)) == next_draw
+
+
+def test_clifford_checks_the_state_a_policy_returns():
+    circ = qpip.CircuitIR(1, 2, (identity_gate(),))
+
+    def shrink(state, ctx):  # drops the auxiliary qubits
+        return qc.basis_state(qc.RegisterShape((2,)), (0,))
+
+    prover = qpip.ProverImpl(name="shrinking", policy=shrink)
+    with pytest.raises(ValueError, match="does not match the register"):
+        qpip.run_clifford_qpip(circ, (1,), 1, prover, qc.make_rng(12))
+
+
+def test_clifford_rejects_an_output_wire_out_of_range():
+    circ = qpip.CircuitIR(1, 2, (identity_gate(),))
+    with pytest.raises(ValueError, match="output wire"):
+        qpip.run_clifford_qpip(circ, (1,), 1, qpip.honest_prover(),
+                               qc.make_rng(13), output_wire=1)
 
 
 # ------------------------------------------------- qudit protocol engine
