@@ -6,6 +6,7 @@ fixed attack over the key group turns it into a depolarizing mixture, so
 an undetected-and-wrong outcome survives with probability at most 2^-e.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,6 +30,12 @@ class CliffordQasParams:
     @property
     def m(self) -> int:
         return self.l + self.e
+
+    @property
+    def epsilon(self) -> float:
+        """Soundness of the scheme: an undetected wrong message survives
+        with probability at most 2^-e."""
+        return 2.0 ** (-self.e)
 
     def shape(self) -> qc.RegisterShape:
         return qc.RegisterShape((2,) * self.m)
@@ -107,28 +114,6 @@ def cqas_decode(state: qc.StateVector, key: CliffordKey, l: int,
     return "valid", qc.StateVector(qc.RegisterShape((2,) * l), amps)
 
 
-@dataclass(frozen=True)
-class SecurityRecord:
-    """Outcome of one authentication security experiment."""
-
-    mode: str
-    tr_pi1: float
-    tr_pi0: float
-    s: float
-    epsilon: float
-    bound_ok: bool
-    two_term_residual: float | None = None
-    trials: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode, "tr_pi1": self.tr_pi1, "tr_pi0": self.tr_pi0,
-            "s": self.s, "epsilon": self.epsilon, "bound_ok": self.bound_ok,
-            "two_term_residual": self.two_term_residual,
-            "trials": self.trials,
-        }
-
-
 def _attack_setup(params: CliffordQasParams, psi: qc.StateVector,
                   attack: qc.UnitaryMatrix,
                   env_state: qc.StateVector | None):
@@ -175,16 +160,18 @@ def cqas_security_experiment(params: CliffordQasParams, psi: qc.StateVector,
                              env_state: qc.StateVector | None = None,
                              mode: str = "exact",
                              rng: np.random.Generator | None = None,
-                             trials: int = 2000) -> SecurityRecord:
+                             trials: int = 2000):
     """Average the attacked round over keys and score Bob's state.
 
     Exact mode sums the whole key group (m <= 2) and checks that the
     averaged state collapses to the two-term mixture
-    s*rho + (1-s)/(4^m-1) sum_P P rho P^dag; sampled mode draws keys.
+    s*rho + (1-s)/(4^m-1) sum_P P rho P^dag; sampled mode draws keys and
+    gives the estimate a +-3/sqrt(trials) interval.  The claim is
+    tr(Pi_1 rho_B) >= 1 - epsilon, gated on 1 - tr(Pi_1 rho_B).
     """
+    from . import audit  # audit imports this module
     m, rho, env_dim, rho_env = _attack_setup(params, psi, attack, env_state)
     proj = QasProjectors(psi, params.e)
-    eps = 2.0 ** (-params.e)
     kept = tuple(range(m))
 
     if mode == "exact":
@@ -227,8 +214,14 @@ def cqas_security_experiment(params: CliffordQasParams, psi: qc.StateVector,
 
     tr_pi1 = float(np.trace(proj.pi1 @ rho_b.entries).real)
     tr_pi0 = float(np.trace(proj.pi0 @ rho_b.entries).real)
-    slack = 1e-8 if mode == "exact" else 3.0 / np.sqrt(max(trials, 1))
-    return SecurityRecord(mode=mode, tr_pi1=tr_pi1, tr_pi0=tr_pi0, s=s,
-                          epsilon=eps,
-                          bound_ok=bool(tr_pi1 >= 1 - eps - slack),
-                          two_term_residual=residual, trials=trial_count)
+    est = 1.0 - tr_pi1
+    if mode == "exact":
+        interval, limit = (est, est), params.epsilon + 1e-8
+    else:
+        half = 3.0 / math.sqrt(max(trials, 1))
+        interval, limit = (est - half, est + half), params.epsilon
+    return audit.gate("1 - tr(Pi_1 rho_B) <= epsilon", params.epsilon, est,
+                      interval,
+                      {"mode": mode, "tr_pi0": tr_pi0, "tr_pi1": tr_pi1,
+                       "s": s, "two_term_residual": residual,
+                       "trials": trial_count}, limit=limit)

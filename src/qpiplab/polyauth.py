@@ -7,8 +7,8 @@ probability of an undetected wrong message.  The exhaustive scan measures
 that bound exactly for every Pauli at the shipped instance.
 """
 
-import time
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,43 +99,17 @@ def _per_key_masses(p: pc.CodeParams, k: pc.SignKey, xs: np.ndarray,
     return mass
 
 
-@dataclass
-class ScanReport:
-    """Exhaustive per-Pauli key-averaged security summary."""
+def sign_key_masses(p: pc.CodeParams, psi: qc.StateVector | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Key-averaged mass and correlated-key count of every Pauli attack.
 
-    q: int
-    d: int
-    max_mass: float
-    proof_bound: float
-    bound_ok: bool
-    correlation_histogram: dict[int, int]
-    num_maximizers: int
-    worst: list[dict]
-    elapsed: float
-    masses: np.ndarray = field(repr=False)
-    correlation_counts: np.ndarray = field(repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q, "d": self.d, "max_mass": self.max_mass,
-            "proof_bound": self.proof_bound, "bound_ok": self.bound_ok,
-            "correlation_histogram": {str(c): n for c, n in
-                                      sorted(self.correlation_histogram.items())},
-            "num_maximizers": self.num_maximizers,
-            "worst": self.worst,
-        }
-
-
-def sign_key_security_scan(p: pc.CodeParams,
-                           psi: qc.StateVector | None = None) -> ScanReport:
-    """Average every non-identity Pauli attack over all sign keys.
-
-    Reports the exact undetected-and-wrong mass per operator together
-    with the number of sign keys each operator is correlated for.
+    One row per Pauli in the order of `_all_exponent_grids` (row 0 is the
+    identity, which reads 0 in both): the exact undetected-and-wrong mass
+    averaged over all sign keys, and the number of sign keys the operator
+    is correlated for.
     """
     if p.m != 3:
         raise ValueError("the exhaustive scan is sized for m = 3")
-    start = time.monotonic()
     q, m = p.q, p.m
     if psi is None:
         psi = qc.basis_state(qc.RegisterShape((q,)), (0,))
@@ -160,51 +134,38 @@ def sign_key_security_scan(p: pc.CodeParams,
 
     masses = total / len(keys)
     nonident = ~((xs == 0).all(axis=1) & (zs == 0).all(axis=1))
-    masses = np.where(nonident, masses, 0.0)
-    counts = np.where(nonident, counts, 0)
+    return np.where(nonident, masses, 0.0), np.where(nonident, counts, 0)
 
+
+def sign_key_security_scan(p: pc.CodeParams,
+                           psi: qc.StateVector | None = None):
+    """Worst key-averaged mass of any non-identity Pauli against epsilon.
+
+    The record keeps `max_mass`, the histogram of correlated-key counts
+    over the non-identity Paulis and up to 16 maximizers; the per-operator
+    arrays come from `sign_key_masses`.
+    """
+    from . import audit  # audit imports this module
+    masses, counts = sign_key_masses(p, psi)
+    xs, zs = _all_exponent_grids(p)
     max_mass = float(masses.max())
-    proof_bound = 1.0 / 2 ** (m - 1)
-    hist = {}
-    for c in np.unique(counts[nonident]):
-        hist[int(c)] = int((counts[nonident] == c).sum())
+    values, sizes = np.unique(counts[1:], return_counts=True)  # 0: identity
     maximizers = np.nonzero(masses > max_mass - 1e-12)[0]
     worst = [{
         "x": [int(v) for v in xs[i]], "z": [int(v) for v in zs[i]],
         "mass": float(masses[i]), "keys_correlated": int(counts[i]),
     } for i in maximizers[:16]]
-    return ScanReport(
-        q=q, d=p.d, max_mass=max_mass, proof_bound=proof_bound,
-        bound_ok=max_mass <= proof_bound + 1e-10,
-        correlation_histogram=hist, num_maximizers=int(len(maximizers)),
-        worst=worst, elapsed=time.monotonic() - start,
-        masses=masses, correlation_counts=counts)
+    return audit.gate(
+        "every non-identity Pauli's key-averaged undetected-and-wrong "
+        "mass <= epsilon", p.epsilon, max_mass, (max_mass, max_mass),
+        {"q": p.q, "d": p.d, "max_mass": max_mass,
+         "correlation_histogram": {str(c): int(n)
+                                   for c, n in zip(values, sizes)},
+         "num_maximizers": int(len(maximizers)), "worst": worst},
+        limit=p.epsilon + 1e-10)
 
 
 # ------------------------------------------------------------ experiment
-
-@dataclass(frozen=True)
-class SecurityRecord:
-    """Outcome of one polynomial authentication experiment."""
-
-    mode: str
-    tr_pi0: float
-    tr_pi1: float
-    alpha_identity: float
-    proof_bound: float
-    stated_epsilon: float
-    bound_ok: bool
-    trials: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode, "tr_pi0": self.tr_pi0, "tr_pi1": self.tr_pi1,
-            "alpha_identity": self.alpha_identity,
-            "proof_bound": self.proof_bound,
-            "stated_epsilon": self.stated_epsilon,
-            "bound_ok": self.bound_ok, "trials": self.trials,
-        }
-
 
 def _attack_weights(attack: qc.UnitaryMatrix, p: pc.CodeParams,
                     env_state: qc.StateVector | None) -> np.ndarray:
@@ -228,19 +189,18 @@ def pqas_security_experiment(p: pc.CodeParams, psi: qc.StateVector,
                              env_state: qc.StateVector | None = None,
                              mode: str = "exact",
                              rng: np.random.Generator | None = None,
-                             trials: int = 4000,
-                             enforce_bound: bool = True) -> SecurityRecord:
+                             trials: int = 4000):
     """Key-averaged undetected-and-wrong probability for one attack.
 
     Exact mode averages both keys in closed form: the pad average keeps
     only the attack's diagonal Pauli components, and each component's
     sign-key average comes from the same decoded-frame rule the scan
-    uses.  The bound check can be disabled to study the operators that
-    exceed the halved bound.
+    uses; its gate is (1 - alpha_I) epsilon, alpha_I the attack's
+    identity weight.  Sampled mode draws keys and gates on epsilon with a
+    +-3/sqrt(trials) interval.
     """
+    from . import audit  # audit imports this module
     q, m = p.q, p.m
-    stated_eps = 2.0 ** (-p.d)
-    proof_bound = 1.0 / 2 ** (m - 1)
     keys = pc.all_sign_keys(m)
 
     if mode == "exact":
@@ -261,6 +221,8 @@ def pqas_security_experiment(p: pc.CodeParams, psi: qc.StateVector,
         ident = (xidx == 0) & (zidx == 0)
         alpha_i = float(wrow[ident].sum())
         tr_pi0 = float((wrow * mass)[~ident].sum())
+        interval = (tr_pi0, tr_pi0)
+        limit = (1.0 - alpha_i) * p.epsilon + 1e-8
         trial_count = None
     elif mode == "sampled":
         if rng is None:
@@ -288,26 +250,19 @@ def pqas_security_experiment(p: pc.CodeParams, psi: qc.StateVector,
             acc += float(np.einsum("ae,ab,be->", sector.conj(), proj,
                                    sector, optimize=True).real)
         tr_pi0 = acc / trials
+        half = 3.0 / math.sqrt(max(trials, 1))
+        interval = (tr_pi0 - half, tr_pi0 + half)
+        limit = p.epsilon
         alpha_i = float("nan")
         trial_count = trials
     else:
         raise ValueError(f"unknown mode {mode!r}")
-
-    tr_pi1 = 1.0 - tr_pi0
-    if mode == "exact":
-        bound = (1.0 - alpha_i) * proof_bound
-    else:
-        bound = proof_bound
-    ok = bool(tr_pi0 <= bound + (1e-8 if mode == "exact"
-                                 else 3.0 / np.sqrt(max(trials, 1))))
-    if enforce_bound and not ok:
-        raise AssertionError(
-            f"undetected-and-wrong mass {tr_pi0:.6f} exceeds the halved "
-            f"bound {bound:.6f}; rerun with enforce_bound=False to study it")
-    return SecurityRecord(mode=mode, tr_pi0=tr_pi0, tr_pi1=tr_pi1,
-                          alpha_identity=alpha_i, proof_bound=proof_bound,
-                          stated_epsilon=stated_eps, bound_ok=ok,
-                          trials=trial_count)
+    return audit.gate(
+        "undetected-and-wrong mass <= (1 - alpha_I) epsilon"
+        if mode == "exact" else "undetected-and-wrong mass <= epsilon",
+        p.epsilon, tr_pi0, interval,
+        {"mode": mode, "alpha_identity": alpha_i, "trials": trial_count},
+        limit=limit)
 
 
 def _dense_encoder(k: pc.SignKey, p: pc.CodeParams) -> np.ndarray:
@@ -364,20 +319,6 @@ def pqas_average_literal(p: pc.CodeParams, psi: qc.StateVector,
 
 # ------------------------------------------------- measure-resend control
 
-@dataclass(frozen=True)
-class MeasureResendRecord:
-    keyed: bool
-    tr_pi0: float
-    proof_bound: float
-    exceeds_bound: bool
-    trials: int | None
-
-    def to_dict(self) -> dict:
-        return {"keyed": self.keyed, "tr_pi0": self.tr_pi0,
-                "proof_bound": self.proof_bound,
-                "exceeds_bound": self.exceeds_bound, "trials": self.trials}
-
-
 def _candidate_keys(v: tuple[int, ...], p: pc.CodeParams) -> list[pc.SignKey]:
     return [k for k in pc.all_sign_keys(p.m)
             if v in pc._correlated_patterns(k.k, p)[0]]
@@ -386,16 +327,17 @@ def _candidate_keys(v: tuple[int, ...], p: pc.CodeParams) -> list[pc.SignKey]:
 def measure_resend_experiment(p: pc.CodeParams, psi: qc.StateVector,
                               keyed: bool,
                               rng: np.random.Generator | None = None,
-                              trials: int = 2000) -> MeasureResendRecord:
+                              trials: int = 2000):
     """Intercept, measure, infer the sign key, re-encode a shifted message.
 
     Without the one-time pad the measured string betrays the sign key up
     to the pattern ambiguity, so the re-encoded wrong message passes the
     auxiliary check; with the pad the string is uniform noise and the
-    attack is caught like any other tamper.
+    attack is caught like any other tamper.  The gate compares the
+    mass itself with epsilon, also for the sampled padded variant.
     """
+    from . import audit  # audit imports this module
     q, m = p.q, p.m
-    proof_bound = 1.0 / 2 ** (m - 1)
     keys = pc.all_sign_keys(m)
     proj = np.eye(q) - np.outer(psi.amplitudes, psi.amplitudes.conj())
 
@@ -440,7 +382,7 @@ def measure_resend_experiment(p: pc.CodeParams, psi: qc.StateVector,
             acc += float(np.real(sector.conj() @ proj @ sector))
         tr_pi0 = acc / trials
         trial_count = trials
-    return MeasureResendRecord(keyed=keyed, tr_pi0=float(tr_pi0),
-                               proof_bound=proof_bound,
-                               exceeds_bound=bool(tr_pi0 > proof_bound),
-                               trials=trial_count)
+    tr_pi0 = float(tr_pi0)
+    return audit.gate("measure-resend undetected-and-wrong mass <= epsilon",
+                      p.epsilon, tr_pi0, (tr_pi0, tr_pi0),
+                      {"keyed": keyed, "trials": trial_count})

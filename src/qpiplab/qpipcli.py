@@ -5,6 +5,14 @@ report envelope whose payload depends only on those two inputs, so any
 report can be replayed bit-for-bit from its own echo.  Human-readable
 summaries go to standard output; the machine-readable JSON goes to the
 report file.
+
+Every subcommand builds the inputs of one audit, and every audit returns
+one `audit.AuditRecord` (claim, epsilon, estimate, interval, verdict,
+reason and the audit's own numbers) judged by the one gate `audit.gate`;
+in schema 3 that record is the payload.  `run_config` formats the summary
+from the record and sets the exit code: 0 on "pass", 1 on "fail".  The
+reused-key Zeno negative control, expected to fail, exits 0 on either
+verdict: at small sizes its violation need not show.
 """
 
 from __future__ import annotations
@@ -12,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
@@ -29,7 +36,7 @@ from . import qcore as qc
 from . import qpip
 
 ARTIFACT_VERSION = "qpiplab-report"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 SEED_ENV_VAR = "QPIPLAB_SEED"
 DEFAULT_REPORT_PATH = "qpiplab-report.json"
 
@@ -246,8 +253,7 @@ def _round_floats(obj, places: int = 12):
 def _random_state(dim: int, rng: np.random.Generator) -> qc.StateVector:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v /= np.linalg.norm(v)
-    return qc.StateVector(qc.RegisterShape((dim,) if dim in (2, 3, 5, 7)
-                                           else (dim,)), v)
+    return qc.StateVector(qc.RegisterShape((dim,)), v)
 
 
 def _random_unitary_on(dims: tuple[int, ...],
@@ -259,200 +265,104 @@ def _random_unitary_on(dims: tuple[int, ...],
                             check_unitary=False)
 
 
-def _run_lemmas(cfg: ExperimentConfig, seed: int):
-    ledger = audit.lemma_suite(scope=cfg.scope, c_vector=cfg.c_vector,
-                               seed=seed)
-    summary = ledger.to_lines()
-    summary.append(f"{'all identities hold' if ledger.passed else 'FAILURES'}"
-                   f" ({len(ledger.results)} checks)")
-    return "lemma-ledger", ledger.to_dict(), (0 if ledger.passed else 1), \
-        summary, {"lemma_suite_s": ledger.elapsed}
-
-
 # The attacks of the qas subcommands also act on one environment qubit.
 _ENV_QUBIT = qc.basis_state(qc.RegisterShape((2,)), (0,))
 
 
-def _run_qas_clifford(cfg: ExperimentConfig, seed: int):
+def _run_qas_clifford(cfg: ExperimentConfig,
+                      seed: int) -> audit.AuditRecord:
     rng = qc.make_rng(seed)
-    params = ca.CliffordQasParams(l=1, e=cfg.e)
     psi = _random_state(2, rng)
     attack = _random_unitary_on((2,) * (1 + cfg.e) + (2,), rng)
-    mode = cfg.key_average
-    rec = ca.cqas_security_experiment(params, psi, attack, _ENV_QUBIT,
-                                      mode=mode, rng=rng, trials=cfg.trials)
-    payload = dataclasses.asdict(rec)
-    payload["band"] = 1e-8 if mode == "exact" else \
-        3 / math.sqrt(max(rec.trials or cfg.trials, 1))
-    summary = [
-        f"message-register acceptance weight s = {rec.s:.6f}",
-        f"bound 1/2 + epsilon with epsilon = {rec.epsilon:.6f}",
-        f"bound holds: {rec.bound_ok}",
-    ]
-    return "security-record", payload, (0 if rec.bound_ok else 1), summary
+    return ca.cqas_security_experiment(
+        ca.CliffordQasParams(l=1, e=cfg.e), psi, attack, _ENV_QUBIT,
+        mode=cfg.key_average, rng=rng, trials=cfg.trials)
 
 
-def _run_qas_poly(cfg: ExperimentConfig, seed: int):
+def _run_qas_poly(cfg: ExperimentConfig, seed: int) -> audit.AuditRecord:
     rng = qc.make_rng(seed)
     p = cfg.code()
     psi = _random_state(p.q, rng)
     attack = _random_unitary_on((p.q,) * p.m + (2,), rng)
-    mode = "exact" if cfg.key_average == "exact" else "sampled"
-    rec = pq.pqas_security_experiment(p, psi, attack, _ENV_QUBIT,
-                                      mode=mode, rng=rng, trials=cfg.trials,
-                                      enforce_bound=False)
-    payload = dataclasses.asdict(rec)
-    payload["band"] = 1e-8 if mode == "exact" else \
-        3 / math.sqrt(max(rec.trials or cfg.trials, 1))
-    summary = [
-        f"averaged acceptance mass tr_pi0 = {rec.tr_pi0:.6f}",
-        f"identity weight {rec.alpha_identity:.6f}, "
-        f"bound {rec.proof_bound:.6f}",
-        f"bound holds: {rec.bound_ok}",
-    ]
-    return "security-record", payload, (0 if rec.bound_ok else 1), summary
+    return pq.pqas_security_experiment(p, psi, attack, _ENV_QUBIT,
+                                       mode=cfg.key_average, rng=rng,
+                                       trials=cfg.trials)
 
 
-def _run_scan_signkey(cfg: ExperimentConfig, seed: int):
-    rep = pq.sign_key_security_scan(cfg.code())
-    summary = [
-        f"scanned {sum(rep.correlation_histogram.values())} "
-        "non-identity Paulis",
-        f"max averaged acceptance mass = {rep.max_mass:.6f}",
-        f"claimed bound 1/2^(m-1) = {rep.proof_bound:.6f}: "
-        f"{'holds' if rep.bound_ok else 'VIOLATED'}",
-        "correlation histogram: " + ", ".join(
-            f"{k} keys -> {v}" for k, v in
-            sorted(rep.correlation_histogram.items())),
-    ]
-    return "scan-report", rep.to_dict(), (0 if rep.bound_ok else 1), \
-        summary, {"scan_s": rep.elapsed}
-
-
-def _negative_control(cfg: ExperimentConfig) -> bool:
-    return cfg.broken_variant and cfg.adversary == "zeno"
-
-
-def _run_qpip(cfg: ExperimentConfig, seed: int, mode: str):
+def _run_qpip(cfg: ExperimentConfig, seed: int) -> audit.AuditRecord:
     circ, inputs = cfg.resolve_circuit()
     protocol = audit.ProtocolConfig(
-        mode=mode, circuit=circ, inputs=inputs, e=cfg.e, code=cfg.code(),
+        mode="poly" if cfg.subcommand == "qpip-poly" else "clifford",
+        circuit=circ, inputs=inputs, e=cfg.e, code=cfg.code(),
         engine=cfg.engine, broken_variant=cfg.broken_variant)
-    prover = build_policy(cfg)
-    rng = qc.make_rng(seed)
-    rep = audit.estimate_soundness(protocol, prover, cfg.trials, rng)
-    payload = rep.to_dict()
-    violated = rep.wilson_wrong[0] > rep.bound
-    payload["bound_violated"] = violated
-    payload["negative_control"] = _negative_control(cfg)
-    summary = [
-        f"{cfg.trials} trials, adversary {prover.name}",
-        f"accept {rep.accept_rate:.4f}, wrong-accept "
-        f"{rep.wrong_accept_rate:.4f}, abort {rep.abort_rate:.4f}",
-        f"wrong-accept 95% interval {rep.wilson_wrong[0]:.4f}.."
-        f"{rep.wilson_wrong[1]:.4f} against bound {rep.bound:.4f}",
-    ]
-    if payload["negative_control"]:
-        summary.append("negative control: the per-round variant with a "
-                       "reused key is expected to lose to this adversary")
-        if violated:
-            summary.append("bound violation demonstrated")
-        code = 0
-    else:
-        code = 1 if violated else 0
-        if violated:
-            summary.append("BOUND VIOLATED")
-    return "experiment-report", payload, code, summary
+    return audit.estimate_soundness(protocol, build_policy(cfg), cfg.trials,
+                                    qc.make_rng(seed))
 
 
-def _run_qpip_clifford(cfg: ExperimentConfig, seed: int):
-    return _run_qpip(cfg, seed, "clifford")
-
-
-def _run_qpip_poly(cfg: ExperimentConfig, seed: int):
-    return _run_qpip(cfg, seed, "poly")
-
-
-def _run_blindness(cfg: ExperimentConfig, seed: int):
+def _run_blindness(cfg: ExperimentConfig, seed: int) -> audit.AuditRecord:
     mode = cfg.mode or "clifford"
-    rng = qc.make_rng(seed)
     if mode == "clifford":
-        circ_a = qpip.CircuitIR(1, 2, (qpip.CircuitGate(pa.GateTag("H"),
-                                                        (0,)),))
-        circ_b = qpip.CircuitIR(1, 2, (qpip.CircuitGate(pa.GateTag("K"),
-                                                        (0,)),))
+        circ_a, circ_b = (qpip.CircuitIR(1, 2, (qpip.CircuitGate(
+            pa.GateTag(tag), (0,)),)) for tag in ("H", "K"))
         pairs = [((circ_a, (0,)), (circ_b, (1,)))]
     elif cfg.key_average == "exact":
         pairs = [((None, (0,)), (None, (3,)))]
     else:
         tof = audit.toffoli_demo_circuit(cfg.q)
         pairs = [((tof, (2, 3, 0)), (tof, (1, 4, 2)))]
-    rep = audit.blindness_audit(mode, pairs, key_average=cfg.key_average,
-                                rng=rng, trials=cfg.trials, e=cfg.e,
-                                code=cfg.code())
-    payload = rep.to_dict()
-    summary = [
-        f"{mode} blindness, {cfg.key_average} key average",
-        f"max prover-view distance {rep.max_distance:.6f} "
-        f"against cap {rep.tolerance}",
-        "views are indistinguishable" if rep.passed
-        else "VIEWS DIFFER beyond the cap",
-    ]
-    return "blindness-report", payload, (0 if rep.passed else 1), summary
-
-
-def _run_confidence(cfg: ExperimentConfig, seed: int):
-    mode = cfg.mode or "clifford"
-    prover = build_policy(cfg)
-    rep = audit.confidence_audit(mode, prover, qc.make_rng(seed), e=cfg.e,
-                                 code=cfg.code(),
-                                 input_digit=cfg.input_digit)
-    payload = rep.to_dict()
-    ok = rep.distance <= rep.bound + 1e-6
-    summary = [
-        f"{mode} post-acceptance audit, policy {prover.name}",
-        f"acceptance rate beta = {rep.beta:.6f}",
-        f"conditional distance {rep.distance:.6f} <= bound "
-        f"{rep.bound:.6f}: {ok}",
-    ]
-    return "confidence-report", payload, (0 if ok else 1), summary
-
-
-def _run_zeno_demo(cfg: ExperimentConfig, seed: int):
-    demo = dataclasses.replace(cfg, adversary="zeno", broken_variant=True,
-                               circuit_name="zeno", circuit_json=None)
-    kind, payload, _, summary = _run_qpip(demo, seed, "clifford")
-    summary.insert(0, f"accumulated-rotation adversary, e={cfg.e}, "
-                   f"{cfg.n_per} steps per axis, total angle {cfg.phi}")
-    return kind, payload, 0, summary
+    return audit.blindness_audit(mode, pairs, key_average=cfg.key_average,
+                                 rng=qc.make_rng(seed), trials=cfg.trials,
+                                 e=cfg.e, code=cfg.code())
 
 
 _RUNNERS = {
-    "lemmas": _run_lemmas,
+    "lemmas": lambda cfg, seed: audit.lemma_suite(
+        scope=cfg.scope, c_vector=cfg.c_vector, seed=seed),
     "qas-clifford": _run_qas_clifford,
     "qas-poly": _run_qas_poly,
-    "scan-signkey": _run_scan_signkey,
-    "qpip-clifford": _run_qpip_clifford,
-    "qpip-poly": _run_qpip_poly,
+    "scan-signkey": lambda cfg, seed: pq.sign_key_security_scan(cfg.code()),
+    "qpip-clifford": _run_qpip,
+    "qpip-poly": _run_qpip,
     "blindness": _run_blindness,
-    "confidence": _run_confidence,
-    "zeno-demo": _run_zeno_demo,
+    "confidence": lambda cfg, seed: audit.confidence_audit(
+        cfg.mode or "clifford", build_policy(cfg), e=cfg.e, code=cfg.code(),
+        input_digit=cfg.input_digit),
+    "zeno-demo": lambda cfg, seed: _run_qpip(dataclasses.replace(
+        cfg, adversary="zeno", broken_variant=True, circuit_name="zeno",
+        circuit_json=None), seed),
 }
+
+
+def _summary_and_code(cfg: ExperimentConfig,
+                      rec: audit.AuditRecord) -> tuple[list[str], int]:
+    """The human-readable summary of a record and the run's exit code."""
+    lo, hi = rec.interval
+    summary = [f"claim: {rec.claim}",
+               f"estimate {rec.estimate:.6g}, interval {lo:.6g}..{hi:.6g}, "
+               f"epsilon {rec.epsilon:.6g}",
+               ", ".join(f"{k} {v:.6g}" for k, v in rec.detail.items()
+                         if type(v) in (int, float)),
+               f"verdict: {rec.verdict} ({rec.reason})"]
+    control = cfg.subcommand == "zeno-demo" or \
+        (cfg.broken_variant and cfg.adversary == "zeno")
+    if control:
+        summary.append("negative control: the reused-key variant is "
+                       "expected to fail; the run exits 0 either way")
+    return summary, 0 if control or rec.verdict == "pass" else 1
 
 
 def run_config(cfg: ExperimentConfig,
                seed: int) -> tuple[ReportEnvelope, int, list[str]]:
-    """Execute one config and wrap the result in an envelope."""
+    """Execute one config and wrap its audit record in an envelope."""
     start = time.monotonic()
-    # a runner may add a fifth element: its per-phase timings
-    kind, payload, code, summary, *timings = \
-        _RUNNERS[cfg.subcommand](cfg, seed)
+    rec = _RUNNERS[cfg.subcommand](cfg, seed)
+    audit_s = time.monotonic() - start
     envelope = ReportEnvelope(
         artifact_version=ARTIFACT_VERSION, schema_version=SCHEMA_VERSION,
         config=cfg.to_dict(), seed=seed,
-        wall_time=time.monotonic() - start, payload_kind=kind,
-        payload=_round_floats(payload),
-        timings=timings[0] if timings else {})
+        wall_time=time.monotonic() - start, payload_kind="audit-record",
+        payload=_round_floats(rec.to_dict()), timings={"audit_s": audit_s})
+    summary, code = _summary_and_code(cfg, rec)
     return envelope, code, summary
 
 
@@ -469,6 +379,17 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 
 def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip() != "")
+
+
+def _add_code(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--q", type=int, default=5)
+    sp.add_argument("--d", type=int, default=1)
+    sp.add_argument("--alphas", type=_int_tuple, default=(1, 2, 3))
+
+
+def _add_key_average(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--key-average", choices=("exact", "sampled"),
+                    default="exact")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -488,25 +409,19 @@ def build_parser() -> argparse.ArgumentParser:
                          help="Clifford authentication security experiment")
     _add_common(sp)
     sp.add_argument("--e", type=int, default=1)
-    sp.add_argument("--key-average", choices=("exact", "sampled"),
-                    default="exact")
+    _add_key_average(sp)
 
     sp = subs.add_parser("qas-poly",
                          help="signed-code authentication security "
                               "experiment")
     _add_common(sp)
-    sp.add_argument("--q", type=int, default=5)
-    sp.add_argument("--d", type=int, default=1)
-    sp.add_argument("--alphas", type=_int_tuple, default=(1, 2, 3))
-    sp.add_argument("--key-average", choices=("exact", "sampled"),
-                    default="exact")
+    _add_code(sp)
+    _add_key_average(sp)
 
     sp = subs.add_parser("scan-signkey",
                          help="exhaustive sign-key security scan")
     _add_common(sp)
-    sp.add_argument("--q", type=int, default=5)
-    sp.add_argument("--d", type=int, default=1)
-    sp.add_argument("--alphas", type=_int_tuple, default=(1, 2, 3))
+    _add_code(sp)
 
     for name in ("qpip-clifford", "qpip-poly"):
         sp = subs.add_parser(name, help=f"run the {name} protocol")
@@ -525,9 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--n-per", type=int, default=40)
             sp.add_argument("--phi", type=float, default=0.45)
         else:
-            sp.add_argument("--q", type=int, default=5)
-            sp.add_argument("--d", type=int, default=1)
-            sp.add_argument("--alphas", type=_int_tuple, default=(1, 2, 3))
+            _add_code(sp)
             sp.add_argument("--engine",
                             choices=("dense", "logical-frame"),
                             default="dense")
@@ -536,12 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--mode", choices=("clifford", "poly"),
                     default="clifford")
-    sp.add_argument("--key-average", choices=("exact", "sampled"),
-                    default="exact")
+    _add_key_average(sp)
     sp.add_argument("--e", type=int, default=1)
-    sp.add_argument("--q", type=int, default=5)
-    sp.add_argument("--d", type=int, default=1)
-    sp.add_argument("--alphas", type=_int_tuple, default=(1, 2, 3))
+    _add_code(sp)
 
     sp = subs.add_parser("confidence",
                          help="post-acceptance conditional state audit")
@@ -551,9 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--adversary", default="honest")
     sp.add_argument("--input-digit", type=int, default=0)
     sp.add_argument("--e", type=int, default=1)
-    sp.add_argument("--q", type=int, default=5)
-    sp.add_argument("--d", type=int, default=1)
-    sp.add_argument("--alphas", type=_int_tuple, default=(1, 2, 3))
+    _add_code(sp)
 
     sp = subs.add_parser("zeno-demo",
                          help="accumulated-rotation negative control "
@@ -616,17 +524,12 @@ def _replay(path: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.subcommand == "replay":
-        try:
-            return _replay(args.report)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    args = build_parser().parse_args(argv)
     try:
+        if args.subcommand == "replay":
+            return _replay(args.report)
         cfg = config_from_args(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     seed = resolve_seed(args.seed)

@@ -109,24 +109,23 @@ def test_wilson_interval_basics():
     assert lo0 == 0.0 and hi0 < 0.15
 
 
-def test_experiment_report_validation():
-    good = dict(trials=10, accept_rate=0.5, wrong_accept_rate=0.1,
-                abort_rate=0.4, bound=0.5, wilson_accept=(0.2, 0.8),
-                wilson_wrong=(0.0, 0.4),
-                per_policy={"honest": {"trials": 10, "accept": 5,
-                                       "wrong_accept": 1, "abort": 4}},
-                seeds=(1,))
-    rep = audit.ExperimentReport(**good)
-    assert "evidence" in rep.note
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        audit.ExperimentReport(**{**good, "accept_rate": 1.5})
-    with pytest.raises(ValueError, match="interval"):
-        audit.ExperimentReport(**{**good, "wilson_accept": (0.9, 0.2)})
-    bad_counts = {**good,
-                  "per_policy": {"honest": {"trials": 7, "accept": 5,
-                                            "wrong_accept": 1, "abort": 1}}}
-    with pytest.raises(ValueError, match="counts"):
-        audit.ExperimentReport(**bad_counts)
+def test_gate_compares_the_interval_low_end_with_the_limit():
+    rec = audit.gate("rate <= epsilon", 0.25, 0.3, (0.2, 0.4), {"n": 7})
+    assert rec.verdict == "pass"
+    assert rec.reason == "interval low end 0.2 <= limit 0.25"
+    assert rec.to_dict() == {"claim": "rate <= epsilon", "epsilon": 0.25,
+                             "estimate": 0.3, "interval": [0.2, 0.4],
+                             "verdict": "pass", "reason": rec.reason,
+                             "n": 7}
+    assert audit.gate("c", 0.25, 0.3, (0.3, 0.3), {}).verdict == "fail"
+    at_limit = audit.gate("c", 0.0, 0.5, (0.5, 0.5), {}, limit=0.5)
+    assert at_limit.verdict == "pass"
+    strict = audit.gate("c", 0.0, 0.5, (0.5, 0.5), {}, limit=0.5,
+                        strict=True)
+    assert strict.verdict == "fail"
+    assert strict.reason == "value 0.5 >= limit 0.5"
+    assert audit.gate("c", 0.5, math.nan, (math.nan, math.nan),
+                      {}).verdict == "fail"
 
 
 def test_report_dict_is_json_ready():
@@ -145,9 +144,10 @@ def test_completeness_deterministic_circuit_is_exact():
                                circuit=audit.clifford_demo_circuit(),
                                inputs=(1, 0))
     rep = audit.estimate_completeness(cfg, 120, qc.make_rng(5))
-    assert rep.accept_rate == 1.0
-    assert rep.wrong_accept_rate == 0.0
-    assert rep.abort_rate == 0.0
+    assert rep.detail["accept_rate"] == 1.0
+    assert rep.estimate == 0.0
+    assert rep.detail["abort_rate"] == 0.0
+    assert rep.verdict == "pass"
 
 
 def test_completeness_tracks_circuit_bias():
@@ -156,8 +156,9 @@ def test_completeness_tracks_circuit_bias():
                                inputs=(0,), target=(1,))
     rep = audit.estimate_completeness(cfg, 2500, qc.make_rng(7))
     sigma = math.sqrt(0.2 * 0.8 / 2500)
-    assert abs(rep.accept_rate - 0.8) < 3 * sigma + 1e-9
-    assert rep.wilson_accept[0] < 0.8 < rep.wilson_accept[1]
+    assert abs(rep.detail["accept_rate"] - 0.8) < 3 * sigma + 1e-9
+    assert rep.detail["wilson_accept"][0] < 0.8 < \
+        rep.detail["wilson_accept"][1]
 
 
 def test_completeness_poly_engine_is_exact():
@@ -165,8 +166,8 @@ def test_completeness_poly_engine_is_exact():
                                circuit=audit.poly_demo_circuit(),
                                inputs=(3,))
     rep = audit.estimate_completeness(cfg, 80, qc.make_rng(3))
-    assert rep.accept_rate == 1.0
-    assert rep.abort_rate == 0.0
+    assert rep.detail["accept_rate"] == 1.0
+    assert rep.detail["abort_rate"] == 0.0
 
 
 # ----- soundness estimation
@@ -182,9 +183,11 @@ def test_soundness_fixed_pauli_matches_exact_rates():
     rep = audit.estimate_soundness(cfg, attack, 900, qc.make_rng(21))
     sigma_w = math.sqrt((4 / 15) * (11 / 15) / 900)
     sigma_a = math.sqrt((8 / 15) * (7 / 15) / 900)
-    assert abs(rep.wrong_accept_rate - 4 / 15) < 4 * sigma_w
-    assert abs(rep.abort_rate - 8 / 15) < 4 * sigma_a
-    assert rep.bound == 0.5
+    assert abs(rep.estimate - 4 / 15) < 4 * sigma_w
+    assert abs(rep.detail["abort_rate"] - 8 / 15) < 4 * sigma_a
+    assert rep.epsilon == rep.detail["bound"] == 0.5
+    assert rep.interval == audit.wilson_interval(
+        rep.detail["per_policy"]["x-data"]["wrong_accept"], 900)
 
 
 def test_soundness_breaks_down_per_policy():
@@ -192,10 +195,10 @@ def test_soundness_breaks_down_per_policy():
                                circuit=one_qubit_circuit("H"), inputs=(0,))
     pols = [qpip.honest_prover(), qpip.random_unitary_prover((2,))]
     rep = audit.estimate_soundness(cfg, pols, 60, qc.make_rng(4))
-    assert set(rep.per_policy) == {"honest", "random-unitary"}
-    assert rep.trials == 120
-    assert rep.per_policy["honest"]["abort"] == 0
-    assert len(rep.seeds) == 2
+    assert set(rep.detail["per_policy"]) == {"honest", "random-unitary"}
+    assert rep.detail["trials"] == 120
+    assert rep.detail["per_policy"]["honest"]["abort"] == 0
+    assert len(rep.detail["seeds"]) == 2
 
 
 def test_zeno_policy_runs_against_broken_variant():
@@ -204,7 +207,7 @@ def test_zeno_policy_runs_against_broken_variant():
                                e=1, broken_variant=True)
     pol = qpip.zeno_prover(e=1, n_per=6, phi=0.45)
     rep = audit.estimate_soundness(cfg, pol, 40, qc.make_rng(17))
-    counts = rep.per_policy["zeno-demo"]
+    counts = rep.detail["per_policy"]["zeno-demo"]
     assert counts["trials"] == 40
     assert counts["accept"] + counts["wrong_accept"] + counts["abort"] == 40
 
@@ -262,8 +265,8 @@ def test_trial_runner_reproduces_golden_records(name):
         rep = audit.estimate_completeness(config(), trials, rng)
     else:
         rep = audit.estimate_soundness(config(), prover(), trials, rng)
-    assert rep.per_policy == per_policy
-    assert rep.seeds == seeds
+    assert rep.detail["per_policy"] == per_policy
+    assert tuple(rep.detail["seeds"]) == seeds
 
 
 # ----- blindness audits
@@ -272,25 +275,25 @@ def test_trial_runner_reproduces_golden_records(name):
 def test_blindness_clifford_exact_is_flat():
     pair = ((one_qubit_circuit("H"), (0,)), (one_qubit_circuit("K"), (1,)))
     rep = audit.blindness_audit("clifford", [pair], key_average="exact")
-    assert rep.max_distance < 1e-8
-    assert rep.passed
-    assert len(rep.distances["pair0"]) == 2
-    assert max(rep.distances["pair0-mixed-a"]) < 1e-8
+    assert rep.estimate < 1e-8
+    assert rep.verdict == "pass"
+    assert len(rep.detail["distances"]["pair0"]) == 2
+    assert max(rep.detail["distances"]["pair0-mixed-a"]) < 1e-8
 
 
 def test_blindness_poly_exact_hides_the_input():
     rep = audit.blindness_audit("poly", [((None, (0,)), (None, (3,)))],
                                 key_average="exact")
-    assert rep.max_distance < 1e-8
-    assert max(rep.distances["pair0-mixed"]) < 1e-8
+    assert rep.estimate < 1e-8
+    assert max(rep.detail["distances"]["pair0-mixed"]) < 1e-8
 
 
 def test_blindness_clifford_sampled_converges():
     pair = ((one_qubit_circuit("H"), (0,)), (one_qubit_circuit("K"), (1,)))
     rep = audit.blindness_audit("clifford", [pair], key_average="sampled",
                                 rng=qc.make_rng(3), trials=10_000)
-    assert rep.max_distance < 0.02
-    assert rep.trials == 10_000
+    assert rep.estimate < 0.02
+    assert rep.detail["trials"] == 10_000
 
 
 def test_blindness_sampled_shrinks_with_trials():
@@ -301,8 +304,8 @@ def test_blindness_sampled_shrinks_with_trials():
     large = audit.blindness_audit("clifford", [pair],
                                   key_average="sampled",
                                   rng=qc.make_rng(6), trials=8000)
-    d_small = np.mean(small.distances["pair0"])
-    d_large = np.mean(large.distances["pair0"])
+    d_small = np.mean(small.detail["distances"]["pair0"])
+    d_large = np.mean(large.detail["distances"]["pair0"])
     ratio = d_small / d_large
     assert 1.3 < ratio < 3.2
 
@@ -313,10 +316,10 @@ def test_blindness_poly_sampled_reports_correction_rounds():
                                 [((tof, (2, 3, 0)), (tof, (1, 4, 2)))],
                                 key_average="sampled",
                                 rng=qc.make_rng(3), trials=800)
-    (key,) = rep.distances.keys()
+    (key,) = rep.detail["distances"].keys()
     assert key.startswith("pair0-round")
-    assert len(rep.distances[key]) == 3
-    assert rep.max_distance < 0.12
+    assert len(rep.detail["distances"][key]) == 3
+    assert rep.estimate < 0.12
 
 
 def test_blindness_rejects_unknown_average_and_big_views():
@@ -340,7 +343,7 @@ def test_universal_pair_shares_the_circuit_and_hides_programs():
     assert in_a != in_b
     rep = audit.blindness_audit("poly", [((circ_a, in_a), (circ_b, in_b))],
                                 key_average="exact")
-    assert rep.max_distance < 1e-8
+    assert rep.estimate < 1e-8
 
 
 # ----- confidence audits
@@ -349,20 +352,22 @@ def test_universal_pair_shares_the_circuit_and_hides_programs():
 def test_confidence_honest_prover_is_perfect():
     rep = audit.confidence_audit("clifford", qpip.honest_prover(),
                                  input_digit=0)
-    assert rep.beta == pytest.approx(1.0, abs=1e-9)
-    assert rep.distance < 1e-9
-    assert rep.bound == pytest.approx(0.5, abs=1e-9)
+    assert rep.detail["beta"] == pytest.approx(1.0, abs=1e-9)
+    assert rep.estimate < 1e-9
+    assert rep.detail["bound"] == pytest.approx(0.5, abs=1e-9)
+    assert rep.verdict == "pass"
 
 
 def test_confidence_aux_flip_exact_values():
     flip = qpip.fixed_pauli_prover(
         {0: [(0, pa.SymbolicPauli(2, [0, 1], [0, 0]))]}, name="aux-flip")
     rep = audit.confidence_audit("clifford", flip, input_digit=0)
-    assert rep.beta == pytest.approx(7 / 15, abs=1e-9)
-    assert rep.distance == pytest.approx(4 / 7, abs=1e-9)
-    assert rep.bound == pytest.approx(15 / 14, abs=1e-9)
-    assert rep.distance <= rep.bound + 1e-9
-    assert rep.slack > 0
+    assert rep.detail["beta"] == pytest.approx(7 / 15, abs=1e-9)
+    assert rep.estimate == pytest.approx(4 / 7, abs=1e-9)
+    assert rep.detail["bound"] == pytest.approx(15 / 14, abs=1e-9)
+    assert rep.estimate <= rep.detail["bound"] + 1e-9
+    assert rep.detail["slack"] > 0
+    assert rep.verdict == "pass"
 
 
 def test_confidence_poly_phase_attack_is_invisible():
@@ -370,8 +375,8 @@ def test_confidence_poly_phase_attack_is_invisible():
         {0: [(0, pa.SymbolicPauli(5, [0, 0, 0], [1, 2, 3]))]},
         name="phase-only")
     rep = audit.confidence_audit("poly", phase, input_digit=2)
-    assert rep.beta == pytest.approx(1.0, abs=1e-9)
-    assert rep.distance < 1e-9
+    assert rep.detail["beta"] == pytest.approx(1.0, abs=1e-9)
+    assert rep.estimate < 1e-9
 
 
 def test_confidence_poly_footprint_attack_exact_values():
@@ -379,10 +384,11 @@ def test_confidence_poly_footprint_attack_exact_values():
         {0: [(0, pa.SymbolicPauli(5, [1, 1, 1], [0, 0, 0]))]},
         name="uniform-x")
     rep = audit.confidence_audit("poly", foot, input_digit=0)
-    assert rep.beta == pytest.approx(0.25, abs=1e-9)
-    assert rep.distance == pytest.approx(1.0, abs=1e-9)
-    assert rep.bound == pytest.approx(2.0, abs=1e-9)
-    assert rep.distance <= rep.bound
+    assert rep.detail["beta"] == pytest.approx(0.25, abs=1e-9)
+    assert rep.estimate == pytest.approx(1.0, abs=1e-9)
+    assert rep.detail["bound"] == pytest.approx(2.0, abs=1e-9)
+    assert rep.epsilon == 0.25
+    assert rep.verdict == "pass"
 
 
 def test_confidence_refuses_vacuous_bounds():
@@ -419,32 +425,32 @@ def test_confidence_report_serializes():
 
 def test_lemma_suite_all_pass():
     ledger = audit.lemma_suite(seed=0)
-    assert ledger.passed
-    assert tuple(r.name for r in ledger.results) == audit.LEMMA_COVERAGE
-    assert all(r.residual < 1e-8 for r in ledger.results)
-    assert len(ledger.to_lines()) == len(audit.LEMMA_COVERAGE)
+    assert ledger.verdict == "pass"
+    results = ledger.detail["results"]
+    assert tuple(r["name"] for r in results) == audit.LEMMA_COVERAGE
+    assert all(r["residual"] < 1e-8 for r in results)
+    assert ledger.estimate == max(r["residual"] for r in results)
 
 
 def test_lemma_suite_is_deterministic():
     first = audit.lemma_suite(seed=11)
     second = audit.lemma_suite(seed=11)
-    assert first.results == second.results
+    assert first.detail["results"] == second.detail["results"]
 
 
 def test_lemma_suite_fault_injection_localizes():
     ledger = audit.lemma_suite(c_vector=(4, 0, 2), seed=0)
-    failed = {r.name for r in ledger.failures()}
+    assert ledger.verdict == "fail"
+    by_name = {r["name"]: r["residual"] for r in ledger.detail["results"]}
+    failed = {name for name, res in by_name.items() if not res < 1e-8}
     assert failed == {"interpolation-weights", "logical-fourier"}
-    by_name = {r.name: r for r in ledger.results}
-    assert by_name["logical-z"].passed
-    assert by_name["logical-x"].passed
-    assert by_name["correlated-z"].passed
-    assert by_name["interpolation-weights"].residual >= 1.0
+    assert by_name["interpolation-weights"] >= 1.0
 
 
 def test_lemma_suite_scope_selection():
     ledger = audit.lemma_suite(scope="logical-x,logical-z", seed=0)
-    assert [r.name for r in ledger.results] == ["logical-x", "logical-z"]
+    assert [r["name"] for r in ledger.detail["results"]] == \
+        ["logical-x", "logical-z"]
     with pytest.raises(ValueError, match="unknown lemma"):
         audit.lemma_suite(scope="great-unified-lemma")
 
@@ -454,8 +460,9 @@ def test_lemma_suite_flags_missing_checks(monkeypatch):
                if k != "pauli-twirl"}
     monkeypatch.setattr(audit, "_LEMMA_CHECKS", trimmed)
     ledger = audit.lemma_suite(scope="pauli-twirl", seed=0)
-    assert not ledger.passed
-    assert ledger.results[0].detail == "listed but not implemented"
+    assert ledger.verdict == "fail"
+    assert ledger.detail["results"][0]["note"] == \
+        "listed but not implemented"
 
 
 def test_lemma_suite_flags_unlisted_checks(monkeypatch):

@@ -103,20 +103,22 @@ def test_decode_accepts_phase_tamper_with_wrong_state():
 def test_identity_attack_perfect():
     ident = qc.UnitaryMatrix(qc.RegisterShape((2, 2)), np.eye(4))
     rec = ca.cqas_security_experiment(PARAMS, PSI, ident)
-    assert abs(rec.tr_pi1 - 1) < 1e-10
-    assert rec.tr_pi0 < 1e-10
-    assert abs(rec.s - 1) < 1e-10
-    assert rec.bound_ok
+    assert abs(rec.detail["tr_pi1"] - 1) < 1e-10
+    assert rec.detail["tr_pi0"] < 1e-10
+    assert abs(rec.detail["s"] - 1) < 1e-10
+    assert rec.verdict == "pass"
+    assert rec.estimate == 1 - rec.detail["tr_pi1"]
+    assert rec.epsilon == PARAMS.epsilon == 0.5
 
 
 def test_all_pauli_attacks_bounded():
     masses = []
     for x, z in nonidentity_paulis(2):
         rec = ca.cqas_security_experiment(PARAMS, PSI, pauli_attack(x, z))
-        assert rec.tr_pi0 <= 0.5 + 1e-8
-        assert abs(rec.s) < 1e-10
-        assert rec.two_term_residual < 1e-8
-        masses.append(rec.tr_pi0)
+        assert rec.detail["tr_pi0"] <= 0.5 + 1e-8
+        assert abs(rec.detail["s"]) < 1e-10
+        assert rec.detail["two_term_residual"] < 1e-8
+        masses.append(rec.detail["tr_pi0"])
     # a fixed Pauli depolarizes completely; the only undetected-and-wrong
     # mass comes from the 4 harmful survivors among the 15 images
     assert abs(max(masses) - 4 / 15) < 1e-9
@@ -128,9 +130,10 @@ def test_random_attack_with_environment():
     for _ in range(6):
         u = qc.UnitaryMatrix(qc.RegisterShape((2, 2, 2)), haar(8, rng))
         rec = ca.cqas_security_experiment(PARAMS, PSI, u, env)
-        assert rec.tr_pi0 <= (1 - rec.s) / 2 + 1e-8
-        assert rec.tr_pi1 >= 1 - rec.epsilon - 1e-8
-        assert rec.two_term_residual < 1e-8
+        assert rec.detail["tr_pi0"] <= (1 - rec.detail["s"]) / 2 + 1e-8
+        assert rec.detail["tr_pi1"] >= 1 - rec.epsilon - 1e-8
+        assert rec.verdict == "pass"
+        assert rec.detail["two_term_residual"] < 1e-8
 
 
 def test_undetected_pauli_count():
@@ -152,9 +155,9 @@ def test_attack_family_monotonicity():
         u = qc.UnitaryMatrix(qc.RegisterShape((2, 2)),
                              np.kron(rot, np.eye(2)), check_unitary=False)
         rec = ca.cqas_security_experiment(PARAMS, PSI, u, env)
-        assert rec.tr_pi0 >= prev_pi0 - 1e-12
-        assert rec.s <= prev_s + 1e-12
-        prev_pi0, prev_s = rec.tr_pi0, rec.s
+        assert rec.detail["tr_pi0"] >= prev_pi0 - 1e-12
+        assert rec.detail["s"] <= prev_s + 1e-12
+        prev_pi0, prev_s = rec.detail["tr_pi0"], rec.detail["s"]
     assert prev_s < 0.6 and prev_pi0 > 0.1
 
 
@@ -166,8 +169,10 @@ def test_sampled_mode_tracks_exact():
                                           mode="sampled", rng=rng,
                                           trials=3000)
     sigma = 3 / np.sqrt(3000)
-    assert abs(sampled.tr_pi0 - exact.tr_pi0) < sigma
-    assert abs(sampled.tr_pi1 - exact.tr_pi1) < sigma
+    assert abs(sampled.detail["tr_pi0"] - exact.detail["tr_pi0"]) < sigma
+    assert abs(sampled.detail["tr_pi1"] - exact.detail["tr_pi1"]) < sigma
+    assert sampled.interval == pytest.approx(
+        (sampled.estimate - sigma, sampled.estimate + sigma))
 
 
 def test_mode_errors():

@@ -141,58 +141,66 @@ def test_single_wire_shift_always_aborts():
 
 # ------------------------------------------------------------------ scan
 
+def histogram(rep) -> dict[int, int]:
+    return {int(c): n for c, n in rep.detail["correlation_histogram"].items()}
+
+
 def test_scan_frozen_summary():
     rep = pq.sign_key_security_scan(P)
-    assert rep.correlation_histogram == FROZEN_HISTOGRAM
-    assert abs(rep.max_mass - FROZEN_MAX_MASS) < 1e-12
-    assert rep.num_maximizers == FROZEN_NUM_MAXIMIZERS
-    assert rep.proof_bound == 0.25
-    assert not rep.bound_ok
-    assert rep.masses[0] == 0.0
-    assert rep.correlation_counts[0] == 0
-    assert sum(rep.correlation_histogram.values()) == Q ** (2 * M) - 1
+    assert histogram(rep) == FROZEN_HISTOGRAM
+    assert abs(rep.estimate - FROZEN_MAX_MASS) < 1e-12
+    assert rep.detail["max_mass"] == rep.estimate
+    assert rep.detail["num_maximizers"] == FROZEN_NUM_MAXIMIZERS
+    assert rep.epsilon == P.epsilon == 0.25
+    assert rep.verdict == "fail"
+    masses, counts = pq.sign_key_masses(P)
+    assert masses[0] == 0.0
+    assert counts[0] == 0
+    assert sum(histogram(rep).values()) == Q ** (2 * M) - 1
 
 
 def test_scan_histogram_consistent_with_per_key_count():
     rep = pq.sign_key_security_scan(P)
-    pair_total = sum(c * n for c, n in rep.correlation_histogram.items())
+    pair_total = sum(c * n for c, n in histogram(rep).items())
     # each of the 8 keys is correlated with 25^2 - 1 non-identity operators
     assert pair_total == 2 ** M * (Q ** (D + 1) * Q ** (D + 1) - 1)
 
 
 def test_scan_maximizer_structure():
-    rep = pq.sign_key_security_scan(P)
+    masses, counts = pq.sign_key_masses(P)
     grid = np.indices((Q,) * (2 * M)).reshape(2 * M, -1).T
     xs, zs = grid[:, :M], grid[:, M:]
-    at_max = rep.masses > FROZEN_MAX_MASS - 1e-12
-    assert rep.correlation_counts[at_max].min() == 4
+    at_max = masses > FROZEN_MAX_MASS - 1e-12
+    assert counts[at_max].min() == 4
     x_only = at_max & (zs == 0).all(axis=1) & ~(xs == 0).all(axis=1)
     assert int(x_only.sum()) == 24
     # the four-key phase-only operators pass undetected but do not
     # change a standard-basis message, so their mass vanishes
-    z_only_four = (rep.correlation_counts == 4) & (xs == 0).all(axis=1)
+    z_only_four = (counts == 4) & (xs == 0).all(axis=1)
     assert int(z_only_four.sum()) == 24
-    assert np.max(rep.masses[z_only_four]) < 1e-12
-    assert int((rep.correlation_counts == 4).sum()) == \
+    assert np.max(masses[z_only_four]) < 1e-12
+    assert int((counts == 4).sum()) == \
         FROZEN_NUM_MAXIMIZERS + 24
 
 
 def test_scan_four_key_example_listed():
     rep = pq.sign_key_security_scan(P)
-    entries = {(tuple(w["x"]), tuple(w["z"])): w for w in rep.worst}
+    entries = {(tuple(w["x"]), tuple(w["z"])): w
+               for w in rep.detail["worst"]}
     w = entries.get(((3, 4, 0), (0, 0, 0)))
     if w is None:
+        masses, counts = pq.sign_key_masses(P)
         grid = np.indices((Q,) * (2 * M)).reshape(2 * M, -1).T
         row = np.nonzero((grid == [3, 4, 0, 0, 0, 0]).all(axis=1))[0][0]
-        assert abs(rep.masses[row] - FROZEN_MAX_MASS) < 1e-12
-        assert rep.correlation_counts[row] == 4
+        assert abs(masses[row] - FROZEN_MAX_MASS) < 1e-12
+        assert counts[row] == 4
     else:
         assert w["mass"] == pytest.approx(FROZEN_MAX_MASS)
         assert w["keys_correlated"] == 4
 
 
 def test_scan_masses_match_dense_average():
-    rep = pq.sign_key_security_scan(P)
+    masses, _ = pq.sign_key_masses(P)
     grid = np.indices((Q,) * (2 * M)).reshape(2 * M, -1).T
     rng = qc.make_rng(31)
     rows = list(rng.integers(1, Q ** (2 * M), size=6))
@@ -201,16 +209,16 @@ def test_scan_masses_match_dense_average():
     for row in rows:
         x, z = grid[row][:M], grid[row][M:]
         dense = dense_key_average_mass(x, z, PSI0)
-        assert abs(dense - rep.masses[row]) < 1e-12
+        assert abs(dense - masses[row]) < 1e-12
 
 
 def test_scan_random_message_still_violates_halved_bound():
     rng = qc.make_rng(41)
     psi = qc.StateVector(qc.RegisterShape((Q,)), random_state(Q, rng))
     rep = pq.sign_key_security_scan(P, psi)
-    assert rep.proof_bound < rep.max_mass < FROZEN_MAX_MASS
-    assert not rep.bound_ok
-    assert rep.correlation_histogram == FROZEN_HISTOGRAM
+    assert rep.epsilon < rep.estimate < FROZEN_MAX_MASS
+    assert rep.verdict == "fail"
+    assert histogram(rep) == FROZEN_HISTOGRAM
 
 
 def test_scan_rejects_other_block_sizes():
@@ -225,9 +233,9 @@ def test_scan_mass_equals_dense_average_property(digits):
     x, z = digits[:M], digits[M:]
     if all(v == 0 for v in digits):
         return
-    rep = pq.sign_key_security_scan(P)
+    masses, _ = pq.sign_key_masses(P)
     row = int(np.ravel_multi_index(digits, (Q,) * (2 * M)))
-    assert abs(dense_key_average_mass(x, z, PSI0) - rep.masses[row]) < 1e-12
+    assert abs(dense_key_average_mass(x, z, PSI0) - masses[row]) < 1e-12
 
 
 # ------------------------------------------------------------ experiment
@@ -235,33 +243,28 @@ def test_scan_mass_equals_dense_average_property(digits):
 def test_identity_attack_perfect():
     ident = qc.UnitaryMatrix(SHAPE, np.eye(Q ** M, dtype=complex))
     rec = pq.pqas_security_experiment(P, PSI0, ident)
-    assert rec.tr_pi0 == 0.0
-    assert rec.tr_pi1 == 1.0
-    assert rec.alpha_identity == pytest.approx(1.0)
-    assert rec.bound_ok
-    assert rec.stated_epsilon == 0.5
-    assert rec.proof_bound == 0.25
+    assert rec.estimate == 0.0
+    assert rec.detail["alpha_identity"] == pytest.approx(1.0)
+    assert rec.verdict == "pass"
+    assert rec.epsilon == 0.25
 
 
 def test_fixed_pauli_attacks_match_scan():
-    rep = pq.sign_key_security_scan(P)
+    masses, _ = pq.sign_key_masses(P)
     grid = np.indices((Q,) * (2 * M)).reshape(2 * M, -1).T
     rng = qc.make_rng(47)
     for row in rng.integers(1, Q ** (2 * M), size=8):
         x, z = grid[row][:M], grid[row][M:]
-        rec = pq.pqas_security_experiment(P, PSI0, pauli_attack(x, z),
-                                          enforce_bound=False)
-        assert rec.alpha_identity == pytest.approx(0.0, abs=1e-12)
-        assert rec.tr_pi0 == pytest.approx(float(rep.masses[row]), abs=1e-10)
+        rec = pq.pqas_security_experiment(P, PSI0, pauli_attack(x, z))
+        assert rec.detail["alpha_identity"] == pytest.approx(0.0, abs=1e-12)
+        assert rec.estimate == pytest.approx(float(masses[row]), abs=1e-10)
 
 
 def test_four_key_attack_reaches_one_half():
     att = pauli_attack((3, 4, 0), (0, 0, 0))
-    rec = pq.pqas_security_experiment(P, PSI0, att, enforce_bound=False)
-    assert rec.tr_pi0 == pytest.approx(0.5, abs=1e-12)
-    assert not rec.bound_ok
-    with pytest.raises(AssertionError):
-        pq.pqas_security_experiment(P, PSI0, att)
+    rec = pq.pqas_security_experiment(P, PSI0, att)
+    assert rec.estimate == pytest.approx(0.5, abs=1e-12)
+    assert rec.verdict == "fail"
 
 
 def test_random_attacks_obey_scaled_bound():
@@ -270,14 +273,15 @@ def test_random_attacks_obey_scaled_bound():
         u = unitary_group.rvs(Q ** M, random_state=rng)
         att = qc.UnitaryMatrix(SHAPE, u)
         rec = pq.pqas_security_experiment(P, PSI0, att)
-        assert rec.bound_ok
-        assert rec.tr_pi0 <= (1 - rec.alpha_identity) * 0.25 + 1e-8
+        assert rec.verdict == "pass"
+        assert rec.estimate <= (1 - rec.detail["alpha_identity"]) * 0.25 \
+            + 1e-8
     env = qc.StateVector(qc.RegisterShape((2,)), random_state(2, rng))
     for trial in range(2):
         u = unitary_group.rvs(Q ** M * 2, random_state=rng)
         att = qc.UnitaryMatrix(qc.RegisterShape((Q, Q, Q, 2)), u)
         rec = pq.pqas_security_experiment(P, PSI0, att, env_state=env)
-        assert rec.bound_ok
+        assert rec.verdict == "pass"
 
 
 def test_literal_average_matches_closed_form():
@@ -286,7 +290,7 @@ def test_literal_average_matches_closed_form():
     att = qc.UnitaryMatrix(SHAPE, u)
     rec = pq.pqas_security_experiment(P, PSI0, att)
     lit = pq.pqas_average_literal(P, PSI0, att)
-    assert abs(lit - rec.tr_pi0) < 1e-10
+    assert abs(lit - rec.estimate) < 1e-10
     assert pq.pqas_average_literal(
         P, PSI0, pauli_attack((3, 4, 0), (0, 0, 0))) == \
         pytest.approx(0.5, abs=1e-12)
@@ -302,8 +306,8 @@ def test_sampled_mode_tracks_exact():
     sampled = pq.pqas_security_experiment(P, PSI0, att, env_state=env,
                                           mode="sampled", rng=rng,
                                           trials=500)
-    assert sampled.trials == 500
-    assert abs(sampled.tr_pi0 - exact.tr_pi0) < 0.03
+    assert sampled.detail["trials"] == 500
+    assert abs(sampled.estimate - exact.estimate) < 0.03
 
 
 def test_experiment_input_validation():
@@ -330,18 +334,18 @@ def test_experiment_input_validation():
 
 def test_measure_resend_without_pad_breaks_the_scheme():
     rec = pq.measure_resend_experiment(P, PSI0, keyed=False)
-    assert rec.trials is None
-    assert rec.exceeds_bound
-    assert rec.tr_pi0 == pytest.approx(FROZEN_RESEND_UNKEYED, abs=1e-9)
+    assert rec.detail["trials"] is None
+    assert rec.verdict == "fail"
+    assert rec.estimate == pytest.approx(FROZEN_RESEND_UNKEYED, abs=1e-9)
 
 
 def test_measure_resend_with_pad_is_caught():
     rng = qc.make_rng(67)
     rec = pq.measure_resend_experiment(P, PSI0, keyed=True, rng=rng,
                                        trials=1200)
-    assert rec.trials == 1200
-    assert not rec.exceeds_bound
-    assert rec.tr_pi0 < 0.15
+    assert rec.detail["trials"] == 1200
+    assert rec.verdict == "pass"
+    assert rec.estimate < 0.15
 
 
 def test_measure_resend_keyed_needs_rng():
@@ -361,4 +365,4 @@ def test_reports_serialize_to_json():
     rec = pq.pqas_security_experiment(P, PSI0, ident)
     assert json.loads(json.dumps(rec.to_dict()))["alpha_identity"] == 1.0
     mr = pq.measure_resend_experiment(P, PSI0, keyed=False)
-    assert json.loads(json.dumps(mr.to_dict()))["exceeds_bound"] is True
+    assert json.loads(json.dumps(mr.to_dict()))["verdict"] == "fail"

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from qpiplab import polyauth as pq
 from qpiplab import qcore as qc
 from qpiplab import qpip
 from qpiplab import qpipcli as cli
@@ -27,14 +28,14 @@ def run_and_replay(subcommand: str, seed: int = 3, **kwargs):
 def test_qas_subcommands_run_and_replay(subcommand, kwargs):
     envelope, code = run_and_replay(subcommand, **kwargs)
     assert code == 0
-    assert envelope.payload["bound_ok"] is True
+    assert envelope.payload["verdict"] == "pass"
 
 
 def test_lemmas_replay_exactly():
     envelope, code = run_and_replay("lemmas")
     assert code == 0
     assert "elapsed" not in envelope.payload
-    assert envelope.timings["lemma_suite_s"] > 0
+    assert envelope.timings["audit_s"] > 0
 
 
 PAULI_ON_CODE_BLOCK = 'pauli:{"1": [[0, [1, 0, 0], [0, 0, 0]]]}'
@@ -98,33 +99,33 @@ def test_qpip_clifford_replays_exactly():
                                     circuit_name="clifford-demo", trials=20)
     assert code == 0
     assert envelope.payload["trials"] == 20
-    assert envelope.payload["negative_control"] is False
+    assert envelope.payload["verdict"] == "pass"
 
 
 def test_scan_signkey_keeps_wall_clock_out_of_the_payload():
     envelope, code = run_and_replay("scan-signkey")
     assert code == 1  # the pinned finding: the mass exceeds the bound
     assert envelope.payload["max_mass"] == 0.5
+    assert envelope.payload["verdict"] == "fail"
     assert "elapsed" not in envelope.payload
-    assert envelope.timings["scan_s"] > 0
+    assert envelope.timings["audit_s"] > 0
 
 
 def test_blindness_replays_exactly():
     envelope, code = run_and_replay("blindness")
     assert code == 0
-    assert envelope.payload["passed"] is True
+    assert envelope.payload["verdict"] == "pass"
 
 
 def test_confidence_replays_exactly():
     envelope, code = run_and_replay("confidence")
     assert code == 0
-    assert envelope.payload["distance"] <= envelope.payload["bound"] + 1e-6
+    assert envelope.payload["estimate"] <= envelope.payload["bound"] + 1e-6
 
 
 def test_zeno_demo_replays_exactly():
     envelope, code = run_and_replay("zeno-demo", e=2, n_per=5, trials=4)
     assert code == 0
-    assert envelope.payload["negative_control"] is True
     assert envelope.payload["trials"] == 4
 
 
@@ -138,42 +139,101 @@ def test_qpip_poly_logical_frame_runs_its_default_circuit():
     assert envelope.payload["accept_rate"] == 1.0
 
 
+# (subcommand, config, exit code, verdict) at small sizes; the exit codes
+# and verdicts were recorded before the subcommands shared one audit
+# record.  The negative control exits 0 on either verdict, and at this
+# size its violation does not show.
+SUBCOMMAND_OUTCOMES = [
+    ("lemmas", {"scope": "logical-x"}, 0, "pass"),
+    ("lemmas", {"scope": "interpolation-weights,logical-fourier",
+                "c_vector": (4, 0, 2)}, 1, "fail"),
+    ("qas-clifford", {"key_average": "sampled", "trials": 40}, 0, "pass"),
+    ("qas-poly", {}, 0, "pass"),
+    ("qas-poly", {"key_average": "sampled", "trials": 40}, 0, "pass"),
+    ("scan-signkey", {}, 1, "fail"),
+    ("qpip-clifford", {"circuit_name": "clifford-demo", "trials": 20},
+     0, "pass"),
+    ("qpip-poly", {"circuit_name": "poly-demo", "trials": 20}, 0, "pass"),
+    ("blindness", {}, 0, "pass"),
+    ("confidence", {}, 0, "pass"),
+    ("zeno-demo", {"e": 2, "n_per": 5, "trials": 4}, 0, "pass"),
+]
+
+
+def test_outcome_table_covers_every_subcommand():
+    assert {sub for sub, *_ in SUBCOMMAND_OUTCOMES} == set(cli.SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("subcommand, kwargs, code, verdict",
+                         SUBCOMMAND_OUTCOMES)
+def test_subcommand_exit_codes_and_verdicts(subcommand, kwargs, code,
+                                            verdict):
+    envelope, got = run_and_replay(subcommand, **kwargs)
+    assert (got, envelope.payload["verdict"]) == (code, verdict)
+    assert envelope.payload_kind == "audit-record"
+
+
+def test_pinned_findings_fail_their_gates():
+    # the round-1 Pauli x=(0,1,2) on block 0 beats the poly gate
+    # 1/2^(m-1) = 0.25: wrong-accept 0.53, Wilson 0.461..0.598
+    cfg = cli.ExperimentConfig(
+        subcommand="qpip-poly", circuit_name="poly-demo", trials=200,
+        adversary='pauli:{"1": [[0, [0, 1, 2], [0, 0, 0]]]}')
+    envelope, code, _ = cli.run_config(cfg, 7)
+    assert (code, envelope.payload["verdict"]) == (1, "fail")
+    assert envelope.payload["estimate"] == 0.53
+    assert envelope.payload["interval"][0] > envelope.payload["epsilon"]
+    # measure-resend without the pad breaks the scheme
+    p = cfg.code()
+    unkeyed = pq.measure_resend_experiment(
+        p, qc.basis_state(qc.RegisterShape((p.q,)), (0,)), keyed=False)
+    assert unkeyed.verdict == "fail"
+    # the reused-key negative control loses at the CLI defaults of
+    # zeno-demo and still exits 0
+    cfg = cli.ExperimentConfig(subcommand="zeno-demo", e=2, trials=200)
+    envelope, code, summary = cli.run_config(cfg, 0)
+    assert (code, envelope.payload["verdict"]) == (0, "fail")
+    assert any("negative control" in line for line in summary)
+
+
 # ----- golden payloads and the replay boundary
 
 # Payloads of the protocol and confidence runs, recorded when provers were
 # rebuilt per trial chunk; the config echo is left out (it then held jobs).
 # The honest qpip-clifford payload was recorded when honest runs went
-# through their own estimator.
+# through their own estimator.  Schema 3 renamed the gated value to
+# `estimate` and its interval to `interval`; every number is as recorded.
+_WRONG_ACCEPT = {"claim": "wrong-accept rate <= gamma + epsilon",
+                 "epsilon": 0.5, "bound": 0.5, "verdict": "pass",
+                 "seeds": [5765488047046174020], "trials": 40}
 GOLDEN_CLI_PAYLOADS = {
     "qpip-clifford-honest": (
         {"subcommand": "qpip-clifford", "circuit_name": "clifford-demo",
          "trials": 40},
-        {"abort_rate": 0.0, "accept_rate": 1.0, "bound": 0.5,
-         "bound_violated": False, "negative_control": False,
-         "note": "statistical evidence, not proof",
+        {**_WRONG_ACCEPT, "abort_rate": 0.0, "accept_rate": 1.0,
          "per_policy": {"honest": {"abort": 0, "accept": 40,
                                    "trials": 40, "wrong_accept": 0}},
-         "seeds": [5765488047046174020], "trials": 40,
          "wilson_accept": [0.91237546075, 1.0],
-         "wilson_wrong": [0.0, 0.08762453925],
-         "wrong_accept_rate": 0.0}),
+         "interval": [0.0, 0.08762453925], "estimate": 0.0,
+         "reason": "interval low end 0 <= limit 0.5"}),
     "qpip-clifford": (
         {"circuit_name": "clifford-demo", "trials": 40,
          "adversary": 'pauli:{"3": [[0, [1, 0], [0, 0]]]}'},
-        {"abort_rate": 0.575, "accept_rate": 0.275, "bound": 0.5,
-         "bound_violated": False, "negative_control": False,
-         "note": "statistical evidence, not proof",
+        {**_WRONG_ACCEPT, "abort_rate": 0.575, "accept_rate": 0.275,
          "per_policy": {"fixed-pauli": {"abort": 23, "accept": 11,
                                         "trials": 40, "wrong_accept": 6}},
-         "seeds": [5765488047046174020], "trials": 40,
          "wilson_accept": [0.161078534331, 0.428352508331],
-         "wilson_wrong": [0.070610917085, 0.29072626039],
-         "wrong_accept_rate": 0.15}),
+         "interval": [0.070610917085, 0.29072626039], "estimate": 0.15,
+         "reason": "interval low end 0.0706109 <= limit 0.5"}),
     "confidence": (
         {"adversary": 'pauli:{"0": [[0, [0, 1], [0, 0]]]}'},
-        {"beta": 0.466666666667, "bound": 1.071428571429,
-         "distance": 0.571428571429, "epsilon": 0.5, "floor": 0.05,
-         "mode": "clifford", "policy": "fixed-pauli", "slack": 0.5}),
+        {"claim": "accept-conditioned distance <= epsilon / beta",
+         "beta": 0.466666666667, "bound": 1.071428571429,
+         "estimate": 0.571428571429,
+         "interval": [0.571428571429, 0.571428571429], "epsilon": 0.5,
+         "floor": 0.05, "mode": "clifford", "policy": "fixed-pauli",
+         "slack": 0.5, "verdict": "pass",
+         "reason": "value 0.571429 <= limit 1.07143"}),
 }
 
 
@@ -201,13 +261,15 @@ def _stored_lemmas(tmp_path) -> tuple[str, dict]:
 
 
 def test_replay_refuses_schema_1_envelopes(tmp_path, capsys):
-    path, data = _stored_lemmas(tmp_path)
-    data["schema_version"] = 1
-    data["config"]["jobs"] = 1
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
-    assert cli.main(["replay", path]) == 2
-    assert "schema version mismatch" in capsys.readouterr().err
+    path, stored = _stored_lemmas(tmp_path)
+    schema_1 = {**stored, "schema_version": 1,
+                "config": {**stored["config"], "jobs": 1}}
+    schema_2 = {**stored, "schema_version": 2}
+    for data in (schema_1, schema_2):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        assert cli.main(["replay", path]) == 2
+        assert "schema version mismatch" in capsys.readouterr().err
 
 
 def test_replay_names_unknown_config_keys(tmp_path, capsys):
