@@ -319,25 +319,31 @@ def _blockwise_embed(state: qc.StateVector, e: int) -> qc.StateVector:
     return qc.StateVector(shape, full.reshape(-1), check_norm=False)
 
 
-def _clifford_round_views(circuit: qpip.CircuitIR, inputs: Sequence[int],
-                          e: int) -> list[qc.DensityMatrix]:
-    """Exact per-round prover views: fresh-key average over every block."""
-    n = circuit.n
-    if 2 ** (n * (1 + e)) > _VIEW_DIM_CAP:
-        raise ValueError("prover view exceeds the exact-averaging cap")
-    shape = qc.RegisterShape((2,) * n)
-    state = qc.basis_state(shape, inputs)
-    plain_states = [state]
+def _round_states(circuit: qpip.CircuitIR, inputs: Sequence[int], e: int
+                  ) -> tuple[list[qc.StateVector], list[tuple[int, ...]]]:
+    """The plain state before every round, each wire followed by e |0>
+    auxiliaries, and the wires of each such block."""
+    state = qc.basis_state(qc.RegisterShape((2,) * circuit.n), inputs)
+    states = [_blockwise_embed(state, e)]
     for gate in circuit.gates:
         mat = gate.op if isinstance(gate.op, qc.UnitaryMatrix) else \
             pa.gate_matrix(gate.op, 2)
         state = qc.apply_on_wires(state, mat, gate.wires)
-        plain_states.append(state)
+        states.append(_blockwise_embed(state, e))
+    return states, [tuple(range(b * (1 + e), (b + 1) * (1 + e)))
+                    for b in range(circuit.n)]
+
+
+def _clifford_round_views(circuit: qpip.CircuitIR, inputs: Sequence[int],
+                          e: int) -> list[qc.DensityMatrix]:
+    """Exact per-round prover views: fresh-key average over every block."""
+    if 2 ** (circuit.n * (1 + e)) > _VIEW_DIM_CAP:
+        raise ValueError("prover view exceeds the exact-averaging cap")
+    states, blocks = _round_states(circuit, inputs, e)
     views = []
-    for st in plain_states:
-        rho = _blockwise_embed(st, e).to_density()
-        for b in range(n):
-            wires = tuple(range(b * (1 + e), (b + 1) * (1 + e)))
+    for st in states:
+        rho = st.to_density()
+        for wires in blocks:
             rho = pa.group_conjugate_average(rho, "clifford", wires)
         views.append(rho)
     return views
@@ -402,7 +408,7 @@ def _classical_view_histograms(circuit: qpip.CircuitIR,
                                  engine="logical-frame",
                                  output_wires=tuple(range(circuit.n)))
         pos_in_round: dict[int, int] = {}
-        for entry in rec.transcript.entries:
+        for entry in rec.transcript:
             if entry.kind != "classical-string" or \
                     entry.direction != "verifier->prover":
                 continue
@@ -420,27 +426,16 @@ def _sampled_clifford_views(circuit: qpip.CircuitIR, inputs: Sequence[int],
                             e: int, trials: int,
                             rng: np.random.Generator
                             ) -> list[np.ndarray]:
-    n = circuit.n
     params = ca.CliffordQasParams(l=1, e=e)
-    shape = qc.RegisterShape((2,) * n)
-    state = qc.basis_state(shape, inputs)
-    plain_states = [state]
-    for gate in circuit.gates:
-        mat = gate.op if isinstance(gate.op, qc.UnitaryMatrix) else \
-            pa.gate_matrix(gate.op, 2)
-        state = qc.apply_on_wires(state, mat, gate.wires)
-        plain_states.append(state)
-    embedded = [_blockwise_embed(st, e) for st in plain_states]
-    dim = embedded[0].shape.dim
-    views = [np.zeros((dim, dim), dtype=np.complex128) for _ in plain_states]
+    states, blocks = _round_states(circuit, inputs, e)
+    dim = states[0].shape.dim
+    views = [np.zeros((dim, dim), dtype=np.complex128) for _ in states]
     block_shape = qc.RegisterShape((2,) * (1 + e))
     for _ in range(trials):
-        keys = [ca.random_clifford_key(params, rng) for _ in range(n)]
-        for r, st in enumerate(embedded):
-            for b in range(n):
-                wires = tuple(range(b * (1 + e), (b + 1) * (1 + e)))
-                u = qc.UnitaryMatrix(block_shape,
-                                     keys[b].element.matrix.entries,
+        keys = [ca.random_clifford_key(params, rng) for _ in blocks]
+        for r, st in enumerate(states):
+            for key, wires in zip(keys, blocks):
+                u = qc.UnitaryMatrix(block_shape, key.element.matrix.entries,
                                      check_unitary=False)
                 st = qc.apply_on_wires(st, u, wires)
             views[r] += np.outer(st.amplitudes, st.amplitudes.conj())
@@ -691,32 +686,6 @@ def confidence_audit(mode: str, prover: qpip.ProverImpl, *,
 
 # ----------------------------------------------------------- lemma suite
 
-
-LEMMA_COVERAGE: tuple[str, ...] = (
-    "logical-x",
-    "logical-sum",
-    "interpolation-weights",
-    "logical-fourier",
-    "logical-z",
-    "decode-diagonalization",
-    "clifford-decoherence",
-    "pauli-decompose",
-    "pauli-partitioning-by-cliffords",
-    "pauli-twirl",
-    "clifford-twirl",
-    "completeness",
-    "clifford-mixing",
-    "pauli-mixing",
-    "unitary-commutation",
-    "pauli-decoherence",
-    "sign-key-pauli-security",
-    "correlated-x",
-    "correlated-z",
-    "pauli-criterion",
-    "correlated-decomposition",
-    "uncorrelated-action",
-    "teleportation-outcome-uniformity",
-)
 
 _LEMMA_TOL = 1e-8
 
@@ -1169,7 +1138,9 @@ def _check_teleportation_uniformity(rng, cvec, p) -> float:
     return res
 
 
-_LEMMA_CHECKS: dict[str, Callable] = {
+# name -> check(rng, c_vector, code) returning a residual; the order is
+# the suite's, and a check's index in it seeds its generator
+LEMMA_COVERAGE: dict[str, Callable] = {
     "logical-x": _check_logical_x,
     "logical-sum": _check_logical_sum,
     "interpolation-weights": _check_interpolation_weights,
@@ -1201,41 +1172,34 @@ def lemma_suite(scope: str | Sequence[str] = "all",
                 seed: int = 0) -> AuditRecord:
     """Execute the named algebraic identities and record their residuals.
 
-    The coverage list is static: every listed name must resolve to an
-    implemented check, so a silently dropped identity fails the suite
-    rather than disappearing.  c_vector deliberately corrupts the
-    interpolation ingredient fed to the two checks that validate it (the
-    weight identity and the transversal Fourier), leaving the remaining
-    checks on the canonical parameters; this is the suite's own fault
-    injection.  Each check draws from its own generator, seeded from the
-    suite seed and its coverage index, so the recorded residuals depend
-    only on the seed and the scope.  The claim is that every
-    identity holds: each residual must stay below 1e-8, and a check that
-    raises or is missing records an infinite residual.
+    The names are the keys of `LEMMA_COVERAGE`, in its order.  c_vector
+    deliberately corrupts the interpolation ingredient fed to the two
+    checks that validate it (the weight identity and the transversal
+    Fourier), leaving the remaining checks on the canonical parameters;
+    this is the suite's own fault injection.  Each check draws from its
+    own generator, seeded from the suite seed and its index in
+    `LEMMA_COVERAGE`, so the recorded residuals depend only on the seed
+    and the scope.  The claim is that every identity holds: each
+    residual must stay below 1e-8, and a check that raises records an
+    infinite residual.
     """
+    names = list(LEMMA_COVERAGE)
     if scope == "all":
-        selected = LEMMA_COVERAGE
+        selected = names
     elif isinstance(scope, str):
-        selected = tuple(s.strip() for s in scope.split(",") if s.strip())
+        selected = [s.strip() for s in scope.split(",") if s.strip()]
     else:
-        selected = tuple(scope)
+        selected = list(scope)
     unknown = [s for s in selected if s not in LEMMA_COVERAGE]
     if unknown:
         raise ValueError(f"unknown lemma names: {unknown}")
-    extra = set(_LEMMA_CHECKS) - set(LEMMA_COVERAGE)
-    if extra:
-        raise RuntimeError(f"checks not in the coverage list: {extra}")
     p = pc.CodeParams()
     cvec = tuple(int(v) for v in c_vector) if c_vector is not None else None
 
     def run_one(name: str) -> dict:
-        fn = _LEMMA_CHECKS.get(name)
-        if fn is None:
-            return {"name": name, "residual": math.inf,
-                    "note": "listed but not implemented"}
-        rng = qc.make_rng(seed * 1009 + LEMMA_COVERAGE.index(name))
+        rng = qc.make_rng(seed * 1009 + names.index(name))
         try:
-            residual = float(fn(rng, cvec, p))
+            residual = float(LEMMA_COVERAGE[name](rng, cvec, p))
         except Exception as exc:  # record the failure, never hide it
             return {"name": name, "residual": math.inf,
                     "note": f"raised {type(exc).__name__}: {exc}"}

@@ -535,14 +535,9 @@ def _embedded_group_stack(group: str, wires: tuple[int, ...],
     return _STACK_CACHE[key]
 
 
-def group_average_channel(rho, attack: UnitaryMatrix, group: str,
-                          wires: Sequence[int]):
-    """Exact average of (g^dag (x) I) U (g (x) I) rho (..)^dag over a group.
-
-    `group` is "clifford" (qubit wires, n <= 2) or "pauli" (any prime q).
-    The attack unitary acts on the whole register of rho; g acts on the
-    listed wires.  Returns a DensityMatrix.
-    """
+def _group_sum(rho, group: str, wires: Sequence[int], attack=None):
+    """(1/|G|) sum_g A_g rho A_g^dag over g in the group on the listed
+    wires, with A_g = g, or g^dag U g for an attack unitary U."""
     from .qcore import DensityMatrix  # local import avoids cycle confusion
 
     shape = rho.shape
@@ -565,40 +560,38 @@ def group_average_channel(rho, attack: UnitaryMatrix, group: str,
         raise ValueError("group too large for exact averaging")
 
     g = _embedded_group_stack(group, tuple(wires), shape)
-    u = attack.entries
     r = rho.entries
     out = np.zeros_like(r)
     chunk = max(1, int(2 ** 24 / (shape.dim ** 2)))
     for lo in range(0, count, chunk):
-        gs = g[lo:lo + chunk]
-        gdag = gs.conj().transpose(0, 2, 1)
-        a = np.matmul(gdag, np.matmul(u, gs))
+        a = g[lo:lo + chunk]
+        if attack is not None:
+            a = np.matmul(a.conj().transpose(0, 2, 1),
+                          np.matmul(attack.entries, a))
         b = np.matmul(np.matmul(a, r), a.conj().transpose(0, 2, 1))
         out += b.sum(axis=0)
-    out /= count
-    return DensityMatrix(shape, out, check_psd=False)
+    return DensityMatrix(shape, out / count, check_psd=False)
+
+
+def group_average_channel(rho, attack: UnitaryMatrix, group: str,
+                          wires: Sequence[int]):
+    """Exact average of (g^dag (x) I) U (g (x) I) rho (..)^dag over a group.
+
+    `group` is "clifford" (qubit wires, n <= 2) or "pauli" (any prime q).
+    The attack unitary acts on the whole register of rho; g acts on the
+    listed wires.  Returns a DensityMatrix.
+    """
+    return _group_sum(rho, group, wires, attack)
 
 
 def group_conjugate_average(rho, group: str, wires: Sequence[int]):
     """(1/|G|) sum_g (g (x) I) rho (g (x) I)^dag over the listed wires.
 
     The mixing channel: with G the full Pauli or Clifford group this
-    erases the block, leaving I/d (x) (reduced rest).
+    erases the block, leaving I/d (x) (reduced rest).  The group and the
+    wires are checked as in `group_average_channel`.
     """
-    from .qcore import DensityMatrix
-
-    shape = rho.shape
-    g = _embedded_group_stack(group, tuple(wires), shape)
-    count = g.shape[0]
-    if count * shape.dim ** 3 > _AVERAGE_FLOP_CAP:
-        raise ValueError("group too large for exact averaging")
-    out = np.zeros_like(rho.entries)
-    chunk = max(1, int(2 ** 24 / (shape.dim ** 2)))
-    for lo in range(0, count, chunk):
-        gs = g[lo:lo + chunk]
-        b = np.matmul(np.matmul(gs, rho.entries), gs.conj().transpose(0, 2, 1))
-        out += b.sum(axis=0)
-    return DensityMatrix(shape, out / count, check_psd=False)
+    return _group_sum(rho, group, wires)
 
 
 def pauli_decompose(u: np.ndarray, q: int, m: int, env_dim: int) -> np.ndarray:

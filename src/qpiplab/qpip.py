@@ -29,7 +29,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -435,26 +435,15 @@ def pauli_key_update(paulis: list[pa.SymbolicPauli],
 # ------------------------------------------------------------ transcript
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
-    """One message: sequence number, direction, kind, classical payload."""
+class TranscriptEntry(NamedTuple):
+    """One message: sequence number, direction ("verifier->prover" or
+    "prover->verifier"), kind ("quantum-block", "classical-string" or
+    "verdict") and classical payload."""
 
     round: int
     direction: str
     kind: str
     payload: tuple[int, ...] | str
-
-    _DIRECTIONS = ("verifier->prover", "prover->verifier")
-    _KIND_NAMES = ("quantum-block", "classical-string", "verdict")
-
-    def __post_init__(self):
-        if self.direction not in self._DIRECTIONS:
-            raise ValueError(f"bad direction {self.direction!r}")
-        if self.kind not in self._KIND_NAMES:
-            raise ValueError(f"bad kind {self.kind!r}")
-        if not isinstance(self.payload, str):
-            object.__setattr__(self, "payload",
-                               tuple(int(v) for v in self.payload))
 
     def to_line(self) -> str:
         body = (self.payload if isinstance(self.payload, str)
@@ -462,8 +451,8 @@ class TranscriptEntry:
         return f"{self.round}\t{self.direction}\t{self.kind}\t{body}"
 
 
-class Transcript:
-    """Append-only message log with strictly increasing sequence numbers.
+class Transcript(list):
+    """Message log; an entry's sequence number is its position.
 
     Export format is one tab-separated line per entry: sequence number,
     direction, kind, then the payload digits joined by commas (or the
@@ -471,50 +460,12 @@ class Transcript:
     material never appears.
     """
 
-    def __init__(self, entries: Iterable[TranscriptEntry] = ()):
-        self._entries: list[TranscriptEntry] = []
-        for e in entries:
-            self.append(e)
-
-    def append(self, entry: TranscriptEntry) -> None:
-        if self._entries and entry.round <= self._entries[-1].round:
-            raise ValueError("transcript sequence numbers must increase")
-        self._entries.append(entry)
-
     def add(self, direction: str, kind: str,
             payload: tuple[int, ...] | str) -> None:
-        nxt = self._entries[-1].round + 1 if self._entries else 0
-        self.append(TranscriptEntry(nxt, direction, kind, payload))
-
-    @property
-    def entries(self) -> tuple[TranscriptEntry, ...]:
-        return tuple(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)
+        self.append(TranscriptEntry(len(self), direction, kind, payload))
 
     def to_lines(self) -> list[str]:
-        return [e.to_line() for e in self._entries]
-
-    @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> "Transcript":
-        out = cls()
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            seq, direction, kind, body = line.split("\t")
-            payload: tuple[int, ...] | str
-            if kind == "verdict":
-                payload = body
-            else:
-                payload = tuple(int(v) for v in body.split(",")) if body \
-                    else ()
-            out.append(TranscriptEntry(int(seq), direction, kind, payload))
-        return out
+        return [e.to_line() for e in self]
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,15 @@ report can be replayed bit-for-bit from its own echo.  Human-readable
 summaries go to standard output; the machine-readable JSON goes to the
 report file.
 
-Every subcommand builds the inputs of one audit, and every audit returns
+Every subcommand is one row of `_SUBCOMMANDS`: its runner, its help line,
+its flags (named by `ExperimentConfig` field) and the few defaults in
+which it differs from the fields' generic defaults.  The parser is built
+from that table and declares no default of its own: a flag left off is
+None, and `ExperimentConfig` fills every None field from the row, else
+from the generic default declared beside the field.  A config built in
+Python and one parsed from the command line are therefore the same.
+
+Every runner builds the inputs of one audit, and every audit returns
 one `audit.AuditRecord` (claim, epsilon, estimate, interval, verdict,
 reason and the audit's own numbers) judged by the one gate `audit.gate`;
 in schema 3 that record is the payload.  `run_config` formats the summary
@@ -24,6 +32,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,9 +49,9 @@ SCHEMA_VERSION = 3
 SEED_ENV_VAR = "QPIPLAB_SEED"
 DEFAULT_REPORT_PATH = "qpiplab-report.json"
 
-SUBCOMMANDS = ("lemmas", "qas-clifford", "qas-poly", "scan-signkey",
-               "qpip-clifford", "qpip-poly", "blindness", "confidence",
-               "zeno-demo")
+ENGINES = ("dense", "logical-frame")
+KEY_AVERAGES = ("exact", "sampled")
+MODES = ("clifford", "poly")
 
 _LOGICAL_NAMES = ("LX", "LZ", "LSUM", "LCPG", "LF", "LM")
 
@@ -77,42 +86,62 @@ _BUILTIN_CIRCUITS = {
 # ------------------------------------------------------------ the config
 
 
+def _default(value):
+    """A config field whose None means its subcommand's default, else this."""
+    return dataclasses.field(default=None, metadata={"default": value})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything that determines a run, minus the seed and I/O paths."""
+    """Everything that determines a run, minus the seed and I/O paths.
+
+    A field left at None takes its subcommand's default from the row in
+    `_SUBCOMMANDS`, else the generic default declared beside it; so does
+    the delegated circuit of the protocol subcommands, which depends on
+    the adversary (qpip-clifford) or the engine (qpip-poly).
+    """
 
     subcommand: str
-    e: int = 1
-    q: int = 5
-    d: int = 1
-    alphas: tuple[int, ...] = (1, 2, 3)
+    e: int = _default(1)
+    q: int = _default(5)
+    d: int = _default(1)
+    alphas: tuple[int, ...] = _default((1, 2, 3))
     circuit_name: str | None = None
     circuit_json: str | None = None
     inputs: tuple[int, ...] | None = None
-    adversary: str = "honest"
-    trials: int = 10_000
-    engine: str = "dense"
-    broken_variant: bool = False
-    key_average: str = "exact"
+    adversary: str = _default("honest")
+    trials: int = _default(10_000)
+    engine: str = _default("dense")
+    broken_variant: bool = _default(False)
+    key_average: str = _default("exact")
     mode: str | None = None
-    input_digit: int = 0
-    scope: str = "all"
+    input_digit: int = _default(0)
+    scope: str = _default("all")
     c_vector: tuple[int, ...] | None = None
-    n_per: int = 40
-    phi: float = 0.45
+    n_per: int = _default(40)
+    phi: float = _default(0.45)
 
     def __post_init__(self):
-        if self.subcommand not in SUBCOMMANDS:
+        if self.subcommand not in _SUBCOMMANDS:
             raise ValueError(f"unknown subcommand {self.subcommand!r}")
+        defaults = _SUBCOMMANDS[self.subcommand].defaults
+        for f in dataclasses.fields(self):
+            if getattr(self, f.name) is None:
+                object.__setattr__(self, f.name, defaults.get(
+                    f.name, f.metadata.get("default")))
+        if callable(self.circuit_name):  # a protocol's default circuit
+            object.__setattr__(self, "circuit_name", None if
+                               self.circuit_json is not None
+                               else self.circuit_name(self))
         if self.e < 1 or self.q < 2 or self.d < 1:
             raise ValueError("e, q, d must be positive protocol parameters")
         if self.trials < 1 or self.n_per < 1:
             raise ValueError("trials and n_per must be positive")
-        if self.engine not in ("dense", "logical-frame"):
+        if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.key_average not in ("exact", "sampled"):
+        if self.key_average not in KEY_AVERAGES:
             raise ValueError(f"unknown key average {self.key_average!r}")
-        if self.mode not in (None, "clifford", "poly"):
+        if self.mode not in (None, *MODES):
             raise ValueError(f"unknown protocol mode {self.mode!r}")
         if self.circuit_name is not None and \
                 self.circuit_name not in _BUILTIN_CIRCUITS:
@@ -222,14 +251,11 @@ class ReportEnvelope:
     @classmethod
     def from_json(cls, text: str) -> "ReportEnvelope":
         data = json.loads(text)
-        if data.get("artifact_version") != ARTIFACT_VERSION:
-            raise ValueError(
-                f"artifact version mismatch: {data.get('artifact_version')!r}"
-                f" is not {ARTIFACT_VERSION!r}")
-        if data.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(
-                f"schema version mismatch: {data.get('schema_version')!r}"
-                f" is not {SCHEMA_VERSION}")
+        for key, want in (("artifact_version", ARTIFACT_VERSION),
+                          ("schema_version", SCHEMA_VERSION)):
+            if data.get(key) != want:
+                raise ValueError(f"{key.replace('_', ' ')} mismatch: "
+                                 f"{data.get(key)!r} is not {want!r}")
         try:
             return cls(**data)
         except TypeError as exc:  # a missing or an unknown field
@@ -250,43 +276,24 @@ def _round_floats(obj, places: int = 12):
 # ------------------------------------------------------------ subcommands
 
 
-def _random_state(dim: int, rng: np.random.Generator) -> qc.StateVector:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    v /= np.linalg.norm(v)
-    return qc.StateVector(qc.RegisterShape((dim,)), v)
-
-
-def _random_unitary_on(dims: tuple[int, ...],
-                       rng: np.random.Generator) -> qc.UnitaryMatrix:
-    from scipy.stats import unitary_group
-    dim = int(np.prod(dims))
-    return qc.UnitaryMatrix(qc.RegisterShape(dims),
-                            unitary_group.rvs(dim, random_state=rng),
-                            check_unitary=False)
-
-
-# The attacks of the qas subcommands also act on one environment qubit.
 _ENV_QUBIT = qc.basis_state(qc.RegisterShape((2,)), (0,))
 
 
-def _run_qas_clifford(cfg: ExperimentConfig,
-                      seed: int) -> audit.AuditRecord:
+def _run_qas(experiment, params, cfg: ExperimentConfig,
+             seed: int) -> audit.AuditRecord:
+    """A scheme's security experiment on a random one-wire input and a
+    random attack on its block plus one environment qubit."""
+    from scipy.stats import unitary_group
+    dims = params.shape().dims
     rng = qc.make_rng(seed)
-    psi = _random_state(2, rng)
-    attack = _random_unitary_on((2,) * (1 + cfg.e) + (2,), rng)
-    return ca.cqas_security_experiment(
-        ca.CliffordQasParams(l=1, e=cfg.e), psi, attack, _ENV_QUBIT,
-        mode=cfg.key_average, rng=rng, trials=cfg.trials)
-
-
-def _run_qas_poly(cfg: ExperimentConfig, seed: int) -> audit.AuditRecord:
-    rng = qc.make_rng(seed)
-    p = cfg.code()
-    psi = _random_state(p.q, rng)
-    attack = _random_unitary_on((p.q,) * p.m + (2,), rng)
-    return pq.pqas_security_experiment(p, psi, attack, _ENV_QUBIT,
-                                       mode=cfg.key_average, rng=rng,
-                                       trials=cfg.trials)
+    v = rng.normal(size=dims[0]) + 1j * rng.normal(size=dims[0])
+    psi = qc.StateVector(qc.RegisterShape(dims[:1]), v / np.linalg.norm(v))
+    attack = qc.UnitaryMatrix(
+        qc.RegisterShape(dims + (2,)),
+        unitary_group.rvs(2 * int(np.prod(dims)), random_state=rng),
+        check_unitary=False)
+    return experiment(params, psi, attack, _ENV_QUBIT, mode=cfg.key_average,
+                      rng=rng, trials=cfg.trials)
 
 
 def _run_qpip(cfg: ExperimentConfig, seed: int) -> audit.AuditRecord:
@@ -300,8 +307,7 @@ def _run_qpip(cfg: ExperimentConfig, seed: int) -> audit.AuditRecord:
 
 
 def _run_blindness(cfg: ExperimentConfig, seed: int) -> audit.AuditRecord:
-    mode = cfg.mode or "clifford"
-    if mode == "clifford":
+    if cfg.mode == "clifford":
         circ_a, circ_b = (qpip.CircuitIR(1, 2, (qpip.CircuitGate(
             pa.GateTag(tag), (0,)),)) for tag in ("H", "K"))
         pairs = [((circ_a, (0,)), (circ_b, (1,)))]
@@ -310,27 +316,98 @@ def _run_blindness(cfg: ExperimentConfig, seed: int) -> audit.AuditRecord:
     else:
         tof = audit.toffoli_demo_circuit(cfg.q)
         pairs = [((tof, (2, 3, 0)), (tof, (1, 4, 2)))]
-    return audit.blindness_audit(mode, pairs, key_average=cfg.key_average,
+    return audit.blindness_audit(cfg.mode, pairs, key_average=cfg.key_average,
                                  rng=qc.make_rng(seed), trials=cfg.trials,
                                  e=cfg.e, code=cfg.code())
 
 
-_RUNNERS = {
-    "lemmas": lambda cfg, seed: audit.lemma_suite(
-        scope=cfg.scope, c_vector=cfg.c_vector, seed=seed),
-    "qas-clifford": _run_qas_clifford,
-    "qas-poly": _run_qas_poly,
-    "scan-signkey": lambda cfg, seed: pq.sign_key_security_scan(cfg.code()),
-    "qpip-clifford": _run_qpip,
-    "qpip-poly": _run_qpip,
-    "blindness": _run_blindness,
-    "confidence": lambda cfg, seed: audit.confidence_audit(
-        cfg.mode or "clifford", build_policy(cfg), e=cfg.e, code=cfg.code(),
-        input_digit=cfg.input_digit),
-    "zeno-demo": lambda cfg, seed: _run_qpip(dataclasses.replace(
-        cfg, adversary="zeno", broken_variant=True, circuit_name="zeno",
-        circuit_json=None), seed),
+def _int_tuple(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(",") if v.strip() != "")
+
+
+# flag name -> argparse keywords; the option string is the name with
+# dashes unless `option` says otherwise, and the destination is the name
+_FLAGS = {
+    **dict.fromkeys(("trials", "e", "q", "d", "n_per", "input_digit"),
+                    {"type": int}),
+    **dict.fromkeys(("alphas", "inputs"), {"type": _int_tuple}),
+    "phi": {"type": float},
+    "seed": {"type": int,
+             "help": f"run seed (default: ${SEED_ENV_VAR} or 0)"},
+    "output": {"help": f"report path (default {DEFAULT_REPORT_PATH})"},
+    "c_vector": {"type": _int_tuple,
+                 "help": "deliberately corrupted interpolation weights"},
+    "circuit_name": {"option": "--circuit",
+                     "choices": sorted(_BUILTIN_CIRCUITS)},
+    "circuit_json": {"help": "inline circuit description"},
+    "circuit_file": {"help": "path to a circuit description file"},
+    "broken_variant": {"action": "store_const", "const": True},
+    "engine": {"choices": ENGINES},
+    "key_average": {"choices": KEY_AVERAGES},
+    "mode": {"choices": MODES},
 }
+
+_COMMON = ("seed", "output", "trials")
+_CODE = ("q", "d", "alphas")
+_CIRCUIT = ("circuit_name", "circuit_json", "circuit_file", "inputs",
+            "adversary")
+
+
+class _Subcommand(NamedTuple):
+    run: Callable[[ExperimentConfig, int], audit.AuditRecord]
+    help: str
+    flags: tuple[str, ...]
+    defaults: dict = {}
+
+
+_SUBCOMMANDS = {
+    "lemmas": _Subcommand(
+        lambda cfg, seed: audit.lemma_suite(
+            scope=cfg.scope, c_vector=cfg.c_vector, seed=seed),
+        "run the algebraic identity suite", ("scope", "c_vector")),
+    "qas-clifford": _Subcommand(
+        lambda cfg, seed: _run_qas(ca.cqas_security_experiment,
+                                   ca.CliffordQasParams(l=1, e=cfg.e),
+                                   cfg, seed),
+        "Clifford authentication security experiment",
+        ("e", "key_average")),
+    "qas-poly": _Subcommand(
+        lambda cfg, seed: _run_qas(pq.pqas_security_experiment, cfg.code(),
+                                   cfg, seed),
+        "signed-code authentication security experiment",
+        _CODE + ("key_average",)),
+    "scan-signkey": _Subcommand(
+        lambda cfg, seed: pq.sign_key_security_scan(cfg.code()),
+        "exhaustive sign-key security scan", _CODE),
+    "qpip-clifford": _Subcommand(
+        _run_qpip, "run the qpip-clifford protocol",
+        _CIRCUIT + ("e", "broken_variant", "n_per", "phi"),
+        {"circuit_name": lambda cfg: "zeno" if cfg.adversary == "zeno"
+         else "clifford-demo"}),
+    "qpip-poly": _Subcommand(
+        _run_qpip, "run the qpip-poly protocol",
+        _CIRCUIT + _CODE + ("engine",),
+        {"circuit_name": lambda cfg: "poly-toffoli"
+         if cfg.engine == "logical-frame" else "poly-demo"}),
+    "blindness": _Subcommand(
+        _run_blindness, "prover-view blindness audit",
+        ("mode", "key_average", "e") + _CODE, {"mode": "clifford"}),
+    "confidence": _Subcommand(
+        lambda cfg, seed: audit.confidence_audit(
+            cfg.mode, build_policy(cfg), e=cfg.e, code=cfg.code(),
+            input_digit=cfg.input_digit),
+        "post-acceptance conditional state audit",
+        ("mode", "adversary", "input_digit", "e") + _CODE,
+        {"mode": "clifford"}),
+    "zeno-demo": _Subcommand(
+        lambda cfg, seed: _run_qpip(dataclasses.replace(
+            cfg, adversary="zeno", broken_variant=True,
+            circuit_name="zeno", circuit_json=None), seed),
+        "accumulated-rotation negative control against the reused-key "
+        "protocol variant", ("e", "n_per", "phi"), {"e": 2, "trials": 200}),
+}
+
+SUBCOMMANDS = tuple(_SUBCOMMANDS)
 
 
 def _summary_and_code(cfg: ExperimentConfig,
@@ -355,7 +432,7 @@ def run_config(cfg: ExperimentConfig,
                seed: int) -> tuple[ReportEnvelope, int, list[str]]:
     """Execute one config and wrap its audit record in an envelope."""
     start = time.monotonic()
-    rec = _RUNNERS[cfg.subcommand](cfg, seed)
+    rec = _SUBCOMMANDS[cfg.subcommand].run(cfg, seed)
     audit_s = time.monotonic() - start
     envelope = ReportEnvelope(
         artifact_version=ARTIFACT_VERSION, schema_version=SCHEMA_VERSION,
@@ -369,138 +446,31 @@ def run_config(cfg: ExperimentConfig,
 # -------------------------------------------------------------- the CLI
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, default=None,
-                    help=f"run seed (default: ${SEED_ENV_VAR} or 0)")
-    sp.add_argument("--output", default=None,
-                    help=f"report path (default {DEFAULT_REPORT_PATH})")
-    sp.add_argument("--trials", type=int, default=10_000)
-
-
-def _int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip() != "")
-
-
-def _add_code(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--q", type=int, default=5)
-    sp.add_argument("--d", type=int, default=1)
-    sp.add_argument("--alphas", type=_int_tuple, default=(1, 2, 3))
-
-
-def _add_key_average(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--key-average", choices=("exact", "sampled"),
-                    default="exact")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qpiplab",
         description="Interactive-proof laboratory for authenticated "
                     "delegated quantum computation.")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    sp = subs.add_parser("lemmas", help="run the algebraic identity suite")
-    _add_common(sp)
-    sp.add_argument("--scope", default="all")
-    sp.add_argument("--c-vector", type=_int_tuple, default=None,
-                    help="deliberately corrupted interpolation weights")
-
-    sp = subs.add_parser("qas-clifford",
-                         help="Clifford authentication security experiment")
-    _add_common(sp)
-    sp.add_argument("--e", type=int, default=1)
-    _add_key_average(sp)
-
-    sp = subs.add_parser("qas-poly",
-                         help="signed-code authentication security "
-                              "experiment")
-    _add_common(sp)
-    _add_code(sp)
-    _add_key_average(sp)
-
-    sp = subs.add_parser("scan-signkey",
-                         help="exhaustive sign-key security scan")
-    _add_common(sp)
-    _add_code(sp)
-
-    for name in ("qpip-clifford", "qpip-poly"):
-        sp = subs.add_parser(name, help=f"run the {name} protocol")
-        _add_common(sp)
-        sp.add_argument("--circuit", default=None, dest="circuit_name",
-                        choices=sorted(_BUILTIN_CIRCUITS))
-        sp.add_argument("--circuit-json", default=None,
-                        help="inline circuit description")
-        sp.add_argument("--circuit-file", default=None,
-                        help="path to a circuit description file")
-        sp.add_argument("--inputs", type=_int_tuple, default=None)
-        sp.add_argument("--adversary", default="honest")
-        if name == "qpip-clifford":
-            sp.add_argument("--e", type=int, default=1)
-            sp.add_argument("--broken-variant", action="store_true")
-            sp.add_argument("--n-per", type=int, default=40)
-            sp.add_argument("--phi", type=float, default=0.45)
-        else:
-            _add_code(sp)
-            sp.add_argument("--engine",
-                            choices=("dense", "logical-frame"),
-                            default="dense")
-
-    sp = subs.add_parser("blindness", help="prover-view blindness audit")
-    _add_common(sp)
-    sp.add_argument("--mode", choices=("clifford", "poly"),
-                    default="clifford")
-    _add_key_average(sp)
-    sp.add_argument("--e", type=int, default=1)
-    _add_code(sp)
-
-    sp = subs.add_parser("confidence",
-                         help="post-acceptance conditional state audit")
-    _add_common(sp)
-    sp.add_argument("--mode", choices=("clifford", "poly"),
-                    default="clifford")
-    sp.add_argument("--adversary", default="honest")
-    sp.add_argument("--input-digit", type=int, default=0)
-    sp.add_argument("--e", type=int, default=1)
-    _add_code(sp)
-
-    sp = subs.add_parser("zeno-demo",
-                         help="accumulated-rotation negative control "
-                              "against the reused-key protocol variant")
-    _add_common(sp)
-    sp.set_defaults(trials=200)
-    sp.add_argument("--e", type=int, default=2)
-    sp.add_argument("--n-per", type=int, default=40)
-    sp.add_argument("--phi", type=float, default=0.45)
-
+    for name, row in _SUBCOMMANDS.items():
+        sp = subs.add_parser(name, help=row.help)
+        for flag in _COMMON + row.flags:
+            kwargs = dict(_FLAGS.get(flag, {}))
+            option = kwargs.pop("option", "--" + flag.replace("_", "-"))
+            sp.add_argument(option, dest=flag, **kwargs)
     sp = subs.add_parser("replay",
                          help="re-run a report and compare its numerics")
     sp.add_argument("report", help="path to a report envelope")
-
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    kwargs = {}
-    for key, value in vars(args).items():
-        if key in fields and value is not None:
-            kwargs[key] = value
-    circuit_file = getattr(args, "circuit_file", None)
-    if circuit_file is not None:
-        with open(circuit_file, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        kwargs["circuit_json"] = json.dumps(obj, sort_keys=True,
-                                            separators=(",", ":"))
-    if kwargs.get("circuit_name") is None and \
-            kwargs.get("circuit_json") is None:
-        if args.subcommand == "qpip-clifford":
-            kwargs["circuit_name"] = "zeno" \
-                if getattr(args, "adversary", "") == "zeno" \
-                else "clifford-demo"
-        elif args.subcommand == "qpip-poly":
-            kwargs["circuit_name"] = "poly-toffoli" \
-                if getattr(args, "engine", "dense") == "logical-frame" \
-                else "poly-demo"
+    kwargs = {k: v for k, v in vars(args).items() if k in fields}
+    if getattr(args, "circuit_file", None) is not None:
+        with open(args.circuit_file, encoding="utf-8") as fh:
+            kwargs["circuit_json"] = json.dumps(
+                json.load(fh), sort_keys=True, separators=(",", ":"))
     return ExperimentConfig(**kwargs)
 
 

@@ -427,7 +427,7 @@ def test_lemma_suite_all_pass():
     ledger = audit.lemma_suite(seed=0)
     assert ledger.verdict == "pass"
     results = ledger.detail["results"]
-    assert tuple(r["name"] for r in results) == audit.LEMMA_COVERAGE
+    assert [r["name"] for r in results] == list(audit.LEMMA_COVERAGE)
     assert all(r["residual"] < 1e-8 for r in results)
     assert ledger.estimate == max(r["residual"] for r in results)
 
@@ -455,22 +455,53 @@ def test_lemma_suite_scope_selection():
         audit.lemma_suite(scope="great-unified-lemma")
 
 
-def test_lemma_suite_flags_missing_checks(monkeypatch):
-    trimmed = {k: v for k, v in audit._LEMMA_CHECKS.items()
-               if k != "pauli-twirl"}
-    monkeypatch.setattr(audit, "_LEMMA_CHECKS", trimmed)
-    ledger = audit.lemma_suite(scope="pauli-twirl", seed=0)
-    assert ledger.verdict == "fail"
-    assert ledger.detail["results"][0]["note"] == \
-        "listed but not implemented"
+# (name, residual at seed 0, at seed 11), recorded when the names and
+# the checks were two tables; a check's generator is seeded by
+# seed * 1009 + its index, so these pin the order as well
+LEMMA_RESIDUALS = [
+    ("logical-x", 0.0, 0.0),
+    ("logical-sum", 0.0, 0.0),
+    ("interpolation-weights", 0.0, 0.0),
+    ("logical-fourier", 3.0531133177191805e-16, 3.0531133177191805e-16),
+    ("logical-z", 7.991485278462366e-16, 7.991485278462366e-16),
+    ("decode-diagonalization", 1.1102230246251565e-16, 1.1102230246251565e-16),
+    ("clifford-decoherence", 1.2762086164992126e-17, 1.1872872352334563e-17),
+    ("pauli-decompose", 4.440892098500626e-16, 4.440892098500626e-16),
+    ("pauli-partitioning-by-cliffords",
+     7.771561172376096e-16, 7.771561172376096e-16),
+    ("pauli-twirl", 2.220446049250313e-16, 1.1102230246251565e-16),
+    ("clifford-twirl", 9.436898317748282e-16, 1.3322676398767554e-15),
+    ("completeness", 4.440892098500626e-16, 2.220446049250313e-16),
+    ("clifford-mixing", 1.5626389208270328e-14, 4.9404924712866056e-15),
+    ("pauli-mixing", 6.938966325898412e-18, 5.2043006577104125e-18),
+    ("unitary-commutation", 7.850462293418876e-17, 8.673617379884035e-17),
+    ("pauli-decoherence", 1.3570608863529726e-33, 6.756960903349183e-34),
+    ("sign-key-pauli-security", 0.0, 0.0),
+    ("correlated-x", 0.0, 0.0),
+    ("correlated-z", 8.762859172227242e-16, 8.762859172227242e-16),
+    ("pauli-criterion", 0.0, 0.0),
+    ("correlated-decomposition", 0.0, 0.0),
+    ("uncorrelated-action", 3.767406954647967e-16, 2.9820760766700935e-16),
+    ("teleportation-outcome-uniformity",
+     2.220446049250313e-16, 2.220446049250313e-16),
+]
 
 
-def test_lemma_suite_flags_unlisted_checks(monkeypatch):
-    padded = dict(audit._LEMMA_CHECKS)
-    padded["shadow-check"] = lambda rng, cvec, p: 0.0
-    monkeypatch.setattr(audit, "_LEMMA_CHECKS", padded)
-    with pytest.raises(RuntimeError, match="coverage"):
-        audit.lemma_suite(scope="logical-x", seed=0)
+@pytest.mark.parametrize("seed, column", [(0, 1), (11, 2)])
+def test_lemma_residuals_match_the_recorded_values(seed, column):
+    results = audit.lemma_suite(seed=seed).detail["results"]
+    assert [(r["name"], r["residual"]) for r in results] == \
+        [(row[0], row[column]) for row in LEMMA_RESIDUALS]
+
+
+def test_lemma_suite_records_a_raising_check(monkeypatch):
+    def broken(rng, cvec, p):
+        raise ArithmeticError("no residual")
+    monkeypatch.setitem(audit.LEMMA_COVERAGE, "pauli-twirl", broken)
+    ledger = audit.lemma_suite(scope="logical-x,pauli-twirl", seed=0)
+    assert ledger.verdict == "fail" and ledger.estimate == math.inf
+    assert ledger.detail["results"][1]["note"] == \
+        "raised ArithmeticError: no residual"
 
 
 def test_lemma_ledger_serializes():

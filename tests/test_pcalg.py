@@ -385,6 +385,16 @@ def test_average_size_guard():
         pa.group_average_channel(rho, eye, "pauli", (0, 1, 2, 3, 4))
 
 
+@pytest.mark.parametrize("dims, group, message", [
+    ((2, 2), "foo", "unknown group"),
+    ((3, 2), "clifford", "needs qubit wires"),
+])
+def test_conjugate_average_rejects_bad_groups(dims, group, message):
+    rho = qc.basis_state(qc.RegisterShape(dims), (0, 0)).to_density()
+    with pytest.raises(ValueError, match=message):
+        pa.group_conjugate_average(rho, group, (0,))
+
+
 # ------------------------------------------------------------- invariants
 
 def test_decomposition_trace_identity():

@@ -1,5 +1,6 @@
 """CLI runs: subcommands at their defaults or small sizes, replayed exactly."""
 
+import argparse
 import json
 
 import numpy as np
@@ -194,6 +195,77 @@ def test_pinned_findings_fail_their_gates():
     envelope, code, summary = cli.run_config(cfg, 0)
     assert (code, envelope.payload["verdict"]) == (0, "fail")
     assert any("negative control" in line for line in summary)
+
+
+# ----- one table for the flags and defaults
+
+# The option strings of every subcommand after -h, --help, --seed,
+# --output and --trials, recorded when each subparser was built by hand.
+_CODE = ["--q", "--d", "--alphas"]
+_CIRCUIT = ["--circuit", "--circuit-json", "--circuit-file", "--inputs",
+            "--adversary"]
+SUBCOMMAND_OPTIONS = {
+    "lemmas": ["--scope", "--c-vector"],
+    "qas-clifford": ["--e", "--key-average"],
+    "qas-poly": _CODE + ["--key-average"],
+    "scan-signkey": _CODE,
+    "qpip-clifford": _CIRCUIT + ["--e", "--broken-variant", "--n-per",
+                                 "--phi"],
+    "qpip-poly": _CIRCUIT + _CODE + ["--engine"],
+    "blindness": ["--mode", "--key-average", "--e"] + _CODE,
+    "confidence": ["--mode", "--adversary", "--input-digit", "--e"] + _CODE,
+    "zeno-demo": ["--e", "--n-per", "--phi"],
+}
+
+
+def test_subcommand_option_strings_are_kept():
+    (subs,) = [a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    got = {name: [s for a in sp._actions for s in a.option_strings]
+           for name, sp in subs.choices.items()}
+    common = ["-h", "--help", "--seed", "--output", "--trials"]
+    assert got == {**{name: common + extra
+                      for name, extra in SUBCOMMAND_OPTIONS.items()},
+                   "replay": ["-h", "--help"]}
+
+
+# The config echo of every subcommand at its CLI defaults, recorded when
+# the defaults were declared in the parser: the generic values, and where
+# a subcommand differs from them.
+_GENERIC_ECHO = {
+    "e": 1, "q": 5, "d": 1, "alphas": [1, 2, 3], "circuit_name": None,
+    "circuit_json": None, "inputs": None, "adversary": "honest",
+    "trials": 10000, "engine": "dense", "broken_variant": False,
+    "key_average": "exact", "mode": None, "input_digit": 0, "scope": "all",
+    "c_vector": None, "n_per": 40, "phi": 0.45}
+_ECHO_DIFFERENCES = {
+    "qpip-clifford": {"circuit_name": "clifford-demo"},
+    "qpip-poly": {"circuit_name": "poly-demo"},
+    "blindness": {"mode": "clifford"},
+    "confidence": {"mode": "clifford"},
+    "zeno-demo": {"e": 2, "trials": 200},
+}
+
+
+@pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+def test_python_and_cli_configs_agree_at_defaults(subcommand):
+    parsed = cli.config_from_args(cli.build_parser().parse_args([subcommand]))
+    assert parsed.to_dict() == {"subcommand": subcommand, **_GENERIC_ECHO,
+                                **_ECHO_DIFFERENCES.get(subcommand, {})}
+    assert cli.ExperimentConfig(subcommand=subcommand).to_dict() == \
+        parsed.to_dict()
+
+
+@pytest.mark.parametrize("argv, circuit", [
+    (["qpip-clifford", "--adversary", "zeno"], "zeno"),
+    (["qpip-clifford", "--circuit-json", '{"n": 1, "wire_dim": 2, '
+      '"gates": []}', "--inputs", "0"], None),
+    (["qpip-poly", "--circuit", "poly-demo", "--engine", "logical-frame"],
+     "poly-demo"),
+])
+def test_protocol_default_circuit_follows_the_other_flags(argv, circuit):
+    args = cli.build_parser().parse_args(argv)
+    assert cli.config_from_args(args).circuit_name == circuit
 
 
 # ----- golden payloads and the replay boundary
