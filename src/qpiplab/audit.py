@@ -435,7 +435,7 @@ def _sampled_clifford_views(circuit: qpip.CircuitIR, inputs: Sequence[int],
         keys = [ca.random_clifford_key(params, rng) for _ in blocks]
         for r, st in enumerate(states):
             for key, wires in zip(keys, blocks):
-                u = qc.UnitaryMatrix(block_shape, key.element.matrix.entries,
+                u = qc.UnitaryMatrix(block_shape, key.matrix.entries,
                                      check_unitary=False)
                 st = qc.apply_on_wires(st, u, wires)
             views[r] += np.outer(st.amplitudes, st.amplitudes.conj())
@@ -466,6 +466,8 @@ def blindness_audit(mode: str,
     is perfect blindness (epsilon 0): the largest distance must stay
     below 1e-8 for exact averages and below 0.02 for sampled ones.
     """
+    if mode not in ("clifford", "poly"):
+        raise ValueError(f"unknown mode {mode!r}")
     if key_average not in ("exact", "sampled"):
         raise ValueError(f"unknown key_average {key_average!r}")
     rng = rng if rng is not None else qc.make_rng(0)
@@ -705,16 +707,36 @@ def _apply_symbolic(vec: np.ndarray, op: pa.SymbolicPauli,
     return phases * vec[src]
 
 
-def _check_logical_x(rng, cvec, p) -> float:
-    res = 0.0
-    for k in pc.all_sign_keys(p.m):
-        for a in range(p.q):
-            fp = pc.logical_x_footprint(1, k, p)
-            got = _apply_symbolic(pc.codeword_state(a, k, p).amplitudes,
-                                  fp, p.q, p.m)
-            want = pc.codeword_state((a + 1) % p.q, k, p).amplitudes
-            res = max(res, float(np.max(np.abs(got - want))))
-    return res
+def _footprint_check(part: str, every_polynomial: bool) -> Callable:
+    """Signed-evaluation Paulis act on every codeword as logical Paulis.
+
+    For f of degree <= d, X^(k_i f(alpha_i)) on wire i is logical
+    X^f(0), and Z^(c_i k_i f(alpha_i)) is logical Z^f(0); `part` picks X
+    or Z.  The logical checks take f = 1 only, the correlated checks
+    every f.
+    """
+    def check(rng, cvec, p) -> float:
+        q, m = p.q, p.m
+        omega = np.exp(2j * np.pi / q)
+        zero = np.zeros(m, dtype=np.int64)
+        res = 0.0
+        for k in pc.all_sign_keys(m):
+            kk = k.residues(q)
+            for idx in range(q ** (p.d + 1)) if every_polynomial else (1,):
+                coeffs = [(idx // q ** t) % q for t in range(p.d + 1)]
+                evals = np.array([kk[i] * pc.poly_eval(coeffs, al, q) % q
+                                  for i, al in enumerate(p.alphas)])
+                fp = (pa.SymbolicPauli(q, evals, zero) if part == "x" else
+                      pa.SymbolicPauli(q, zero, np.array(p.interp_c) * evals))
+                for a in range(q):
+                    word = pc.codeword_state(a, k, p).amplitudes
+                    got = _apply_symbolic(word, fp, q, m)
+                    want = (pc.codeword_state((a + coeffs[0]) % q, k,
+                                              p).amplitudes if part == "x"
+                            else omega ** (coeffs[0] * a) * word)
+                    res = max(res, float(np.max(np.abs(got - want))))
+        return res
+    return check
 
 
 def _check_logical_sum(rng, cvec, p) -> float:
@@ -761,20 +783,6 @@ def _check_logical_fourier(rng, cvec, p) -> float:
                        * pc.codeword_state(b, k, p).amplitudes
                        for b in range(q)) / np.sqrt(q)
             res = max(res, float(np.max(np.abs(state.amplitudes - want))))
-    return res
-
-
-def _check_logical_z(rng, cvec, p) -> float:
-    q = p.q
-    omega = np.exp(2j * np.pi / q)
-    res = 0.0
-    for k in pc.all_sign_keys(p.m):
-        for a in range(q):
-            fp = pc.logical_z_footprint(1, k, p)
-            got = _apply_symbolic(pc.codeword_state(a, k, p).amplitudes,
-                                  fp, q, p.m)
-            want = omega ** a * pc.codeword_state(a, k, p).amplitudes
-            res = max(res, float(np.max(np.abs(got - want))))
     return res
 
 
@@ -989,48 +997,6 @@ def _check_sign_key_security(rng, cvec, p) -> float:
     return res
 
 
-def _check_correlated_x(rng, cvec, p) -> float:
-    q = p.q
-    res = 0.0
-    for k in pc.all_sign_keys(p.m):
-        kk = k.residues(q)
-        for idx in range(q ** (p.d + 1)):
-            coeffs = [(idx // q ** t) % q for t in range(p.d + 1)]
-            fp = pa.SymbolicPauli(
-                q, np.array([kk[i] * pc.poly_eval(coeffs, al, q) % q
-                             for i, al in enumerate(p.alphas)]),
-                np.zeros(p.m, dtype=np.int64))
-            for a in range(q):
-                got = _apply_symbolic(pc.codeword_state(a, k, p).amplitudes,
-                                      fp, q, p.m)
-                want = pc.codeword_state((a + coeffs[0]) % q, k,
-                                         p).amplitudes
-                res = max(res, float(np.max(np.abs(got - want))))
-    return res
-
-
-def _check_correlated_z(rng, cvec, p) -> float:
-    q = p.q
-    omega = np.exp(2j * np.pi / q)
-    res = 0.0
-    for k in pc.all_sign_keys(p.m):
-        kk = k.residues(q)
-        for idx in range(q ** (p.d + 1)):
-            coeffs = [(idx // q ** t) % q for t in range(p.d + 1)]
-            fp = pa.SymbolicPauli(
-                q, np.zeros(p.m, dtype=np.int64),
-                np.array([p.interp_c[i] * kk[i]
-                          * pc.poly_eval(coeffs, al, q) % q
-                          for i, al in enumerate(p.alphas)]))
-            for a in range(q):
-                got = _apply_symbolic(pc.codeword_state(a, k, p).amplitudes,
-                                      fp, q, p.m)
-                want = omega ** (coeffs[0] * a) \
-                    * pc.codeword_state(a, k, p).amplitudes
-                res = max(res, float(np.max(np.abs(got - want))))
-    return res
-
-
 def _check_pauli_criterion(rng, cvec, p) -> float:
     q, m = p.q, p.m
     mismatches = 0
@@ -1141,11 +1107,11 @@ def _check_teleportation_uniformity(rng, cvec, p) -> float:
 # name -> check(rng, c_vector, code) returning a residual; the order is
 # the suite's, and a check's index in it seeds its generator
 LEMMA_COVERAGE: dict[str, Callable] = {
-    "logical-x": _check_logical_x,
+    "logical-x": _footprint_check("x", every_polynomial=False),
     "logical-sum": _check_logical_sum,
     "interpolation-weights": _check_interpolation_weights,
     "logical-fourier": _check_logical_fourier,
-    "logical-z": _check_logical_z,
+    "logical-z": _footprint_check("z", every_polynomial=False),
     "decode-diagonalization": _check_decode_diagonalization,
     "clifford-decoherence": _check_clifford_decoherence,
     "pauli-decompose": _check_pauli_decompose,
@@ -1158,8 +1124,8 @@ LEMMA_COVERAGE: dict[str, Callable] = {
     "unitary-commutation": _check_unitary_commutation,
     "pauli-decoherence": _check_pauli_decoherence,
     "sign-key-pauli-security": _check_sign_key_security,
-    "correlated-x": _check_correlated_x,
-    "correlated-z": _check_correlated_z,
+    "correlated-x": _footprint_check("x", every_polynomial=True),
+    "correlated-z": _footprint_check("z", every_polynomial=True),
     "pauli-criterion": _check_pauli_criterion,
     "correlated-decomposition": _check_correlated_decomposition,
     "uncorrelated-action": _check_uncorrelated_action,

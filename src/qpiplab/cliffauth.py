@@ -8,7 +8,6 @@ an undetected-and-wrong outcome survives with probability at most 2^-e.
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -41,24 +40,16 @@ class CliffordQasParams:
         return qc.RegisterShape((2,) * self.m)
 
 
-@dataclass(frozen=True)
-class CliffordKey:
-    element: pa.CliffordElement
-
-    @property
-    def m(self) -> int:
-        return self.element.n
-
-
 def random_clifford_key(params: CliffordQasParams,
-                        rng: np.random.Generator) -> CliffordKey:
-    return CliffordKey(pa.sample_clifford(params.m, rng))
+                        rng: np.random.Generator) -> pa.CliffordElement:
+    """A uniformly random Clifford on the m = l + e register: the key."""
+    return pa.sample_clifford(params.m, rng)
 
 
-def identity_key(params: CliffordQasParams) -> CliffordKey:
+def identity_key(params: CliffordQasParams) -> pa.CliffordElement:
     mat = qc.UnitaryMatrix(qc.RegisterShape((2,) * params.m),
                            np.eye(2 ** params.m), check_unitary=False)
-    return CliffordKey(pa.CliffordElement(params.m, mat, ()))
+    return pa.CliffordElement(params.m, mat, ())
 
 
 class QasProjectors:
@@ -83,28 +74,29 @@ class QasProjectors:
             np.kron(eye_l, np.eye(2 ** e) - aux_ok)
 
 
-def cqas_encode(psi: qc.StateVector, key: CliffordKey) -> qc.StateVector:
+def cqas_encode(psi: qc.StateVector,
+                key: pa.CliffordElement) -> qc.StateVector:
     """C_k (|psi> (x) |0>^e)."""
     l = psi.shape.num_wires
-    e = key.m - l
+    e = key.n - l
     if e < 1:
         raise ValueError("key acts on more wires than the message provides")
     state = psi
     for _ in range(e):
         state = qc.tensor(state, qc.basis_state(qc.RegisterShape((2,)), (0,)))
-    u = qc.UnitaryMatrix(state.shape, key.element.matrix.entries,
+    u = qc.UnitaryMatrix(state.shape, key.matrix.entries,
                          check_unitary=False)
-    return qc.apply_on_wires(state, u, tuple(range(key.m)))
+    return qc.apply_on_wires(state, u, tuple(range(key.n)))
 
 
-def cqas_decode(state: qc.StateVector, key: CliffordKey, l: int,
+def cqas_decode(state: qc.StateVector, key: pa.CliffordElement, l: int,
                 rng: np.random.Generator
                 ) -> tuple[str, qc.StateVector | None]:
     """Undo the key, measure the auxiliaries, keep the message on success."""
-    m = key.m
+    m = key.n
     if state.shape.dims != (2,) * m:
         raise ValueError("state does not match the key register")
-    u = qc.UnitaryMatrix(state.shape, key.element.dagger_matrix(),
+    u = qc.UnitaryMatrix(state.shape, key.dagger_matrix(),
                          check_unitary=False)
     plain = qc.apply_on_wires(state, u, tuple(range(m)))
     outcome, post = qc.measure_wires(plain, tuple(range(l, m)), rng)

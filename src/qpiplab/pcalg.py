@@ -62,10 +62,6 @@ class SymbolicPauli:
     def inverse(self) -> "SymbolicPauli":
         return SymbolicPauli(self.q, -self.x, -self.z)
 
-    def restrict(self, wires: Sequence[int]) -> "SymbolicPauli":
-        w = list(wires)
-        return SymbolicPauli(self.q, self.x[w], self.z[w])
-
     def __eq__(self, other):
         return (isinstance(other, SymbolicPauli) and self.q == other.q
                 and np.array_equal(self.x, other.x)
@@ -167,10 +163,6 @@ def gate_matrix(g: GateTag, q: int) -> UnitaryMatrix:
 
 # ------------------------------------------------------------------ qubits
 
-def _qubit_pauli(x: int, z: int) -> np.ndarray:
-    return pauli_matrix_1(2, x, z)
-
-
 def _pauli_basis(n: int) -> np.ndarray:
     """All 4^n qubit Paulis Z^z X^x, stacked; index = interleaved (x,z) bits."""
     out = np.zeros((4 ** n, 2 ** n, 2 ** n), dtype=np.complex128)
@@ -178,7 +170,7 @@ def _pauli_basis(n: int) -> np.ndarray:
         bits = [(idx >> (2 * (n - 1 - w))) & 3 for w in range(n)]
         m = np.array([[1.0 + 0j]])
         for b in bits:
-            m = np.kron(m, _qubit_pauli(b & 1, b >> 1))
+            m = np.kron(m, pauli_matrix_1(2, b & 1, b >> 1))
         out[idx] = m
     return out
 

@@ -29,15 +29,12 @@ def random_poly_key(p: pc.CodeParams, rng: np.random.Generator) -> PolyQasKey:
 
 # --------------------------------------------------------- encode/decode
 
-def _pad_matrix(key: PolyQasKey, p: pc.CodeParams) -> np.ndarray:
-    return pa.pauli_matrix(key.pauli).entries
-
-
 def pqas_encode(psi: qc.StateVector, key: PolyQasKey,
                 p: pc.CodeParams) -> qc.StateVector:
     """Z^z X^x E_k (|psi> (x) |0>^{m-1})."""
     enc = pc.encode_Ek(psi, key.sign, p)
-    return qc.StateVector(enc.shape, _pad_matrix(key, p) @ enc.amplitudes,
+    return qc.StateVector(enc.shape,
+                          pa.pauli_matrix(key.pauli).entries @ enc.amplitudes,
                           check_norm=False)
 
 
@@ -47,8 +44,8 @@ def pqas_decode(state: qc.StateVector, key: PolyQasKey, p: pc.CodeParams,
     """Strip the pad, undo the encoder, measure the m-1 auxiliaries."""
     if state.shape != p.shape():
         raise ValueError("state does not match the code register")
-    stripped = qc.StateVector(state.shape,
-                              _pad_matrix(key, p).conj().T @ state.amplitudes,
+    pad_dag = pa.pauli_matrix(key.pauli).entries.conj().T
+    stripped = qc.StateVector(state.shape, pad_dag @ state.amplitudes,
                               check_norm=False)
     plain = pc.decode_Ek(stripped, key.sign, p)
     outcome, post = qc.measure_wires(plain, tuple(range(1, p.m)), rng)
@@ -240,7 +237,7 @@ def pqas_security_experiment(p: pc.CodeParams, psi: qc.StateVector,
                 enc.amplitudes, env_state.amplitudes)
             vec = attack.entries @ vec
             vec = vec.reshape(q ** m, env_dim)
-            vec = _pad_matrix(key, p).conj().T @ vec
+            vec = pa.pauli_matrix(key.pauli).entries.conj().T @ vec
             decoded = np.stack([
                 pc.decode_Ek(qc.StateVector(p.shape(), vec[:, e],
                                             check_norm=False),
@@ -263,58 +260,6 @@ def pqas_security_experiment(p: pc.CodeParams, psi: qc.StateVector,
         p.epsilon, tr_pi0, interval,
         {"mode": mode, "alpha_identity": alpha_i, "trials": trial_count},
         limit=limit)
-
-
-def _dense_encoder(k: pc.SignKey, p: pc.CodeParams) -> np.ndarray:
-    q, d, m = p.q, p.d, p.m
-    f = pa.gate_matrix(pa.GateTag("F"), q)
-    e = np.eye(q ** m, dtype=np.complex128)
-    for w in range(1, d + 1):
-        e = qc.embed_unitary(f, (w,), p.shape()).entries @ e
-    lmap, _ = pc._dk_maps(k.k, p)
-    perm = pc._perm_from_linear(lmap, q)
-    pm = np.zeros((q ** m, q ** m), dtype=np.complex128)
-    pm[perm, np.arange(q ** m)] = 1.0
-    return pm @ e
-
-
-def pqas_average_literal(p: pc.CodeParams, psi: qc.StateVector,
-                         attack: qc.UnitaryMatrix) -> float:
-    """Reference value of the experiment by summing every key literally.
-
-    Environment-free; exists to pin the closed-form average used by
-    pqas_security_experiment.  Batched over the q^m shift patterns with
-    one matrix product per phase pattern.
-    """
-    q, m = p.q, p.m
-    db = q ** m
-    if attack.shape.dim != db:
-        raise ValueError("literal reference is environment-free")
-    keys = pc.all_sign_keys(m)
-    proj = np.eye(q) - np.outer(psi.amplitudes, psi.amplitudes.conj())
-    digits = np.indices((q,) * m).reshape(m, -1)
-    omega = np.exp(2j * np.pi / q)
-    fwd = np.empty((db, db), dtype=np.int64)
-    rev = np.empty((db, db), dtype=np.int64)
-    for xi in range(db):
-        xd = digits[:, xi][:, None]
-        fwd[xi] = np.ravel_multi_index(tuple((digits - xd) % q), (q,) * m)
-        rev[xi] = np.ravel_multi_index(tuple((digits + xd) % q), (q,) * m)
-    total = 0.0
-    for k in keys:
-        w0 = pc.encode_Ek(psi, k, p).amplitudes
-        shift_rows = w0[fwd]
-        edag_t = _dense_encoder(k, p).conj()
-        for zi in range(db):
-            phase = omega ** (digits[:, zi] @ digits % q)
-            branch = phase[None, :] * shift_rows
-            out = (branch @ attack.entries.T) * phase.conj()[None, :]
-            back = np.take_along_axis(out, rev, axis=1)
-            dec = back @ edag_t
-            sector = dec.reshape(db, q, q ** (m - 1))[:, :, 0]
-            total += float(np.einsum("ra,ab,rb->", sector.conj(), proj,
-                                     sector, optimize=True).real)
-    return total / (len(keys) * db * db)
 
 
 # ------------------------------------------------- measure-resend control
@@ -374,7 +319,8 @@ def measure_resend_experiment(p: pc.CodeParams, psi: qc.StateVector,
             ahat = pc.decode_measurement(
                 v, guess, pa.SymbolicPauli.identity(q, m), p).value
             resent = pc.codeword_state((ahat + 1) % q, guess, p)
-            stripped = _pad_matrix(key, p).conj().T @ resent.amplitudes
+            pad_dag = pa.pauli_matrix(key.pauli).entries.conj().T
+            stripped = pad_dag @ resent.amplitudes
             dec = pc.decode_Ek(qc.StateVector(p.shape(), stripped,
                                               check_norm=False),
                                key.sign, p)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -149,11 +149,6 @@ class CodeParams:
                 if got != pow(aj, t, self.q):
                     raise ValueError("h-table failed reconstruction check")
 
-    @property
-    def dual_degree(self) -> int:
-        # m - (d+1) evaluations determine the dual; at m = 2d+1 it is again d
-        return self.m - self.d - 1
-
     def shape(self, blocks: int = 1) -> qc.RegisterShape:
         return qc.RegisterShape((self.q,) * (self.m * blocks))
 
@@ -261,15 +256,6 @@ def _perm_from_linear(lmap: np.ndarray, q: int) -> np.ndarray:
     m = lmap.shape[0]
     grid = _digit_grid(q, m)
     return np.ravel_multi_index(tuple(lmap @ grid % q), (q,) * m)
-
-
-def build_Dk(k: SignKey, p: CodeParams) -> qc.UnitaryMatrix:
-    """Dense interpolation circuit: a permutation on the m-wire register."""
-    lmap, _ = _dk_maps(k.k, p)
-    perm = _perm_from_linear(lmap, p.q)
-    mat = np.zeros((p.q ** p.m,) * 2)
-    mat[perm, np.arange(p.q ** p.m)] = 1.0
-    return qc.UnitaryMatrix(p.shape(), mat, check_unitary=False)
 
 
 def codeword_state(a: int, k: SignKey, p: CodeParams) -> qc.StateVector:

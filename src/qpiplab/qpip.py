@@ -4,10 +4,10 @@ A nearly classical verifier delegates a circuit to an untrusted prover,
 hiding every wire inside an authenticated block.  This module supplies the
 pieces that turn the authentication layers into full protocols: a circuit
 representation, compilation of Toffoli gates into measurement rounds, the
-Toffoli-by-teleportation gadget, Pauli-key bookkeeping, transcripts, the
-provers, the qubit (Clifford-authenticated) and qudit (polynomial-code)
-protocol engines, a fixed universal circuit, and the symmetric wrapper that
-turns accept/reject into {1, 0, ABORT}.
+magic state and correction rules of the Toffoli-by-teleportation gadget,
+Pauli-key bookkeeping, transcripts, the provers, the qubit
+(Clifford-authenticated) and qudit (polynomial-code) protocol engines, and
+a fixed universal circuit.
 
 Two simulation engines back the qudit protocol.  The dense engine holds the
 whole physical register and is limited to Toffoli-free circuits at desk
@@ -37,8 +37,6 @@ from . import cliffauth as ca
 from . import pcalg as pa
 from . import polycode as pc
 from . import qcore as qc
-
-ABORT = "ABORT"
 
 _DENSE_AMPLITUDE_CAP = 2_000_000
 
@@ -80,8 +78,9 @@ class CircuitIR:
     explicit unitaries on at most two wires.  An odd prime wire_dim
     selects the qudit protocol; gates are logical Clifford tags plus the
     three-wire T.  Explicit unitaries on qudit wires are legal in the
-    representation (the universal circuit uses controlled Fouriers) but
-    only the dense universal evaluator accepts them.
+    representation (the universal circuit uses controlled Fouriers), but
+    no engine runs them: only the tests' reference evaluator of the
+    universal circuit does.
     """
 
     n: int
@@ -248,8 +247,8 @@ def compile_to_logical(circuit: CircuitIR) -> LogicalSchedule:
 
     for g in circuit.gates:
         if isinstance(g.op, qc.UnitaryMatrix):
-            raise ValueError("explicit unitaries are not compilable; they "
-                             "belong to the dense universal evaluator")
+            raise ValueError("explicit unitaries do not compile to "
+                             "logical rounds")
         if isinstance(g.op, pa.GateTag):
             targets = tuple(wire_block[w] for w in g.wires)
             magics = (next_block, next_block + 1, next_block + 2)
@@ -331,51 +330,6 @@ def toffoli_correction_tags(x: int, y: int, z: int, q: int
         if pz:
             out.append((pc.LogicalGateTag("LZ", pz), (b,)))
     return out
-
-
-def _magic_overlap(state: qc.StateVector, wires: Sequence[int],
-                   q: int) -> float:
-    """Probability weight of the magic pattern on the given wires."""
-    dims = state.shape.dims
-    tensor = state.amplitudes.reshape(dims)
-    moved = np.moveaxis(tensor, wires, range(len(wires)))
-    flat = moved.reshape(q ** 3, -1)
-    overlap = magic_state(q).amplitudes.conj() @ flat
-    return float(np.vdot(overlap, overlap).real)
-
-
-def toffoli_gadget(state: qc.StateVector, target_wires: Sequence[int],
-                   magic_wires: Sequence[int], rng: np.random.Generator,
-                   debug: bool = True
-                   ) -> tuple[tuple[int, int, int], qc.StateVector]:
-    """Teleport a T gate: entangle, measure the targets, correct the magics.
-
-    The corrected state carries T applied to the original target content on
-    the magic wires, for every measurement branch; the measured wires
-    collapse to the observed digits.
-    """
-    target_wires = tuple(target_wires)
-    magic_wires = tuple(magic_wires)
-    if len(target_wires) != 3 or len(magic_wires) != 3:
-        raise ValueError("the gadget consumes three targets and three magics")
-    q = state.shape.dims[target_wires[0]]
-    if debug and _magic_overlap(state, magic_wires, q) < 1.0 - 1e-9:
-        raise ValueError("magic wires do not hold the Toffoli resource state")
-
-    rel = {i: w for i, w in enumerate(magic_wires)}
-    layer = _entangling_layer((0, 1, 2), (3, 4, 5), q)
-    abs_wires = {0: target_wires[0], 1: target_wires[1], 2: target_wires[2],
-                 3: magic_wires[0], 4: magic_wires[1], 5: magic_wires[2]}
-    for tag, blocks in layer:
-        mat = _plain_logical_matrix(tag, q)
-        state = qc.apply_on_wires(state, mat,
-                                  tuple(abs_wires[b] for b in blocks))
-    measurement, state = qc.measure_wires(state, target_wires, rng)
-    for tag, blocks in toffoli_correction_tags(*measurement, q):
-        mat = _plain_logical_matrix(tag, q)
-        state = qc.apply_on_wires(state, mat,
-                                  tuple(rel[b] for b in blocks))
-    return measurement, state
 
 
 # ---------------------------------------------------- Pauli key updates
@@ -508,9 +462,9 @@ class ProverImpl:
 
     The dense policy rewrites the register at each message exchange; the
     Pauli plan maps a protocol round to (block, Pauli) pairs and is the
-    only adversarial language the logical-frame engine accepts.  The
-    announce hook serves the symmetric wrapper.  Policies never see
-    verifier keys; they receive only the register and public context.
+    only adversarial language the logical-frame engine accepts.  Policies
+    never see verifier keys; they receive only the register and public
+    context.
     A prover holds no state between calls, so one value serves every
     trial of an experiment.
     """
@@ -521,13 +475,11 @@ class ProverImpl:
     pauli_plan: Mapping[int, tuple[tuple[int, pa.SymbolicPauli], ...]] | \
         None = None
     env_dims: tuple[int, ...] = ()
-    announce: Callable[[object], bool] | None = None
     misreport_round: int | None = None
 
 
-def honest_prover(announce: Callable[[object], bool] | None = None
-                  ) -> ProverImpl:
-    return ProverImpl(name="honest", announce=announce)
+def honest_prover() -> ProverImpl:
+    return ProverImpl(name="honest")
 
 
 def _apply_block_pauli(state: qc.StateVector, wires: Sequence[int],
@@ -733,7 +685,7 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
         touched = gate.wires
         transcript.add("prover->verifier", "quantum-block", touched)
         for b in touched:
-            amps = qc._apply_raw(amps, dims, keys[b].element.dagger_matrix(),
+            amps = qc._apply_raw(amps, dims, keys[b].dagger_matrix(),
                                  block_wires[b])
         if broken_variant:
             for b in touched:
@@ -748,7 +700,7 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
         for b in touched:
             if not broken_variant:
                 keys[b] = ca.random_clifford_key(params, rng)
-            amps = qc._apply_raw(amps, dims, keys[b].element.matrix.entries,
+            amps = qc._apply_raw(amps, dims, keys[b].matrix.entries,
                                  block_wires[b])
         transcript.add("verifier->prover", "quantum-block", touched)
 
@@ -760,7 +712,7 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
                        env_wires, rng)
     out_block = output_wire
     transcript.add("prover->verifier", "quantum-block", (out_block,))
-    amps = qc._apply_raw(amps, dims, keys[out_block].element.dagger_matrix(),
+    amps = qc._apply_raw(amps, dims, keys[out_block].dagger_matrix(),
                          block_wires[out_block])
     outcome, amps = qc._measure_raw(amps, dims, aux_wires[out_block], rng)
     if any(outcome):
@@ -1058,51 +1010,3 @@ def universal_description_digits(desc: Sequence[tuple[str, tuple[int, ...]]],
     for _ in range(max_gates - len(desc)):
         digits.extend(0 for _ in range(len(lib)))
     return tuple(digits)
-
-
-def apply_universal(circuit: CircuitIR, data_state: qc.StateVector,
-                    desc: Sequence[tuple[str, tuple[int, ...]]],
-                    n: int, max_gates: int) -> qc.StateVector:
-    """Evaluate the universal circuit with the controls resolved classically.
-
-    Basis-state descriptions keep the control register diagonal for the
-    whole run, so each controlled gate either fires or idles; this is the
-    exact action of the full circuit on data ⊗ |description digits>.
-    """
-    q = circuit.wire_dim
-    digits = universal_description_digits(desc, n, max_gates)
-    lib = _universal_library(n)
-    state = data_state
-    for slot in range(max_gates):
-        for ell, (name, wires) in enumerate(lib):
-            if digits[slot * len(lib) + ell] == 0:
-                continue
-            tag = pa.GateTag("F") if name == "F" else pa.GateTag("SUM")
-            state = qc.apply_on_wires(state, pa.gate_matrix(tag, q), wires)
-    return state
-
-
-# ------------------------------------------------------ symmetric wrapper
-
-
-def run_qpip_sym(lang_runner: Callable[[object, ProverImpl,
-                                        np.random.Generator], VerdictRecord],
-                 complement_runner: Callable[[object, ProverImpl,
-                                              np.random.Generator],
-                                             VerdictRecord],
-                 x: object, prover: ProverImpl,
-                 rng: np.random.Generator) -> int | str:
-    """Let the prover claim yes or no, then verify the claimed side.
-
-    Returns 1 for a verified yes, 0 for a verified no, and ABORT whenever
-    the run rejects or the claimed side's protocol does not confirm.
-    """
-    if prover.announce is None:
-        raise ValueError("the symmetric wrapper needs an announcing prover")
-    claim = bool(prover.announce(x))
-    record = (lang_runner if claim else complement_runner)(x, prover, rng)
-    confirmed = (record.verdict == "accept" and record.output is not None
-                 and record.output[0] == 1)
-    if not confirmed:
-        return ABORT
-    return 1 if claim else 0

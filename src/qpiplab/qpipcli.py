@@ -20,7 +20,8 @@ reason and the audit's own numbers) judged by the one gate `audit.gate`;
 in schema 3 that record is the payload.  `run_config` formats the summary
 from the record and sets the exit code: 0 on "pass", 1 on "fail".  The
 reused-key Zeno negative control, expected to fail, exits 0 on either
-verdict: at small sizes its violation need not show.
+verdict: at small sizes its violation need not show.  A run the library
+refuses with a ValueError (say, a size no engine supports) exits 2.
 """
 
 from __future__ import annotations
@@ -499,11 +500,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand == "replay":
             return _replay(args.report)
         cfg = config_from_args(args)
+        seed = resolve_seed(args.seed)
+        envelope, code, summary = run_config(cfg, seed)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    seed = resolve_seed(args.seed)
-    envelope, code, summary = run_config(cfg, seed)
     out_path = args.output or DEFAULT_REPORT_PATH
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(envelope.to_json())

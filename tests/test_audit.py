@@ -333,6 +333,12 @@ def test_blindness_rejects_unknown_average_and_big_views():
                               key_average="exact")
 
 
+def test_blindness_rejects_unknown_mode():
+    pair = ((None, (0,)), (None, (3,)))
+    with pytest.raises(ValueError, match="unknown mode 'foo'"):
+        audit.blindness_audit("foo", [pair], key_average="exact")
+
+
 def test_universal_pair_shares_the_circuit_and_hides_programs():
     desc_a = [("F", (0,)), ("SUM", (0, 1))]
     desc_b = [("SUM", (1, 0)), ("F", (1,))]

