@@ -16,7 +16,7 @@ are evidence, not proof, and their intervals say so.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -107,16 +107,6 @@ def zeno_demo_circuit(e: int, n_per: int = 40) -> qpip.CircuitIR:
                              check_unitary=False)
     gates = tuple(qpip.CircuitGate(ident, (0,)) for _ in range(rounds - 1))
     return qpip.CircuitIR(1, 2, gates)
-
-
-def biased_clifford_circuit(gamma: float) -> qpip.CircuitIR:
-    """One-qubit circuit whose output reads 1 with probability 1 - gamma."""
-    theta = math.asin(math.sqrt(1.0 - gamma))
-    rot = qc.UnitaryMatrix(qc.RegisterShape((2,)),
-                           np.array([[math.cos(theta), -math.sin(theta)],
-                                     [math.sin(theta), math.cos(theta)]]),
-                           check_unitary=False)
-    return qpip.CircuitIR(1, 2, (qpip.CircuitGate(rot, (0,)),), gamma=gamma)
 
 
 def clifford_demo_circuit() -> qpip.CircuitIR:
@@ -225,44 +215,18 @@ def wilson_interval(successes: int, trials: int,
     return (max(0.0, centre - half), min(1.0, centre + half))
 
 
-def _run_chunk(config: ProtocolConfig, prover: qpip.ProverImpl,
-               trials: int, seed: int,
-               reference: tuple[int, ...] | None) -> dict[str, int]:
-    rng = qc.make_rng(seed)
-    counts = {"trials": trials, "accept": 0, "wrong_accept": 0, "abort": 0}
-    for _ in range(trials):
-        rec = config.run_once(prover, rng)
-        if rec.verdict != "accept":
-            counts["abort"] += 1
-        elif reference is None or rec.output == reference:
-            counts["accept"] += 1
-        else:
-            counts["wrong_accept"] += 1
-    return counts
+def _trial_records(config: ProtocolConfig, prover: qpip.ProverImpl,
+                   trials: int, master_seed: int
+                   ) -> Iterator[qpip.VerdictRecord]:
+    """Trial j's record, drawn from the j-th child stream of the master seed.
 
-
-def _merge(parts: Sequence[dict[str, int]]) -> dict[str, int]:
-    out = {"trials": 0, "accept": 0, "wrong_accept": 0, "abort": 0}
-    for p in parts:
-        for k in out:
-            out[k] += p[k]
-    return out
-
-
-def _run_policy_trials(config: ProtocolConfig, prover: qpip.ProverImpl,
-                       trials: int, master_seed: int) -> dict[str, int]:
-    """Chunked trial runner over a fixed split of at most 16 chunks.
-
-    Each chunk draws its trials from its own generator, seeded from the
-    master seed, so the counts depend only on the master seed.
+    Trial j runs on `SeedSequence(master_seed, spawn_key=(j,))`, numpy's
+    own spawn rule, so its record depends only on (master seed, j): the
+    first N records of a longer run are those of an N-trial run.
     """
-    reference = config.reference()
-    n_chunks = min(trials, 16)
-    sizes = [trials // n_chunks + (1 if i < trials % n_chunks else 0)
-             for i in range(n_chunks)]
-    seeds = np.random.SeedSequence(master_seed).generate_state(n_chunks)
-    return _merge([_run_chunk(config, prover, sz, int(sd), reference)
-                   for sz, sd in zip(sizes, seeds) if sz > 0])
+    for j in range(trials):
+        yield config.run_once(prover, np.random.default_rng(
+            np.random.SeedSequence(master_seed, spawn_key=(j,))))
 
 
 def estimate_completeness(config: ProtocolConfig, trials: int,
@@ -277,21 +241,38 @@ def estimate_soundness(config: ProtocolConfig,
                        rng: np.random.Generator) -> AuditRecord:
     """Wrong-accept rate of adversarial provers against gamma + epsilon.
 
-    Wrong accepts are counted only against a deterministic reference
-    output, so circuit noise never enters the adversary's budget; use
-    gamma = 0 instances for sharp tests.  The gate reads the Wilson
-    interval of the pooled wrong-accept rate; `per_policy` keeps each
-    prover's counts.
+    Each prover gets its own master seed, drawn from `rng` in turn and
+    kept in `seeds`; its trial j draws only from the j-th child stream of
+    that seed (`_trial_records`).  Wrong accepts are counted only against
+    a deterministic reference output, so circuit noise never enters the
+    adversary's budget; use gamma = 0 instances for sharp tests.  The
+    gate reads the Wilson interval of the pooled wrong-accept rate;
+    `per_policy` keeps each prover's counts, keyed by its name, so the
+    names must differ.
     """
     provers = tuple(prover) if isinstance(prover, (list, tuple)) \
         else (prover,)
+    names = [pr.name for pr in provers]
+    if len(set(names)) != len(names):
+        raise ValueError(f"prover names repeat: {names}")
+    reference = config.reference()
     per_policy: dict[str, dict[str, int]] = {}
     seeds = []
     for pr in provers:
         master = int(rng.integers(0, 2 ** 63 - 1))
         seeds.append(master)
-        per_policy[pr.name] = _run_policy_trials(config, pr, trials, master)
-    total = _merge(list(per_policy.values()))
+        counts = {"trials": trials, "accept": 0, "wrong_accept": 0,
+                  "abort": 0}
+        for rec in _trial_records(config, pr, trials, master):
+            if rec.verdict != "accept":
+                counts["abort"] += 1
+            elif reference is None or rec.output == reference:
+                counts["accept"] += 1
+            else:
+                counts["wrong_accept"] += 1
+        per_policy[pr.name] = counts
+    total = {k: sum(c[k] for c in per_policy.values())
+             for k in ("trials", "accept", "wrong_accept", "abort")}
     n = total["trials"]
     wrong = total["wrong_accept"]
     return gate("wrong-accept rate <= gamma + epsilon", config.epsilon,
@@ -394,19 +375,21 @@ def _classical_view_histograms(circuit: qpip.CircuitIR,
                                ) -> dict[tuple[int, int, int], np.ndarray]:
     """Per-digit outcome counts of the prover's acquired classical view.
 
-    Runs the logical-frame engine with fresh sampled keys each trial and
-    bins every classical digit the verifier sends to the prover (the
-    teleportation corrections), keyed by round, entry position within
-    the round, and digit position.  The prover's quantum view is the
-    exact clause's job; these messages are the only classical
-    information the protocol hands it.
+    Runs the logical-frame engine with the honest prover and fresh
+    sampled keys each trial, trial j on the j-th child stream of one
+    master seed drawn from `rng`, and bins every classical digit the
+    verifier sends to the prover (the teleportation corrections), keyed
+    by round, entry position within the round, and digit position.  The
+    prover's quantum view is the exact clause's job; these messages are
+    the only classical information the protocol hands it.
     """
-    prover = qpip.honest_prover()
+    config = ProtocolConfig(mode="poly", circuit=circuit,
+                            inputs=tuple(inputs), code=p,
+                            engine="logical-frame",
+                            output_wires=tuple(range(circuit.n)))
+    master = int(rng.integers(0, 2 ** 63 - 1))
     hists: dict[tuple[int, int, int], np.ndarray] = {}
-    for _ in range(trials):
-        rec = qpip.run_poly_qpip(circuit, inputs, p, prover, rng,
-                                 engine="logical-frame",
-                                 output_wires=tuple(range(circuit.n)))
+    for rec in _trial_records(config, qpip.honest_prover(), trials, master):
         pos_in_round: dict[int, int] = {}
         for entry in rec.transcript:
             if entry.kind != "classical-string" or \

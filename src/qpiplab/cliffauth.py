@@ -46,12 +46,6 @@ def random_clifford_key(params: CliffordQasParams,
     return pa.sample_clifford(params.m, rng)
 
 
-def identity_key(params: CliffordQasParams) -> pa.CliffordElement:
-    mat = qc.UnitaryMatrix(qc.RegisterShape((2,) * params.m),
-                           np.eye(2 ** params.m), check_unitary=False)
-    return pa.CliffordElement(params.m, mat, ())
-
-
 class QasProjectors:
     """Accept/reject projectors for one message state.
 

@@ -440,11 +440,6 @@ def _symplectic_matrix(levels: list[list[int]]) -> np.ndarray:
     return mat
 
 
-def _random_symplectic_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform symplectic action on n qubits, as a dense unitary."""
-    return _symplectic_matrix(_symplectic_draw(n, rng))
-
-
 def sample_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
     """Uniform random Clifford element modulo phase.
 

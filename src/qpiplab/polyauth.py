@@ -191,25 +191,18 @@ def pqas_security_experiment(p: pc.CodeParams, psi: qc.StateVector,
 
     Exact mode averages both keys in closed form: the pad average keeps
     only the attack's diagonal Pauli components, and each component's
-    sign-key average comes from the same decoded-frame rule the scan
-    uses; its gate is (1 - alpha_I) epsilon, alpha_I the attack's
+    sign-key average is the scan's own `sign_key_masses` (sized for
+    m = 3); its gate is (1 - alpha_I) epsilon, alpha_I the attack's
     identity weight.  Sampled mode draws keys and gates on epsilon with a
     +-3/sqrt(trials) interval.
     """
     from . import audit  # audit imports this module
     q, m = p.q, p.m
-    keys = pc.all_sign_keys(m)
 
     if mode == "exact":
-        if m != 3:
-            raise ValueError("exact key averaging is sized for m = 3")
         weights = _attack_weights(attack, p, env_state)
-        ov = _overlap_table(psi.amplitudes, q)
+        mass = sign_key_masses(p, psi)[0]
         xs, zs = _all_exponent_grids(p)
-        mass = np.zeros(len(xs))
-        for k in keys:
-            mass += _per_key_masses(p, k, xs, zs, ov)
-        mass /= len(keys)
         wflat = weights.reshape(-1)
         # rows of the grid run over (x digits, z digits) in index order
         xidx = np.ravel_multi_index(xs.T, (q,) * m)

@@ -448,28 +448,6 @@ def decode_measurement(raw: Sequence[int], k: SignKey,
 
 # ------------------------------------------------- correlated Pauli layer
 
-def conjugate_by_encoding(p_op: pa.SymbolicPauli, k: SignKey, p: CodeParams,
-                          dagger: bool = False) -> pa.SymbolicPauli:
-    """Exponent image of E_k P E_k^dag (or E_k^dag P E_k with dagger).
-
-    D_k is a classical linear map v -> Lv, so it sends X^x Z^z to
-    X^{Lx} Z^{L^{-T} z} exactly; the Fourier layer rotates wires 1..d.
-    """
-    lmap, linv = _dk_maps(k.k, p)
-    q = p.q
-    if not dagger:
-        x = p_op.x.copy()
-        z = p_op.z.copy()
-        for w in range(1, p.d + 1):
-            z[w], x[w] = (x[w]) % q, (-z[w]) % q  # F conjugation
-        return pa.SymbolicPauli(q, lmap @ x % q, linv.T @ z % q)
-    x = linv @ p_op.x % q
-    z = lmap.T @ p_op.z % q
-    for w in range(1, p.d + 1):
-        z[w], x[w] = (-x[w]) % q, (z[w]) % q  # F^dag conjugation
-    return pa.SymbolicPauli(q, x, z)
-
-
 @lru_cache(maxsize=None)
 def _correlated_patterns(k: tuple[int, ...], p: CodeParams
                          ) -> tuple[frozenset, frozenset]:

@@ -175,16 +175,6 @@ def apply_circuit_plain(circuit: CircuitIR,
     return state
 
 
-def reference_output_distribution(circuit: CircuitIR,
-                                  input_digits: Sequence[int],
-                                  output_wire: int = 0) -> np.ndarray:
-    """Exact output-wire distribution of the bare circuit."""
-    shape = qc.RegisterShape((circuit.wire_dim,) * circuit.n)
-    state = qc.basis_state(shape, tuple(input_digits))
-    state = apply_circuit_plain(circuit, state)
-    return qc.measurement_probabilities(state, (output_wire,))
-
-
 # ------------------------------------------------- compilation to rounds
 
 
@@ -271,21 +261,6 @@ def compile_to_logical(circuit: CircuitIR) -> LogicalSchedule:
                            segments=tuple(segments), gadgets=tuple(gadgets),
                            rounds=tuple(rounds),
                            final_map=tuple(wire_block))
-
-
-def apply_schedule_plain(schedule: LogicalSchedule, circuit: CircuitIR,
-                         state: qc.StateVector) -> qc.StateVector:
-    """Recompose segment-T-segment on bare source wires (no gadgets)."""
-    q = circuit.wire_dim
-    t_mat = pa.gate_matrix(pa.GateTag("T"), q)
-    for i, seg in enumerate(schedule.segments):
-        for g in seg:
-            state = qc.apply_on_wires(state, _plain_logical_matrix(g.op, q),
-                                      g.wires)
-        if i < schedule.toffoli_count:
-            state = qc.apply_on_wires(state, t_mat,
-                                      schedule.gadgets[i].source_wires)
-    return state
 
 
 # ------------------------------------------------------- Toffoli gadget

@@ -16,20 +16,68 @@ CLI run, audit or engine calls it.
 - `run_qpip_sym` is the paper's symmetric wrapper ("any language in BQP
   has a QPIP"): the prover's claim picks the side to verify, and the
   outcome is 1, 0 or ABORT.
+- `reference_output_distribution` and `apply_schedule_plain` evaluate a
+  circuit, or its compiled schedule, on bare wires with no protocol.
+- `conjugate_by_encoding` conjugates a Pauli by E_k in exponent form; the
+  library decides correlation from the decoded frame instead.
+- `identity_key` and `biased_clifford_circuit` build reference inputs:
+  the trivial Clifford key, and a one-qubit circuit whose output bias is
+  known in closed form.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 
+from qpiplab import cliffauth as ca
 from qpiplab import pcalg as pa
 from qpiplab import polycode as pc
 from qpiplab import qcore as qc
 from qpiplab import qpip
 
 ABORT = "ABORT"
+
+
+# ------------------------------------------------------ plain circuits
+
+
+def biased_clifford_circuit(gamma: float) -> qpip.CircuitIR:
+    """One-qubit circuit whose output reads 1 with probability 1 - gamma."""
+    theta = math.asin(math.sqrt(1.0 - gamma))
+    rot = qc.UnitaryMatrix(qc.RegisterShape((2,)),
+                           np.array([[math.cos(theta), -math.sin(theta)],
+                                     [math.sin(theta), math.cos(theta)]]),
+                           check_unitary=False)
+    return qpip.CircuitIR(1, 2, (qpip.CircuitGate(rot, (0,)),), gamma=gamma)
+
+
+def reference_output_distribution(circuit: qpip.CircuitIR,
+                                  input_digits: Sequence[int],
+                                  output_wire: int = 0) -> np.ndarray:
+    """Exact output-wire distribution of the bare circuit."""
+    shape = qc.RegisterShape((circuit.wire_dim,) * circuit.n)
+    state = qc.basis_state(shape, tuple(input_digits))
+    state = qpip.apply_circuit_plain(circuit, state)
+    return qc.measurement_probabilities(state, (output_wire,))
+
+
+def apply_schedule_plain(schedule: qpip.LogicalSchedule,
+                         circuit: qpip.CircuitIR,
+                         state: qc.StateVector) -> qc.StateVector:
+    """Recompose segment-T-segment on bare source wires (no gadgets)."""
+    q = circuit.wire_dim
+    t_mat = pa.gate_matrix(pa.GateTag("T"), q)
+    for i, seg in enumerate(schedule.segments):
+        for g in seg:
+            state = qc.apply_on_wires(
+                state, qpip._plain_logical_matrix(g.op, q), g.wires)
+        if i < schedule.toffoli_count:
+            state = qc.apply_on_wires(state, t_mat,
+                                      schedule.gadgets[i].source_wires)
+    return state
 
 
 # ------------------------------------------------------- Toffoli gadget
@@ -122,6 +170,29 @@ def dense_encoder(k: pc.SignKey, p: pc.CodeParams) -> np.ndarray:
     return build_Dk(k, p).entries @ e
 
 
+def conjugate_by_encoding(p_op: pa.SymbolicPauli, k: pc.SignKey,
+                          p: pc.CodeParams,
+                          dagger: bool = False) -> pa.SymbolicPauli:
+    """Exponent image of E_k P E_k^dag (or E_k^dag P E_k with dagger).
+
+    D_k is a classical linear map v -> Lv, so it sends X^x Z^z to
+    X^{Lx} Z^{L^{-T} z} exactly; the Fourier layer rotates wires 1..d.
+    """
+    lmap, linv = pc._dk_maps(k.k, p)
+    q = p.q
+    if not dagger:
+        x = p_op.x.copy()
+        z = p_op.z.copy()
+        for w in range(1, p.d + 1):
+            z[w], x[w] = (x[w]) % q, (-z[w]) % q  # F conjugation
+        return pa.SymbolicPauli(q, lmap @ x % q, linv.T @ z % q)
+    x = linv @ p_op.x % q
+    z = lmap.T @ p_op.z % q
+    for w in range(1, p.d + 1):
+        z[w], x[w] = (-x[w]) % q, (z[w]) % q  # F^dag conjugation
+    return pa.SymbolicPauli(q, x, z)
+
+
 def pqas_average_literal(p: pc.CodeParams, psi: qc.StateVector,
                          attack: qc.UnitaryMatrix) -> float:
     """Reference value of the experiment by summing every key literally.
@@ -159,6 +230,16 @@ def pqas_average_literal(p: pc.CodeParams, psi: qc.StateVector,
             total += float(np.einsum("ra,ab,rb->", sector.conj(), proj,
                                      sector, optimize=True).real)
     return total / (len(keys) * db * db)
+
+
+# ---------------------------------------------------------- Clifford keys
+
+
+def identity_key(params: ca.CliffordQasParams) -> pa.CliffordElement:
+    """The trivial key: encoding with it only appends the auxiliaries."""
+    mat = qc.UnitaryMatrix(qc.RegisterShape((2,) * params.m),
+                           np.eye(2 ** params.m), check_unitary=False)
+    return pa.CliffordElement(params.m, mat, ())
 
 
 # ------------------------------------------------------ symmetric wrapper

@@ -13,6 +13,8 @@ import qpiplab.polycode as pc
 import qpiplab.qcore as qc
 import qpiplab.qpip as qpip
 
+import oracles
+
 
 def one_qubit_circuit(tag_name: str) -> qpip.CircuitIR:
     return qpip.CircuitIR(1, 2, (qpip.CircuitGate(pa.GateTag(tag_name),
@@ -90,7 +92,7 @@ def test_protocol_config_reference_and_bounds():
     assert cfg.reference() == (1,)
     assert cfg.epsilon == 0.5 and cfg.bound == 0.5
     biased = audit.ProtocolConfig(mode="clifford",
-                                  circuit=audit.biased_clifford_circuit(0.3),
+                                  circuit=oracles.biased_clifford_circuit(0.3),
                                   inputs=(0,))
     assert biased.reference() is None
     assert biased.bound == pytest.approx(0.8)
@@ -152,7 +154,7 @@ def test_completeness_deterministic_circuit_is_exact():
 
 def test_completeness_tracks_circuit_bias():
     cfg = audit.ProtocolConfig(mode="clifford",
-                               circuit=audit.biased_clifford_circuit(0.2),
+                               circuit=oracles.biased_clifford_circuit(0.2),
                                inputs=(0,), target=(1,))
     rep = audit.estimate_completeness(cfg, 2500, qc.make_rng(7))
     sigma = math.sqrt(0.2 * 0.8 / 2500)
@@ -238,8 +240,10 @@ GOLDEN_TRIAL_RECORDS = {
     "fixed-pauli-clifford": (
         lambda: CLIFFORD_DEMO,
         lambda: qpip.fixed_pauli_prover({3: [(0, X_DATA)]}), 48, 102,
-        {"fixed-pauli": {"trials": 48, "accept": 10, "wrong_accept": 11,
-                         "abort": 27}},
+        # re-recorded when trial j moved to the j-th child stream of the
+        # master seed (was 10/11/27 under the 16-chunk split)
+        {"fixed-pauli": {"trials": 48, "accept": 7, "wrong_accept": 12,
+                         "abort": 29}},
         (1475657852977072745,)),
     "scripted-misreport": (
         lambda: CLIFFORD_DEMO,
@@ -250,8 +254,10 @@ GOLDEN_TRIAL_RECORDS = {
     "zeno-broken-variant": (
         lambda: ZENO_BROKEN,
         lambda: qpip.zeno_prover(e=1, n_per=6), 40, 104,
-        {"zeno-demo": {"trials": 40, "accept": 20, "wrong_accept": 13,
-                       "abort": 7}},
+        # re-recorded when trial j moved to the j-th child stream of the
+        # master seed (was 20/13/7 under the 16-chunk split)
+        {"zeno-demo": {"trials": 40, "accept": 15, "wrong_accept": 12,
+                       "abort": 13}},
         (7734395241499546637,)),
 }
 
@@ -267,6 +273,30 @@ def test_trial_runner_reproduces_golden_records(name):
         rep = audit.estimate_soundness(config(), prover(), trials, rng)
     assert rep.detail["per_policy"] == per_policy
     assert tuple(rep.detail["seeds"]) == seeds
+
+
+def test_trial_records_are_a_prefix_of_longer_runs():
+    # trial j draws only from the j-th child stream of the master seed,
+    # so a shorter run is the start of a longer one, measurements included
+    prover = qpip.fixed_pauli_prover({3: [(0, X_DATA)]})
+
+    def rows(trials):
+        return [(r.verdict, r.output, r.transcript.to_lines())
+                for r in audit._trial_records(CLIFFORD_DEMO, prover,
+                                              trials, 1234)]
+
+    long, short = rows(30), rows(12)
+    assert long[:12] == short
+    assert len({row[0] for row in long}) > 1
+
+
+def test_repeated_prover_names_are_refused():
+    # per_policy is keyed by name: a repeat would drop the first prover's
+    # trials from the record and from the gate
+    provers = [qpip.fixed_pauli_prover({3: [(0, X_DATA)]}),
+               qpip.fixed_pauli_prover({1: [(0, X_DATA)]})]
+    with pytest.raises(ValueError, match="names repeat"):
+        audit.estimate_soundness(CLIFFORD_DEMO, provers, 20, qc.make_rng(1))
 
 
 # ----- blindness audits

@@ -7,6 +7,8 @@ from qpiplab import cliffauth as ca
 from qpiplab import pcalg as pa
 from qpiplab import qcore as qc
 
+import oracles
+
 PARAMS = ca.CliffordQasParams(1, 1)
 PSI = qc.StateVector(qc.RegisterShape((2,)), np.array([0.6, 0.8j]))
 
@@ -46,7 +48,7 @@ def test_projectors_partition():
 
 
 def test_encode_identity_key():
-    key = ca.identity_key(PARAMS)
+    key = oracles.identity_key(PARAMS)
     zero = qc.basis_state(qc.RegisterShape((2,)), (0,))
     out = ca.cqas_encode(zero, key)
     want = np.zeros(4)
@@ -75,7 +77,7 @@ def test_encode_average_is_maximally_mixed():
 
 def test_decode_aborts_on_auxiliary_flip():
     rng = qc.make_rng(2)
-    key = ca.identity_key(PARAMS)
+    key = oracles.identity_key(PARAMS)
     enc = ca.cqas_encode(PSI, key)
     tampered = qc.apply_on_wires(enc, pauli_attack([0, 1], [0, 0]),
                                  (0, 1))
@@ -87,7 +89,7 @@ def test_decode_accepts_phase_tamper_with_wrong_state():
     """Z on the message under the identity key is never caught; the
     output fidelity drops to |<psi|Z|psi>|^2 exactly."""
     rng = qc.make_rng(2)
-    key = ca.identity_key(PARAMS)
+    key = oracles.identity_key(PARAMS)
     enc = ca.cqas_encode(PSI, key)
     tampered = qc.apply_on_wires(enc, pauli_attack([0, 0], [1, 0]), (0, 1))
     verdict, out = ca.cqas_decode(tampered, key, 1, rng)

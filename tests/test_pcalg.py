@@ -199,7 +199,7 @@ def test_symplectic_construction_uniform_n1():
     counts = np.zeros(24)
     n_samples = 24 * 150
     for _ in range(n_samples):
-        u = pa._random_symplectic_unitary(1, rng)
+        u = pa._symplectic_matrix(pa._symplectic_draw(1, rng))
         xz = rng.integers(0, 2, size=2)
         m = u @ pa.pauli_matrix_1(2, int(xz[0]), int(xz[1]))
         counts[pos[pa.conjugation_key(m, 1)]] += 1
@@ -212,7 +212,7 @@ def test_symplectic_construction_lands_in_c2():
     rng = qc.make_rng(104)
     keys = {e.key for e in pa.enumerate_clifford(2)}
     for _ in range(300):
-        u = pa._random_symplectic_unitary(2, rng)
+        u = pa._symplectic_matrix(pa._symplectic_draw(2, rng))
         xz = rng.integers(0, 2, size=4)
         m = u @ pa.pauli_matrix(pa.SymbolicPauli(2, xz[0::2], xz[1::2])).entries
         assert pa.conjugation_key(m, 2) in keys
@@ -331,7 +331,7 @@ def test_three_qubit_sampler_matches_dense_oracle(seed):
 def test_symplectic_construction_matches_dense_oracle(n):
     rng, ref_rng = qc.make_rng(107), qc.make_rng(107)
     for _ in range(50):
-        u = pa._random_symplectic_unitary(n, rng)
+        u = pa._symplectic_matrix(pa._symplectic_draw(n, rng))
         assert np.abs(u - _oracle_symplectic(n, ref_rng)).max() < 1e-12
 
 

@@ -585,7 +585,7 @@ def test_leftover_always_flips_an_auxiliary():
                 continue
             checked += 1
             _, q_unc = pc.decompose_correlated(op, k, P)
-            dec = pc.conjugate_by_encoding(q_unc, k, P, dagger=True)
+            dec = oracles.conjugate_by_encoding(q_unc, k, P, dagger=True)
             assert any(dec.x[1:])
             # dense cross-check of the zero-overlap property
             for a in range(Q):
@@ -606,14 +606,14 @@ def test_conjugate_by_encoding_matches_dense():
             op = pa.SymbolicPauli(Q, x, z)
             dense_fwd = ek @ pa.pauli_matrix(op).entries @ ek.conj().T
             sym_fwd = pa.pauli_matrix(
-                pc.conjugate_by_encoding(op, k, P)).entries
+                oracles.conjugate_by_encoding(op, k, P)).entries
             i = np.unravel_index(np.argmax(np.abs(sym_fwd)), sym_fwd.shape)
             ph = dense_fwd[i] / sym_fwd[i]
             assert abs(abs(ph) - 1) < 1e-9
             assert np.allclose(dense_fwd, ph * sym_fwd, atol=1e-9)
             dense_bwd = ek.conj().T @ pa.pauli_matrix(op).entries @ ek
             sym_bwd = pa.pauli_matrix(
-                pc.conjugate_by_encoding(op, k, P, dagger=True)).entries
+                oracles.conjugate_by_encoding(op, k, P, dagger=True)).entries
             i = np.unravel_index(np.argmax(np.abs(sym_bwd)), sym_bwd.shape)
             ph = dense_bwd[i] / sym_bwd[i]
             assert abs(abs(ph) - 1) < 1e-9

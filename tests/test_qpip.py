@@ -109,7 +109,7 @@ def test_compile_recomposition_matches_source_unitary():
     for idx in rng.integers(0, Q ** 3, size=12):
         basis = qc.basis_state(shape, shape.index_to_digits(int(idx)))
         direct = qpip.apply_circuit_plain(circ, basis)
-        recomposed = qpip.apply_schedule_plain(sched, circ, basis)
+        recomposed = oracles.apply_schedule_plain(sched, circ, basis)
         assert np.max(np.abs(direct.amplitudes
                              - recomposed.amplitudes)) < 1e-8
 
@@ -548,7 +548,7 @@ def test_poly_dense_honest_matches_reference_everywhere():
                                  qpip.CircuitGate(LG("LF", 1), (0,)),
                                  qpip.CircuitGate(LG("LF", 1), (0,))))
     for inp in range(Q):
-        ref = qpip.reference_output_distribution(circ, (inp,))
+        ref = oracles.reference_output_distribution(circ, (inp,))
         want = int(np.argmax(ref))
         for _ in range(10):
             rec = qpip.run_poly_qpip(circ, (inp,), P, qpip.honest_prover(),
