@@ -30,6 +30,7 @@ from . import qcore as qc
 from . import qpip
 
 _VIEW_DIM_CAP = 4096
+_BETA_FLOOR = 0.05  # confidence audits: below it epsilon / beta is vacuous
 
 
 # ------------------------------------------------------ the audit record
@@ -235,53 +236,36 @@ def estimate_completeness(config: ProtocolConfig, trials: int,
     return estimate_soundness(config, qpip.honest_prover(), trials, rng)
 
 
-def estimate_soundness(config: ProtocolConfig,
-                       prover: qpip.ProverImpl | Sequence[qpip.ProverImpl],
+def estimate_soundness(config: ProtocolConfig, prover: qpip.ProverImpl,
                        trials: int,
                        rng: np.random.Generator) -> AuditRecord:
-    """Wrong-accept rate of adversarial provers against gamma + epsilon.
+    """Wrong-accept rate of one prover against gamma + epsilon.
 
-    Each prover gets its own master seed, drawn from `rng` in turn and
-    kept in `seeds`; its trial j draws only from the j-th child stream of
+    Each prover gets its own estimate and gate: a pool could hide a
+    prover that breaks the gate.  The master seed is drawn from `rng` and
+    kept in `seeds`; trial j draws only from the j-th child stream of
     that seed (`_trial_records`).  Wrong accepts are counted only against
     a deterministic reference output, so circuit noise never enters the
-    adversary's budget; use gamma = 0 instances for sharp tests.  The
-    gate reads the Wilson interval of the pooled wrong-accept rate;
-    `per_policy` keeps each prover's counts, keyed by its name, so the
-    names must differ.
+    adversary's budget; use gamma = 0 instances for sharp tests.
     """
-    provers = tuple(prover) if isinstance(prover, (list, tuple)) \
-        else (prover,)
-    names = [pr.name for pr in provers]
-    if len(set(names)) != len(names):
-        raise ValueError(f"prover names repeat: {names}")
     reference = config.reference()
-    per_policy: dict[str, dict[str, int]] = {}
-    seeds = []
-    for pr in provers:
-        master = int(rng.integers(0, 2 ** 63 - 1))
-        seeds.append(master)
-        counts = {"trials": trials, "accept": 0, "wrong_accept": 0,
-                  "abort": 0}
-        for rec in _trial_records(config, pr, trials, master):
-            if rec.verdict != "accept":
-                counts["abort"] += 1
-            elif reference is None or rec.output == reference:
-                counts["accept"] += 1
-            else:
-                counts["wrong_accept"] += 1
-        per_policy[pr.name] = counts
-    total = {k: sum(c[k] for c in per_policy.values())
-             for k in ("trials", "accept", "wrong_accept", "abort")}
-    n = total["trials"]
-    wrong = total["wrong_accept"]
+    master = int(rng.integers(0, 2 ** 63 - 1))
+    counts = {"trials": trials, "accept": 0, "wrong_accept": 0, "abort": 0}
+    for rec in _trial_records(config, prover, trials, master):
+        if rec.verdict != "accept":
+            counts["abort"] += 1
+        elif reference is None or rec.output == reference:
+            counts["accept"] += 1
+        else:
+            counts["wrong_accept"] += 1
+    ok, wrong = counts["accept"], counts["wrong_accept"]
     return gate("wrong-accept rate <= gamma + epsilon", config.epsilon,
-                wrong / n, wilson_interval(wrong, n),
-                {"trials": n, "accept_rate": total["accept"] / n,
-                 "abort_rate": total["abort"] / n,
-                 "wilson_accept": list(wilson_interval(total["accept"], n)),
-                 "bound": config.bound, "per_policy": per_policy,
-                 "seeds": seeds}, limit=config.bound)
+                wrong / trials, wilson_interval(wrong, trials),
+                {"trials": trials, "accept_rate": ok / trials,
+                 "abort_rate": counts["abort"] / trials,
+                 "wilson_accept": list(wilson_interval(ok, trials)),
+                 "bound": config.bound, "per_policy": {prover.name: counts},
+                 "seeds": [master]}, limit=config.bound)
 
 
 # ------------------------------------------------------- blindness audit
@@ -574,8 +558,8 @@ def _c2_stack(m: int) -> np.ndarray:
     return np.stack([el.matrix.entries for el in els])
 
 
-def _clifford_confidence(prover: qpip.ProverImpl, e: int, input_bit: int,
-                         beta_floor: float) -> tuple[float, float]:
+def _clifford_confidence(prover: qpip.ProverImpl, e: int,
+                         input_bit: int) -> tuple[float, float]:
     """(beta, distance) of the exact key-group average."""
     if e != 1:
         raise ValueError("exact enumeration supports e = 1")
@@ -592,9 +576,9 @@ def _clifford_confidence(prover: qpip.ProverImpl, e: int, input_bit: int,
     branches = vecs.reshape(-1, 2, 2 ** e)[:, :, 0]
     weights = np.sum(np.abs(branches) ** 2, axis=1)
     beta = float(np.mean(weights))
-    if beta < beta_floor:
+    if beta < _BETA_FLOOR:
         raise ValueError(f"acceptance rate {beta:.4f} is below the "
-                         f"floor {beta_floor}; the bound is vacuous")
+                         f"floor {_BETA_FLOOR}; the bound is vacuous")
     rho = np.einsum("ka,kb->ab", branches, branches.conj()) / len(stack)
     rho /= beta
     correct = np.zeros((2, 2), dtype=np.complex128)
@@ -605,8 +589,7 @@ def _clifford_confidence(prover: qpip.ProverImpl, e: int, input_bit: int,
 
 
 def _poly_confidence(prover: qpip.ProverImpl, p: pc.CodeParams,
-                     input_digit: int,
-                     beta_floor: float) -> tuple[float, float]:
+                     input_digit: int) -> tuple[float, float]:
     """(beta, distance) of the exact sign-key average."""
     q, m = p.q, p.m
     attack = _policy_block_pauli(prover, q, m)
@@ -628,9 +611,9 @@ def _poly_confidence(prover: qpip.ProverImpl, p: pc.CodeParams,
                 accept_mass += probs[idx]
                 cond[decoded.value] += probs[idx]
     beta = accept_mass / len(keys)
-    if beta < beta_floor:
+    if beta < _BETA_FLOOR:
         raise ValueError(f"acceptance rate {beta:.4f} is below the "
-                         f"floor {beta_floor}; the bound is vacuous")
+                         f"floor {_BETA_FLOOR}; the bound is vacuous")
     cond = cond / accept_mass
     correct = np.zeros(q)
     correct[input_digit % q] = 1.0
@@ -640,8 +623,7 @@ def _poly_confidence(prover: qpip.ProverImpl, p: pc.CodeParams,
 
 def confidence_audit(mode: str, prover: qpip.ProverImpl, *,
                      e: int = 1, code: pc.CodeParams | None = None,
-                     input_digit: int = 0,
-                     beta_floor: float = 0.05) -> AuditRecord:
+                     input_digit: int = 0) -> AuditRecord:
     """Exact conditional post-acceptance state quality for Pauli provers.
 
     Clifford mode averages the whole key group and compares the
@@ -652,12 +634,12 @@ def confidence_audit(mode: str, prover: qpip.ProverImpl, *,
     1e-6 of numerical slack.
     """
     if mode == "clifford":
-        beta, dist = _clifford_confidence(prover, e, input_digit, beta_floor)
+        beta, dist = _clifford_confidence(prover, e, input_digit)
         eps = ca.CliffordQasParams(l=1, e=e).epsilon
         bound, scale = eps / beta, "epsilon"
     elif mode == "poly":
         p = code if code is not None else pc.CodeParams()
-        beta, dist = _poly_confidence(prover, p, input_digit, beta_floor)
+        beta, dist = _poly_confidence(prover, p, input_digit)
         eps = p.epsilon
         bound, scale = 2 * eps / beta, "2 epsilon"
     else:
@@ -666,7 +648,7 @@ def confidence_audit(mode: str, prover: qpip.ProverImpl, *,
                 dist, (dist, dist),
                 {"mode": mode, "policy": prover.name, "beta": beta,
                  "bound": bound, "slack": bound - dist,
-                 "floor": beta_floor}, limit=bound + 1e-6)
+                 "floor": _BETA_FLOOR}, limit=bound + 1e-6)
 
 
 # ----------------------------------------------------------- lemma suite

@@ -435,13 +435,13 @@ class PolicyContext:
 class ProverImpl:
     """A prover: an optional dense policy, an optional Pauli plan.
 
-    The dense policy rewrites the register at each message exchange; the
-    Pauli plan maps a protocol round to (block, Pauli) pairs and is the
-    only adversarial language the logical-frame engine accepts.  Policies
-    never see verifier keys; they receive only the register and public
-    context.
-    A prover holds no state between calls, so one value serves every
-    trial of an experiment.
+    The dense engines read `policy`, which rewrites the register at each
+    exchange, and `env_dims`; the logical-frame engine and the confidence
+    audit read `pauli_plan`, which maps a round to (block, Pauli) pairs;
+    only the Clifford engine reads `misreport_round`.  An engine that
+    cannot honour a field refuses the prover at entry.  Policies never
+    see verifier keys, and a prover holds no state between calls, so one
+    value serves every trial of an experiment.
     """
 
     name: str
@@ -595,6 +595,24 @@ def _run_policy(prover: ProverImpl, amps: np.ndarray,
     return out.amplitudes
 
 
+def _dense_register(blocks: Sequence[qc.StateVector],
+                    env_dims: tuple[int, ...]
+                    ) -> tuple[qc.RegisterShape, np.ndarray,
+                               tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The dense engines' register: the encoded blocks, then the prover's
+    environment wires in |0>; returns shape, amplitudes and wire tuples."""
+    state = blocks[0]
+    for enc in blocks[1:]:
+        state = qc.tensor(state, enc)
+    for dim in env_dims:
+        state = qc.tensor(state, qc.basis_state(qc.RegisterShape((dim,)),
+                                                (0,)))
+    n, m = len(blocks), blocks[0].shape.num_wires
+    block_wires = tuple(tuple(range(b * m, (b + 1) * m)) for b in range(n))
+    env_wires = tuple(range(n * m, n * m + len(env_dims)))
+    return state.shape, state.amplitudes, block_wires, env_wires
+
+
 # ------------------------------------------------- qubit protocol engine
 
 
@@ -625,6 +643,8 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
         raise ValueError("input length mismatch")
     if not 0 <= output_wire < circuit.n:
         raise ValueError(f"output wire {output_wire} out of range")
+    if prover.policy is None and prover.pauli_plan is not None:
+        raise ValueError("a bare Pauli plan runs on the logical-frame engine")
     n, m_b = circuit.n, 1 + e
     total_amps = 2 ** (n * m_b) * int(np.prod(prover.env_dims or (1,)))
     if total_amps > _DENSE_AMPLITUDE_CAP:
@@ -633,41 +653,37 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
     shape1 = qc.RegisterShape((2,))
 
     keys = [ca.random_clifford_key(params, rng) for _ in range(n)]
-    state: qc.StateVector | None = None
-    for b, bit in enumerate(input_bits):
-        enc = ca.cqas_encode(qc.basis_state(shape1, (int(bit),)), keys[b])
-        state = enc if state is None else qc.tensor(state, enc)
-    for dim in prover.env_dims:
-        state = qc.tensor(state, qc.basis_state(qc.RegisterShape((dim,)),
-                                                (0,)))
-    shape, amps = state.shape, state.amplitudes
+    shape, amps, block_wires, env_wires = _dense_register(
+        [ca.cqas_encode(qc.basis_state(shape1, (int(bit),)), keys[b])
+         for b, bit in enumerate(input_bits)], prover.env_dims)
     dims = shape.dims
-    block_wires = tuple(tuple(range(b * m_b, (b + 1) * m_b))
-                        for b in range(n))
     aux_wires = tuple(ws[1:] for ws in block_wires)
-    env_wires = tuple(range(n * m_b, n * m_b + len(prover.env_dims)))
 
     transcript = Transcript()
     transcript.add("verifier->prover", "quantum-block", tuple(range(n)))
 
-    total_rounds = len(circuit.gates) + 1
-    for i, gate in enumerate(circuit.gates, start=1):
+    # the final round is the loop's last pass: it touches the output
+    # block, applies no gate and always checks the auxiliaries
+    rounds = [*circuit.gates, None]
+    for i, gate in enumerate(rounds, start=1):
         if prover.misreport_round == i:
             transcript.add("prover->verifier", "verdict", "abort")
             return VerdictRecord("abort", None, transcript, i)
         amps = _run_policy(prover, amps, shape, "send", i, block_wires,
                            env_wires, rng)
-        touched = gate.wires
+        touched = (output_wire,) if gate is None else gate.wires
         transcript.add("prover->verifier", "quantum-block", touched)
         for b in touched:
             amps = qc._apply_raw(amps, dims, keys[b].dagger_matrix(),
                                  block_wires[b])
-        if broken_variant:
+        if broken_variant or gate is None:
             for b in touched:
                 outcome, amps = qc._measure_raw(amps, dims, aux_wires[b], rng)
                 if any(outcome):
                     transcript.add("verifier->prover", "verdict", "reject")
                     return VerdictRecord("reject", None, transcript, i)
+        if gate is None:
+            break
         data = tuple(block_wires[b][0] for b in touched)
         op = pa.gate_matrix(gate.op, 2) if isinstance(gate.op, pa.GateTag) \
             else gate.op
@@ -679,23 +695,9 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
                                  block_wires[b])
         transcript.add("verifier->prover", "quantum-block", touched)
 
-    final = total_rounds
-    if prover.misreport_round == final:
-        transcript.add("prover->verifier", "verdict", "abort")
-        return VerdictRecord("abort", None, transcript, final)
-    amps = _run_policy(prover, amps, shape, "send", final, block_wires,
-                       env_wires, rng)
-    out_block = output_wire
-    transcript.add("prover->verifier", "quantum-block", (out_block,))
-    amps = qc._apply_raw(amps, dims, keys[out_block].dagger_matrix(),
-                         block_wires[out_block])
-    outcome, amps = qc._measure_raw(amps, dims, aux_wires[out_block], rng)
-    if any(outcome):
-        transcript.add("verifier->prover", "verdict", "reject")
-        return VerdictRecord("reject", None, transcript, final)
-    bit, amps = qc._measure_raw(amps, dims, (block_wires[out_block][0],), rng)
+    bit, _ = qc._measure_raw(amps, dims, (block_wires[output_wire][0],), rng)
     transcript.add("verifier->prover", "verdict", "accept")
-    return VerdictRecord("accept", (int(bit[0]),), transcript, final)
+    return VerdictRecord("accept", (int(bit[0]),), transcript, len(rounds))
 
 
 # ------------------------------------------------- qudit protocol engine
@@ -715,6 +717,33 @@ def _sample_codeword_string(value: int, k: pc.SignKey,
     return tuple(int(v) for v in raw)
 
 
+def _decode_strings(strings: list[tuple[int, ...]], blocks: Sequence[int],
+                    keys: list[pa.SymbolicPauli], sign: pc.SignKey,
+                    p: pc.CodeParams, round_no: int,
+                    invalid_rounds: list[int]) -> list[int]:
+    """Decode each block's string; an invalid one marks its round."""
+    decoded = [pc.decode_measurement(raw, sign, keys[b], p)
+               for raw, b in zip(strings, blocks)]
+    invalid_rounds.extend(round_no for d in decoded if not d.valid)
+    return [d.value for d in decoded]
+
+
+def _poly_close_out(transcript: Transcript, strings: list[tuple[int, ...]],
+                    blocks: Sequence[int], keys: list[pa.SymbolicPauli],
+                    sign: pc.SignKey, p: pc.CodeParams, final_round: int,
+                    invalid_rounds: list[int]) -> VerdictRecord:
+    """Both poly engines' final round: one string per output block, then
+    the verdict; an invalid decode in any round aborts the run."""
+    for raw in strings:
+        transcript.add("prover->verifier", "classical-string", raw)
+    outputs = _decode_strings(strings, blocks, keys, sign, p, final_round,
+                              invalid_rounds)
+    verdict = "abort" if invalid_rounds else "accept"
+    transcript.add("verifier->prover", "verdict", verdict)
+    return VerdictRecord(verdict, tuple(outputs), transcript,
+                         final_round + 1, tuple(invalid_rounds))
+
+
 def run_poly_qpip(circuit: CircuitIR, input_digits: Sequence[int],
                   p: pc.CodeParams, prover: ProverImpl,
                   rng: np.random.Generator, engine: str = "dense",
@@ -732,6 +761,8 @@ def run_poly_qpip(circuit: CircuitIR, input_digits: Sequence[int],
     """
     if circuit.mode != "poly" or circuit.wire_dim != p.q:
         raise ValueError("circuit and code parameters disagree")
+    if prover.misreport_round is not None:
+        raise ValueError("the qudit protocol has no misreport step")
     if len(input_digits) != circuit.n:
         raise ValueError("input length mismatch")
     if any(not 0 <= w < circuit.n for w in output_wires):
@@ -757,6 +788,8 @@ def _poly_dense(circuit: CircuitIR, schedule: LogicalSchedule,
     if schedule.toffoli_count > 0:
         raise ValueError("the dense engine runs Toffoli-free circuits; use "
                          "the logical-frame engine for gadget rounds")
+    if prover.policy is None and prover.pauli_plan is not None:
+        raise ValueError("a bare Pauli plan runs on the logical-frame engine")
     q, m, n = p.q, p.m, circuit.n
     total_amps = q ** (n * m) * int(np.prod(prover.env_dims or (1,)))
     if total_amps > _DENSE_AMPLITUDE_CAP:
@@ -767,20 +800,12 @@ def _poly_dense(circuit: CircuitIR, schedule: LogicalSchedule,
     sign = pc.random_sign_key(m, rng)
     keys = [pc.random_pauli_key(p, rng) for _ in range(n)]
     shape1 = qc.RegisterShape((q,))
-    state: qc.StateVector | None = None
-    for b, digit in enumerate(input_digits):
-        enc = pya.pqas_encode(qc.basis_state(shape1, (int(digit),)),
-                              pya.PolyQasKey(sign, keys[b]), p)
-        state = enc if state is None else qc.tensor(state, enc)
-    for dim in prover.env_dims:
-        state = qc.tensor(state, qc.basis_state(qc.RegisterShape((dim,)),
-                                                (0,)))
-    shape, amps = state.shape, state.amplitudes
+    shape, amps, block_wires, env_wires = _dense_register(
+        [pya.pqas_encode(qc.basis_state(shape1, (int(digit),)),
+                         pya.PolyQasKey(sign, keys[b]), p)
+         for b, digit in enumerate(input_digits)], prover.env_dims)
     dims = shape.dims
-    block_wires = tuple(tuple(range(b * m, (b + 1) * m)) for b in range(n))
-    env_wires = tuple(range(n * m, n * m + len(prover.env_dims)))
 
-    invalid_rounds: list[int] = []
     transcript = Transcript()
     transcript.add("verifier->prover", "quantum-block", tuple(range(n)))
     amps = _run_policy(prover, amps, shape, "recv", 0, block_wires,
@@ -797,19 +822,12 @@ def _poly_dense(circuit: CircuitIR, schedule: LogicalSchedule,
     final_round = 1
     amps = _run_policy(prover, amps, shape, "send", final_round, block_wires,
                        env_wires, rng)
-    outputs: list[int] = []
+    strings = []
     for w in output_wires:
         raw, amps = qc._measure_raw(amps, dims, block_wires[w], rng)
-        transcript.add("prover->verifier", "classical-string", raw)
-        decoded = pc.decode_measurement(raw, sign, keys[w], p)
-        if not decoded.valid:
-            invalid_rounds.append(final_round)
-        outputs.append(decoded.value)
-    verdict = "abort" if invalid_rounds else "accept"
-    transcript.add("verifier->prover", "verdict", verdict)
-    return VerdictRecord(verdict, tuple(outputs), transcript,
-                         rounds=final_round + 1,
-                         invalid_rounds=tuple(invalid_rounds))
+        strings.append(raw)
+    return _poly_close_out(transcript, strings, output_wires, keys, sign, p,
+                           final_round, [])
 
 
 def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
@@ -878,18 +896,13 @@ def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
                            (0, 1, 2))[values].reshape(-1)
         for b in gadget.target_blocks:
             live.remove(b)
-        raw_all: list[int] = []
-        betas: list[int] = []
-        for b, val in zip(gadget.target_blocks, values):
-            raw = _sample_codeword_string(int(val), sign, keys[b],
-                                          frames[b], p, rng)
-            raw_all.extend(raw)
-            decoded = pc.decode_measurement(raw, sign, keys[b], p)
-            if not decoded.valid:
-                invalid_rounds.append(round_no)
-            betas.append(decoded.value)
+        strings = [_sample_codeword_string(int(val), sign, keys[b],
+                                           frames[b], p, rng)
+                   for b, val in zip(gadget.target_blocks, values)]
+        betas = _decode_strings(strings, gadget.target_blocks, keys, sign,
+                                p, round_no, invalid_rounds)
         transcript.add("prover->verifier", "classical-string",
-                       tuple(raw_all))
+                       tuple(v for raw in strings for v in raw))
         transcript.add("verifier->prover", "classical-string", tuple(betas))
         correction = toffoli_correction_tags(*betas, q)
         mapped = [(tag, tuple(gadget.magic_blocks[b] for b in bs))
@@ -898,23 +911,15 @@ def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
 
     final_round = L + 1
     inject(final_round)
-    outputs: list[int] = []
-    for w in output_wires:
-        b = schedule.final_map[w]
+    out_blocks = [schedule.final_map[w] for w in output_wires]
+    strings = []
+    for b in out_blocks:
         val, amps = qc._measure_raw(amps, (q,) * len(live), (live.index(b),),
                                     rng)
-        raw = _sample_codeword_string(int(val[0]), sign, keys[b], frames[b],
-                                      p, rng)
-        transcript.add("prover->verifier", "classical-string", raw)
-        decoded = pc.decode_measurement(raw, sign, keys[b], p)
-        if not decoded.valid:
-            invalid_rounds.append(final_round)
-        outputs.append(decoded.value)
-    verdict = "abort" if invalid_rounds else "accept"
-    transcript.add("verifier->prover", "verdict", verdict)
-    return VerdictRecord(verdict, tuple(outputs), transcript,
-                         rounds=final_round + 1,
-                         invalid_rounds=tuple(invalid_rounds))
+        strings.append(_sample_codeword_string(int(val[0]), sign, keys[b],
+                                               frames[b], p, rng))
+    return _poly_close_out(transcript, strings, out_blocks, keys, sign, p,
+                           final_round, invalid_rounds)
 
 
 # ----------------------------------------------------- universal circuit

@@ -192,17 +192,6 @@ def test_soundness_fixed_pauli_matches_exact_rates():
         rep.detail["per_policy"]["x-data"]["wrong_accept"], 900)
 
 
-def test_soundness_breaks_down_per_policy():
-    cfg = audit.ProtocolConfig(mode="clifford",
-                               circuit=one_qubit_circuit("H"), inputs=(0,))
-    pols = [qpip.honest_prover(), qpip.random_unitary_prover((2,))]
-    rep = audit.estimate_soundness(cfg, pols, 60, qc.make_rng(4))
-    assert set(rep.detail["per_policy"]) == {"honest", "random-unitary"}
-    assert rep.detail["trials"] == 120
-    assert rep.detail["per_policy"]["honest"]["abort"] == 0
-    assert len(rep.detail["seeds"]) == 2
-
-
 def test_zeno_policy_runs_against_broken_variant():
     circ = audit.zeno_demo_circuit(1, n_per=6)
     cfg = audit.ProtocolConfig(mode="clifford", circuit=circ, inputs=(1,),
@@ -288,15 +277,6 @@ def test_trial_records_are_a_prefix_of_longer_runs():
     long, short = rows(30), rows(12)
     assert long[:12] == short
     assert len({row[0] for row in long}) > 1
-
-
-def test_repeated_prover_names_are_refused():
-    # per_policy is keyed by name: a repeat would drop the first prover's
-    # trials from the record and from the gate
-    provers = [qpip.fixed_pauli_prover({3: [(0, X_DATA)]}),
-               qpip.fixed_pauli_prover({1: [(0, X_DATA)]})]
-    with pytest.raises(ValueError, match="names repeat"):
-        audit.estimate_soundness(CLIFFORD_DEMO, provers, 20, qc.make_rng(1))
 
 
 # ----- blindness audits

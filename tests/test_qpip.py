@@ -493,6 +493,14 @@ GOLDEN_CLIFFORD_RECORDS = {
         audit.clifford_demo_circuit(), (1, 0),
         qpip.fixed_pauli_prover({3: [(0, X_ON_DATA)]}), False, 302,
         "accept", (0,), 11, CLIFFORD_DEMO_LINES, 3114364727008424794),
+    # a misreport in the final round, recorded before that round became
+    # the last pass of the round loop
+    "demo-final-misreport": (
+        audit.clifford_demo_circuit(), (1, 0),
+        qpip.scripted_prover([], misreport_round=11), False, 304,
+        "abort", None, 11,
+        CLIFFORD_DEMO_LINES[:21] + ["21\tprover->verifier\tverdict\tabort"],
+        4355253921785003508),
     "zeno-broken-variant": (
         audit.zeno_demo_circuit(2, 2), (1,), qpip.zeno_prover(e=2, n_per=2),
         True, 303, "reject", None, 96,
@@ -663,6 +671,28 @@ def test_poly_frame_rejects_dense_policies():
     with pytest.raises(ValueError):
         qpip.run_poly_qpip(circ, (0,), P, prover, rng,
                            engine="logical-frame")
+
+
+@pytest.mark.parametrize("engine, prover, message", [
+    ("clifford", qpip.ProverImpl(name="plan",
+                                 pauli_plan={1: ((0, X_ON_DATA),)}),
+     "bare Pauli plan"),
+    ("dense", qpip.ProverImpl(name="plan", pauli_plan={
+        1: ((0, pa.SymbolicPauli.identity(Q, M)),)}), "bare Pauli plan"),
+    ("dense", qpip.scripted_prover([], misreport_round=1), "misreport"),
+    ("logical-frame", qpip.ProverImpl(name="misreport", pauli_plan={},
+                                      misreport_round=1), "misreport"),
+])
+def test_engines_refuse_prover_fields_they_cannot_honour(engine, prover,
+                                                         message):
+    rng = qc.make_rng(22)
+    with pytest.raises(ValueError, match=message):
+        if engine == "clifford":
+            qpip.run_clifford_qpip(qpip.CircuitIR(1, 2, (identity_gate(),)),
+                                   (1,), 2, prover, rng)
+        else:
+            qpip.run_poly_qpip(qpip.CircuitIR(1, Q, ()), (0,), P, prover,
+                               rng, engine=engine)
 
 
 def test_poly_dense_rejects_toffoli_circuits():

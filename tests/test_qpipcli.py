@@ -378,6 +378,8 @@ def test_replay_rejects_malformed_envelopes(tmp_path, capsys, corrupt,
     ["qas-clifford", "--e", "2"],
     ["qpip-clifford", "--e", "3"],
     ["scan-signkey", "--q", "7", "--d", "2", "--alphas", "1,2,3,4,5"],
+    # the qudit engines cannot honour a misreporting prover
+    ["qpip-poly", "--adversary", "misreport:1", "--trials", "2"],
 ])
 def test_refused_runs_exit_2_without_a_traceback(tmp_path, capsys, argv):
     """A size the library refuses is a run error, not a failing verdict."""
