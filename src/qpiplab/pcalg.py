@@ -190,10 +190,11 @@ class CliffordElement:
     `key` is the element's tableau: for each of the 2n generators X_0, Z_0,
     X_1, ... the image (j, phase) with u P u^dag = i^phase B_j, B_j the
     Pauli basis element of index j.  Equal keys iff the unitaries agree
-    modulo global phase.
+    modulo global phase.  It is the key passed in (the enumeration's, by
+    table lookup), else `conjugation_key(matrix)`, computed on first read.
     """
 
-    __slots__ = ("n", "matrix", "generator_word", "key", "_dagger")
+    __slots__ = ("n", "matrix", "generator_word", "_key", "_dagger")
 
     def __init__(self, n: int, matrix: UnitaryMatrix,
                  generator_word: tuple[str, ...] | None,
@@ -201,8 +202,14 @@ class CliffordElement:
         self.n = n
         self.matrix = matrix
         self.generator_word = generator_word
-        self.key = key if key is not None else conjugation_key(matrix.entries, n)
+        self._key = key
         self._dagger: np.ndarray | None = None
+
+    @property
+    def key(self) -> tuple:
+        if self._key is None:
+            self._key = conjugation_key(self.matrix.entries, self.n)
+        return self._key
 
     def dagger_matrix(self) -> np.ndarray:
         """u^dag, computed on first use and shared (read-only) after."""
@@ -237,8 +244,8 @@ def _generator_indices(n: int) -> list[int]:
 def conjugation_key(u: np.ndarray, n: int) -> tuple:
     """Dense key: images of the 2n Pauli generators incl. phase.
 
-    The reference the table-composed keys are checked against; it costs
-    one dense conjugation per generator.
+    The reference the table-composed keys are checked against, and the
+    key of a sampled element; it costs one dense conjugation per generator.
     """
     gens = qubit_pauli_basis(n)[_generator_indices(n)]
     return tuple(_as_paulis(u @ gens @ u.conj().T, n))
@@ -337,11 +344,8 @@ def _symp(u: int, v: int) -> int:
     return (((u & (v >> 1)) ^ ((u >> 1) & v)) & _EVEN_BITS).bit_count() & 1
 
 
-_BIT_WEIGHTS = 1 << np.arange(16)
-
-
 def _to_int(bits: np.ndarray) -> int:
-    return int(bits @ _BIT_WEIGHTS[:len(bits)])
+    return sum(b << i for i, b in enumerate(bits.tolist()))
 
 
 def _pauli_index(v: int, n: int) -> int:
@@ -418,35 +422,41 @@ def _transvection_unitary(v: int, n: int) -> np.ndarray:
     return out
 
 
+def _wrap_level(mat: np.ndarray, tv: Sequence[int], level: int) -> np.ndarray:
+    """prod_level @ (I (x) mat), prod_level the level's transvections."""
+    half = len(mat)
+    lifted = np.zeros((2 * half, 2 * half), dtype=np.complex128)
+    lifted[:half, :half] = lifted[half:, half:] = mat  # I (x) mat
+    prod = np.eye(2 ** level, dtype=np.complex128)
+    for v in tv:
+        prod = _transvection_unitary(v, level) @ prod
+    return prod @ lifted
+
+
 @lru_cache(maxsize=None)
-def _transvection_table(v: int, level: int,
-                        n: int) -> tuple[tuple[int, ...], ...]:
-    """Image table of the level's transvection acting on the last wires."""
-    u = np.kron(np.eye(2 ** (n - level)), _transvection_unitary(v, level))
-    return _image_table(u, n)
+def _inner_levels(levels: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Product of the levels below the outermost, memoised read-only by
+    their transvections: at n = 3 at most 6 * 120 = 720 4x4 matrices."""
+    mat = np.ones((1, 1), dtype=np.complex128)
+    for level, tv in enumerate(reversed(levels), start=1):
+        mat = _wrap_level(mat, tv, level)
+    mat.setflags(write=False)  # cached: shared by every caller
+    return mat
 
 
 def _symplectic_matrix(levels: list[list[int]]) -> np.ndarray:
     """Dense unitary prod_n @ (I (x) (prod_{n-1} @ (I (x) ...)))."""
-    mat = np.ones((1, 1), dtype=np.complex128)
-    for level, tv in enumerate(reversed(levels), start=1):
-        half = len(mat)
-        lifted = np.zeros((2 * half, 2 * half), dtype=np.complex128)
-        lifted[:half, :half] = lifted[half:, half:] = mat  # I (x) mat
-        prod = np.eye(2 ** level, dtype=np.complex128)
-        for v in tv:
-            prod = _transvection_unitary(v, level) @ prod
-        mat = prod @ lifted
-    return mat
+    inner = _inner_levels(tuple(map(tuple, levels[1:])))
+    return _wrap_level(inner, levels[0], len(levels))
 
 
 def sample_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
     """Uniform random Clifford element modulo phase.
 
     n <= 2 draws from the exact enumeration; n = 3 uses the symplectic
-    transvection construction followed by a uniform Pauli, keyed by
-    composing the factors' Pauli-image tables (Pauli first, then the
-    inner levels, then the outer).
+    transvection construction followed by a uniform Pauli.  No key is
+    composed at n = 3: the element's `key` is computed from its matrix
+    only if read.
     """
     if n in (1, 2):
         table = enumerate_clifford(n)
@@ -455,14 +465,10 @@ def sample_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
         raise ValueError("sampling supports n <= 3")
     levels = _symplectic_draw(n, rng)
     p = _pauli_index(_to_int(rng.integers(0, 2, size=2 * n)), n)
-    key = tuple((j, 2 * _symp(p, j)) for j in _generator_indices(n))
-    for level, tv in enumerate(reversed(levels), start=1):
-        for v in tv:
-            key = _compose_key(_transvection_table(v, level, n), key)
     m = _symplectic_matrix(levels) @ qubit_pauli_basis(n)[p]
     shape = RegisterShape((2,) * n)
     return CliffordElement(n, UnitaryMatrix(shape, m, check_unitary=False),
-                           None, key)
+                           None)
 
 
 # ------------------------------------------------------- group averaging

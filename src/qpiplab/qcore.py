@@ -336,7 +336,8 @@ def _project_raw(amps: np.ndarray, dims: tuple[int, ...],
     prob = float(np.vdot(branch, branch).real)
     if prob < 1e-12:
         raise ValueError("projection onto a numerically zero branch")
-    return prob, branch.reshape(-1) / math.sqrt(prob)
+    branch[sl] /= math.sqrt(prob)
+    return prob, branch.reshape(-1)
 
 
 def _measure_raw(amps: np.ndarray, dims: tuple[int, ...],
@@ -344,15 +345,19 @@ def _measure_raw(amps: np.ndarray, dims: tuple[int, ...],
                  ) -> tuple[tuple[int, ...], np.ndarray]:
     """Born-rule measurement of the listed wires of a flat amplitude vector.
 
-    The one measurement kernel (unchecked wires): one `rng.choice` draw,
-    then the renormalised post-measurement amplitudes.
+    The one measurement kernel (unchecked wires): the draw that
+    `rng.choice(len(probs), p=probs / total)` makes, one `rng.random()`
+    against the normalised cumulative sum, without choice's argument
+    checks; then the renormalised post-measurement amplitudes.
     """
     plan = _wire_plan(dims, wires)
     probs = _probabilities_raw(amps, dims, plan)
     total = probs.sum()
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"probabilities sum to {total}")
-    flat = int(rng.choice(len(probs), p=probs / total))
+    cdf = (probs / total).cumsum()
+    cdf /= cdf[-1]
+    flat = int(cdf.searchsorted(rng.random(), side="right"))
     outcome = _index_to_digits(flat, plan.moved_dims[:len(wires)])
     return outcome, _project_raw(amps, dims, wires, outcome)[1]
 

@@ -135,12 +135,15 @@ class CircuitIR:
 
 
 @lru_cache(maxsize=None)
-def _plain_logical_matrix(tag: pc.LogicalGateTag, q: int) -> qc.UnitaryMatrix:
-    """Action of a logical gate on bare qudits (the unencoded reference).
+def _plain_logical_matrix(tag: pa.GateTag | pc.LogicalGateTag,
+                          q: int) -> qc.UnitaryMatrix:
+    """Library or logical gate acting on bare qudits (the plain reference).
 
     Memoised per (tag, q); the matrix is read-only, shared by every caller.
     """
-    if tag.name in ("LX", "LZ"):
+    if isinstance(tag, pa.GateTag):
+        u = pa.gate_matrix(tag, q)
+    elif tag.name in ("LX", "LZ"):
         x, z = (tag.param % q, 0) if tag.name == "LX" else (0, tag.param % q)
         u = qc.UnitaryMatrix(qc.RegisterShape((q,)),
                              pa.pauli_matrix_1(q, x, z), check_unitary=False)
@@ -165,13 +168,9 @@ def apply_circuit_plain(circuit: CircuitIR,
     """Run the circuit on bare wires with no authentication layer."""
     q = circuit.wire_dim
     for g in circuit.gates:
-        if isinstance(g.op, qc.UnitaryMatrix):
-            state = qc.apply_on_wires(state, g.op, g.wires)
-        elif isinstance(g.op, pa.GateTag):
-            state = qc.apply_on_wires(state, pa.gate_matrix(g.op, q), g.wires)
-        else:
-            state = qc.apply_on_wires(state, _plain_logical_matrix(g.op, q),
-                                      g.wires)
+        op = g.op if isinstance(g.op, qc.UnitaryMatrix) else \
+            _plain_logical_matrix(g.op, q)
+        state = qc.apply_on_wires(state, op, g.wires)
     return state
 
 
@@ -685,8 +684,8 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
         if gate is None:
             break
         data = tuple(block_wires[b][0] for b in touched)
-        op = pa.gate_matrix(gate.op, 2) if isinstance(gate.op, pa.GateTag) \
-            else gate.op
+        op = gate.op if isinstance(gate.op, qc.UnitaryMatrix) else \
+            _plain_logical_matrix(gate.op, 2)
         amps = qc._apply_raw(amps, dims, op.entries, data)
         for b in touched:
             if not broken_variant:

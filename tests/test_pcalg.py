@@ -243,19 +243,22 @@ def test_three_qubit_sampler_preserves_form():
         assert np.array_equal((s.T @ jmat @ s) % 2, jmat)
 
 
+def test_three_qubit_inner_level_memo_stays_bounded():
+    # the levels below the outermost take 6 * 120 = 720 transvection
+    # tuples at n = 3, so the memo can never hold more
+    pa._inner_levels.cache_clear()
+    rng = qc.make_rng(106)
+    for _ in range(5000):
+        pa.sample_clifford(3, rng)
+    assert pa._inner_levels.cache_info().currsize <= 720
+
+
 # ------------------------------------------- table-composed keys vs dense
 
 def test_enumerated_keys_match_dense_key():
     for n in (1, 2):
         for e in pa.enumerate_clifford(n):
             assert e.key == pa.conjugation_key(e.matrix.entries, n)
-
-
-def test_three_qubit_keys_match_dense_key():
-    rng = qc.make_rng(106)
-    for _ in range(300):
-        e = pa.sample_clifford(3, rng)
-        assert e.key == pa.conjugation_key(e.matrix.entries, 3)
 
 
 # Oracle: the dense transvection construction on numpy bit-vectors, with a

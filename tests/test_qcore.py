@@ -385,30 +385,51 @@ def test_apply_on_wires_matches_the_embedded_unitary(wires):
     assert np.allclose(got, full @ state.amplitudes, atol=1e-12)
 
 
+def skewed_state(dims, rng) -> qc.StateVector:
+    """A random state whose Born weights span 18 decades, so some outcomes
+    are all but impossible and the cumulative sum has near-flat steps."""
+    dim = int(np.prod(dims))
+    v = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) \
+        * 10.0 ** -rng.integers(0, 10, size=dim)
+    return qc.StateVector(qc.RegisterShape(dims), v / np.linalg.norm(v))
+
+
 def measure_oracle(state: qc.StateVector, wires, rng):
-    """Test-only oracle, not the code under test: the composition that
-    `measure_wires` was before the one measurement kernel existed, namely
-    the Born distribution, one `rng.choice` draw, then the projection."""
-    probs = qc.measurement_probabilities(state, wires)
+    """Test-only oracle, sharing no code with the measurement kernel: the
+    Born distribution of the wires moved to the front, one
+    `Generator.choice` draw, then projection by zero-fill and slice copy,
+    renormalised by the full-vector `vdot` norm."""
+    wires = tuple(wires)
+    dims = state.shape.dims
+    sub = tuple(dims[w] for w in wires)
+    psi = state.amplitudes.reshape(dims)
+    moved = np.moveaxis(psi, wires, tuple(range(len(wires))))
+    probs = (np.abs(moved.reshape(int(np.prod(sub)), -1)) ** 2).sum(axis=1)
     flat = int(rng.choice(len(probs), p=probs / probs.sum()))
-    sub = qc.RegisterShape(tuple(state.shape.dims[w] for w in wires))
-    outcome = sub.index_to_digits(flat)
-    _, post = qc.project_wires(state, wires, outcome)
-    return outcome, post
+    outcome = tuple(int(d) for d in np.unravel_index(flat, sub))
+    sl = [slice(None)] * len(dims)
+    for w, o in zip(wires, outcome):
+        sl[w] = o
+    branch = np.zeros_like(psi)
+    branch[tuple(sl)] = psi[tuple(sl)]
+    post = branch.reshape(-1) / np.sqrt(np.vdot(branch, branch).real)
+    return outcome, qc.StateVector(state.shape, post, check_norm=False)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_measure_wires_matches_the_oracle(seed):
     rng = qc.make_rng(500 + seed)
     dims = ((2, 3, 5, 2), (5, 5, 5), (2, 2, 2, 2, 2))[seed % 3]
-    state = random_state(dims, rng)
-    for _ in range(6):
-        k = int(rng.integers(1, len(dims) + 1))
-        wires = tuple(int(w) for w in rng.permutation(len(dims))[:k])
-        ours, oracle = qc.make_rng(seed), qc.make_rng(seed)
-        for _ in range(3):
-            got = qc.measure_wires(state, wires, ours)
-            want = measure_oracle(state, wires, oracle)
-            assert got[0] == want[0]
-            assert np.array_equal(got[1].amplitudes, want[1].amplitudes)
-        assert int(ours.integers(2 ** 62)) == int(oracle.integers(2 ** 62))
+    for state in (random_state(dims, rng),
+                  skewed_state(dims, qc.make_rng(600 + seed))):
+        for _ in range(6):
+            k = int(rng.integers(1, len(dims) + 1))
+            wires = tuple(int(w) for w in rng.permutation(len(dims))[:k])
+            ours, oracle = qc.make_rng(seed), qc.make_rng(seed)
+            for _ in range(8):
+                got = qc.measure_wires(state, wires, ours)
+                want = measure_oracle(state, wires, oracle)
+                assert got[0] == want[0]
+                assert np.array_equal(got[1].amplitudes, want[1].amplitudes)
+            assert int(ours.integers(2 ** 62)) == \
+                int(oracle.integers(2 ** 62))
