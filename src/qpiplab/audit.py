@@ -319,34 +319,32 @@ def _pad_average(rho: np.ndarray, q: int, m: int) -> np.ndarray:
 
     Both halves are computed numerically: the phase half through the
     explicit character kernel, the shift half by summing the q^m shifted
-    conjugates.
+    conjugates.  Each shift is gathered, entry (a, b) reading entry
+    (a - s, b - s), and the shifts are added in index order.
     """
-    dim = q ** m
-    grid = np.indices((q,) * m).reshape(m, -1)
+    dim, dims = q ** m, (q,) * m
+    grid = pc._digit_grid(q, m)
     phases = np.exp(2j * np.pi / q * (grid.T @ grid))
     kernel = (phases @ phases.conj().T) / dim
     dephased = rho * kernel
     out = np.zeros_like(dephased)
-    idx = np.arange(dim)
     for shift in range(dim):
-        sdig = np.array(np.unravel_index(shift, (q,) * m))
-        perm = np.ravel_multi_index(
-            tuple((grid + sdig[:, None]) % q), (q,) * m)
-        out[np.ix_(perm, perm)] += dephased[np.ix_(idx, idx)]
+        sdig = np.array(np.unravel_index(shift, dims))
+        back = np.ravel_multi_index(tuple((grid - sdig[:, None]) % q), dims)
+        out += dephased.take(back, axis=0).take(back, axis=1)
     return out / dim
 
 
 def _poly_block_view(digit: int, p: pc.CodeParams) -> np.ndarray:
-    """Exact one-block prover view: full sign-key and Pauli-pad average."""
+    """Exact one-block prover view: full sign-key and Pauli-pad average.
+
+    The pad twirl is linear, so the sign-key average is twirled once.
+    """
     base = qc.basis_state(qc.RegisterShape((p.q,)), (digit,))
     keys = pc.all_sign_keys(p.m)
-    dim = p.q ** p.m
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for sign in keys:
-        enc = pc.encode_Ek(base, sign, p)
-        acc += _pad_average(np.outer(enc.amplitudes, enc.amplitudes.conj()),
-                            p.q, p.m)
-    return acc / len(keys)
+    encs = (pc.encode_Ek(base, sign, p).amplitudes for sign in keys)
+    acc = sum(np.outer(v, v.conj()) for v in encs)
+    return _pad_average(acc / len(keys), p.q, p.m)
 
 
 def _dm(entries: np.ndarray, shape: qc.RegisterShape) -> qc.DensityMatrix:
@@ -555,7 +553,9 @@ def _policy_block_pauli(prover: qpip.ProverImpl, q: int,
 @lru_cache(maxsize=4)
 def _c2_stack(m: int) -> np.ndarray:
     els = pa.enumerate_clifford(m)
-    return np.stack([el.matrix.entries for el in els])
+    stack = np.stack([el.matrix.entries for el in els])
+    stack.setflags(write=False)  # cached: shared by every caller
+    return stack
 
 
 def _clifford_confidence(prover: qpip.ProverImpl, e: int,
@@ -663,13 +663,13 @@ def _codespace_matrix(k: pc.SignKey, p: pc.CodeParams) -> np.ndarray:
                             for a in range(p.q)])
 
 
-def _apply_symbolic(vec: np.ndarray, op: pa.SymbolicPauli,
+def _apply_symbolic(vecs: np.ndarray, op: pa.SymbolicPauli,
                     q: int, m: int) -> np.ndarray:
-    """Apply a block Pauli to a dense q^m vector without building matrices."""
-    grid = np.indices((q,) * m).reshape(m, -1)
+    """Apply a block Pauli to the columns of a dense q^m by n array."""
+    grid = pc._digit_grid(q, m)
     src = np.ravel_multi_index(tuple((grid - op.x[:, None]) % q), (q,) * m)
     phases = np.exp(2j * np.pi / q * (op.z @ ((grid - op.x[:, None]) % q)))
-    return phases * vec[src]
+    return phases[:, None] * vecs[src]
 
 
 def _footprint_check(part: str, every_polynomial: bool) -> Callable:
@@ -687,38 +687,42 @@ def _footprint_check(part: str, every_polynomial: bool) -> Callable:
         res = 0.0
         for k in pc.all_sign_keys(m):
             kk = k.residues(q)
+            words = _codespace_matrix(k, p)
             for idx in range(q ** (p.d + 1)) if every_polynomial else (1,):
                 coeffs = [(idx // q ** t) % q for t in range(p.d + 1)]
                 evals = np.array([kk[i] * pc.poly_eval(coeffs, al, q) % q
                                   for i, al in enumerate(p.alphas)])
                 fp = (pa.SymbolicPauli(q, evals, zero) if part == "x" else
                       pa.SymbolicPauli(q, zero, np.array(p.interp_c) * evals))
-                for a in range(q):
-                    word = pc.codeword_state(a, k, p).amplitudes
-                    got = _apply_symbolic(word, fp, q, m)
-                    want = (pc.codeword_state((a + coeffs[0]) % q, k,
-                                              p).amplitudes if part == "x"
-                            else omega ** (coeffs[0] * a) * word)
-                    res = max(res, float(np.max(np.abs(got - want))))
+                got = _apply_symbolic(words, fp, q, m)
+                want = (words[:, (np.arange(q) + coeffs[0]) % q]
+                        if part == "x" else words * np.array(
+                            [omega ** (coeffs[0] * a) for a in range(q)]))
+                res = max(res, float(np.max(np.abs(got - want))))
         return res
     return check
 
 
 def _check_logical_sum(rng, cvec, p) -> float:
-    q = p.q
-    sum1 = pc._sum_power(1, q)
-    res = 0.0
-    for k in pc.all_sign_keys(p.m):
-        for a in range(q):
-            for b in range(q):
-                state = qc.tensor(pc.codeword_state(a, k, p),
-                                  pc.codeword_state(b, k, p))
-                for i in range(p.m):
-                    state = qc.apply_on_wires(state, sum1, (i, p.m + i))
-                want = qc.tensor(pc.codeword_state(a, k, p),
-                                 pc.codeword_state((a + b) % q, k, p))
-                res = max(res, float(np.max(np.abs(state.amplitudes
-                                                   - want.amplitudes))))
+    """Transversal SUM takes |S_a^k>|S_b^k> to |S_a^k>|S_{a+b}^k>.
+
+    SUM's matrix must be 0/1, one 1 a row; its index map is then exact.
+    """
+    q, m = p.q, p.m
+    sum1 = pc._sum_power(1, q).entries
+    pair_src = np.argmax(sum1, axis=1)
+    res = float(np.max(np.abs(sum1 - np.eye(q * q)[pair_src])))
+    grid = pc._digit_grid(q, 2 * m)
+    moved = pair_src[grid[:m] * q + grid[m:]]
+    src = np.ravel_multi_index(tuple(np.concatenate([moved // q, moved % q])),
+                               (q,) * (2 * m))
+    for k in pc.all_sign_keys(m):
+        w = _codespace_matrix(k, p).T
+        for a in range(q):  # row b: |S_a^k>|S_b^k>
+            state = (w[a, :, None] * w[:, None, :]).reshape(q, -1)
+            want = state[(a + np.arange(q)) % q]
+            res = max(res, float(np.max(np.abs(state.take(src, axis=1)
+                                               - want))))
     return res
 
 
@@ -978,8 +982,7 @@ def _check_pauli_criterion(rng, cvec, p) -> float:
                 continue
             op = pa.SymbolicPauli(q, x, z)
             predicted = pc.is_k_correlated(op, k, p)
-            cols = np.column_stack([
-                _apply_symbolic(w[:, a], op, q, m) for a in range(q)])
+            cols = _apply_symbolic(w, op, q, m)
             overlap = float(np.max(np.abs(w.conj().T @ cols)))
             if predicted != (overlap > 0.5):
                 mismatches += 1
@@ -1036,8 +1039,7 @@ def _check_uncorrelated_action(rng, cvec, p) -> float:
             op = pa.SymbolicPauli(q, x, z)
             if pc.is_k_correlated(op, k, p):
                 continue
-            cols = np.column_stack([
-                _apply_symbolic(w[:, a], op, q, m) for a in range(q)])
+            cols = _apply_symbolic(w, op, q, m)
             res = max(res, float(np.max(np.abs(w.conj().T @ cols))))
             done += 1
     return res
@@ -1058,13 +1060,12 @@ def _check_teleportation_uniformity(rng, cvec, p) -> float:
     for beta_idx in range(q ** 3):
         beta = shape3.index_to_digits(beta_idx)
         _, branch = qc.project_wires(state, (0, 1, 2), beta)
+        out = qc.StateVector(shape3, branch.amplitudes.reshape(
+            q ** 3, q ** 3)[beta_idx], check_norm=False)
         for tag, blocks in qpip.toffoli_correction_tags(*beta, q):
-            branch = qc.apply_on_wires(
-                branch, qpip._plain_logical_matrix(tag, q),
-                tuple(3 + b for b in blocks))
-        vec = branch.amplitudes.reshape(q ** 3, q ** 3)[
-            shape3.digits_to_index(beta)]
-        vec = vec / np.linalg.norm(vec)
+            out = qc.apply_on_wires(
+                out, qpip._plain_logical_matrix(tag, q), blocks)
+        vec = out.amplitudes / np.linalg.norm(out.amplitudes)
         res = max(res, float(abs(abs(np.vdot(want.amplitudes, vec)) - 1)))
     return res
 

@@ -243,12 +243,17 @@ def _dk_maps(k: tuple[int, ...], p: CodeParams) -> tuple[np.ndarray, np.ndarray]
     # finish the message wire from the Fourier wires
     for i in range(1, d + 1):
         lmap = add_multiple(0, i, int(h[i, 0]) * kk[i] * kk[0]) @ lmap % q
-    return lmap, mat_inv_mod(lmap, q)
+    linv = mat_inv_mod(lmap, q)
+    lmap.setflags(write=False)  # cached: shared by every caller
+    linv.setflags(write=False)
+    return lmap, linv
 
 
 @lru_cache(maxsize=None)
 def _digit_grid(q: int, m: int) -> np.ndarray:
-    return np.indices((q,) * m).reshape(m, -1)
+    grid = np.indices((q,) * m).reshape(m, -1)
+    grid.setflags(write=False)  # cached: shared by every caller
+    return grid
 
 
 def _perm_from_linear(lmap: np.ndarray, q: int) -> np.ndarray:
@@ -262,8 +267,15 @@ def codeword_state(a: int, k: SignKey, p: CodeParams) -> qc.StateVector:
     """|S_a^k>: equal superposition of signed evaluation vectors.
 
     Built by direct enumeration of the q^d polynomials with f(0) = a;
-    this is the reference the circuit encoder is tested against.
+    this is the reference the circuit encoder is tested against.  The
+    state is memoised per (a mod q, k, p), at most q 2^m per code, and
+    shared by every caller, so its amplitudes are read-only.
     """
+    return _codeword_state(int(a) % p.q, k, p)
+
+
+@lru_cache(maxsize=None)
+def _codeword_state(a: int, k: SignKey, p: CodeParams) -> qc.StateVector:
     q, d, m = p.q, p.d, p.m
     shape = p.shape()
     amps = np.zeros(shape.dim, dtype=np.complex128)
@@ -275,6 +287,7 @@ def codeword_state(a: int, k: SignKey, p: CodeParams) -> qc.StateVector:
                        for i, al in enumerate(p.alphas))
         amps[shape.digits_to_index(digits)] = 1.0
     amps /= np.sqrt(q ** d)
+    amps.setflags(write=False)
     return qc.StateVector(shape, amps)
 
 

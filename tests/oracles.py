@@ -13,6 +13,10 @@ CLI run, audit or engine calls it.
   permutations.
 - `pqas_average_literal` sums the polynomial-QAS experiment over every
   key; `polyauth.pqas_security_experiment` uses a closed form.
+- `pad_average_scatter` twirls a density over the Pauli pads by scattering
+  each shifted copy; `audit._pad_average` gathers them.
+- `poly_block_view_per_key` twirls every sign key's encoded state on its
+  own; `audit._poly_block_view` twirls their average once.
 - `run_qpip_sym` is the paper's symmetric wrapper ("any language in BQP
   has a QPIP"): the prover's claim picks the side to verify, and the
   outcome is 1, 0 or ABORT.
@@ -230,6 +234,36 @@ def pqas_average_literal(p: pc.CodeParams, psi: qc.StateVector,
             total += float(np.einsum("ra,ab,rb->", sector.conj(), proj,
                                      sector, optimize=True).real)
     return total / (len(keys) * db * db)
+
+
+def pad_average_scatter(rho: np.ndarray, q: int, m: int) -> np.ndarray:
+    """Pauli-pad average of a q^m-dim density, each shift scattered."""
+    dim = q ** m
+    grid = np.indices((q,) * m).reshape(m, -1)
+    phases = np.exp(2j * np.pi / q * (grid.T @ grid))
+    kernel = (phases @ phases.conj().T) / dim
+    dephased = rho * kernel
+    out = np.zeros_like(dephased)
+    idx = np.arange(dim)
+    for shift in range(dim):
+        sdig = np.array(np.unravel_index(shift, (q,) * m))
+        perm = np.ravel_multi_index(
+            tuple((grid + sdig[:, None]) % q), (q,) * m)
+        out[np.ix_(perm, perm)] += dephased[np.ix_(idx, idx)]
+    return out / dim
+
+
+def poly_block_view_per_key(digit: int, p: pc.CodeParams) -> np.ndarray:
+    """One-block prover view, each sign key's state twirled on its own."""
+    base = qc.basis_state(qc.RegisterShape((p.q,)), (digit,))
+    keys = pc.all_sign_keys(p.m)
+    dim = p.q ** p.m
+    acc = np.zeros((dim, dim), dtype=np.complex128)
+    for sign in keys:
+        enc = pc.encode_Ek(base, sign, p)
+        acc += pad_average_scatter(
+            np.outer(enc.amplitudes, enc.amplitudes.conj()), p.q, p.m)
+    return acc / len(keys)
 
 
 # ---------------------------------------------------------- Clifford keys

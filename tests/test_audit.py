@@ -298,6 +298,43 @@ def test_blindness_poly_exact_hides_the_input():
     assert max(rep.detail["distances"]["pair0-mixed"]) < 1e-8
 
 
+def _random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
+    v = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    rho = v @ v.conj().T
+    return rho / np.trace(rho)
+
+
+@pytest.mark.parametrize("q, m", [(3, 3), (5, 3)])
+def test_pad_average_gather_equals_the_scatter_oracle(q, m):
+    rho = _random_density(q ** m, qc.make_rng(q))
+    assert np.array_equal(audit._pad_average(rho, q, m),
+                          oracles.pad_average_scatter(rho, q, m))
+
+
+def test_pad_average_is_the_mean_pauli_conjugate():
+    q, m = 3, 2
+    rho = _random_density(q ** m, qc.make_rng(7))
+    paulis = pa.all_pauli_matrices(q, m)
+    want = np.mean(paulis @ rho @ paulis.conj().transpose(0, 2, 1), axis=0)
+    assert np.max(np.abs(audit._pad_average(rho, q, m) - want)) < 1e-12
+
+
+def test_poly_block_view_twirls_the_key_average_once():
+    p = pc.CodeParams()
+    for digit in range(p.q):
+        got = audit._poly_block_view(digit, p)
+        want = oracles.poly_block_view_per_key(digit, p)
+        assert np.max(np.abs(got - want)) < 1e-14
+
+
+def test_cached_arrays_are_read_only():
+    p = pc.CodeParams()
+    lmap, linv = pc._dk_maps(pc.all_sign_keys(p.m)[3].k, p)
+    for arr in (pc._digit_grid(p.q, p.m), lmap, linv, audit._c2_stack(1)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = arr.flat[0]
+
+
 def test_blindness_clifford_sampled_converges():
     pair = ((one_qubit_circuit("H"), (0,)), (one_qubit_circuit("K"), (1,)))
     rep = audit.blindness_audit("clifford", [pair], key_average="sampled",
@@ -461,6 +498,19 @@ def test_lemma_suite_fault_injection_localizes():
     failed = {name for name, res in by_name.items() if not res < 1e-8}
     assert failed == {"interpolation-weights", "logical-fourier"}
     assert by_name["interpolation-weights"] >= 1.0
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.3])
+def test_logical_sum_check_catches_a_wrong_sum(monkeypatch, phase):
+    q = pc.CodeParams().q
+    # SUM^2, or SUM with a phase on one row: neither is logical SUM
+    wrong = np.array(pc._sum_power(1 if phase else 2, q).entries,
+                     dtype=np.complex128)
+    wrong[q + 1] *= np.exp(1j * phase)
+    monkeypatch.setattr(pc, "_sum_power", lambda t, q: qc.UnitaryMatrix(
+        qc.RegisterShape((q, q)), wrong, check_unitary=False))
+    ledger = audit.lemma_suite(scope="logical-sum", seed=0)
+    assert ledger.verdict == "fail" and ledger.estimate > 0.1
 
 
 def test_lemma_suite_scope_selection():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, assume
 from hypothesis import strategies as st
 
+from qpiplab import audit
 from qpiplab import pcalg as pa
 from qpiplab import polycode as pc
 from qpiplab import qcore as qc
@@ -68,6 +69,25 @@ def test_codeword_plain_key_support():
         want[P.shape().digits_to_index((b, 2 * b % Q, 3 * b % Q))] = 1
     want /= np.sqrt(Q)
     assert np.allclose(state.amplitudes, want)
+
+
+def test_codeword_states_are_memoised_and_read_only():
+    k = KEYS[5]
+    state = pc.codeword_state(2, k, P)
+    with pytest.raises(ValueError, match="read-only"):
+        state.amplitudes[0] = 1.0
+    assert pc.codeword_state(2 + Q, k, P) is state
+    assert pc.codeword_state(2 - Q, k, P) is state
+    for k in KEYS:
+        for a in range(Q):
+            assert np.max(np.abs(pc.codeword_state(a, k, P).amplitudes
+                                 - encode_basis(a, k).amplitudes)) < 1e-12
+
+
+def test_codeword_memo_holds_one_state_per_digit_and_key():
+    pc._codeword_state.cache_clear()
+    audit.lemma_suite()
+    assert pc._codeword_state.cache_info().currsize <= Q * 2 ** M
 
 
 def test_codewords_orthonormal():
