@@ -77,9 +77,12 @@ def gate(claim: str, epsilon: float, estimate: float,
     holds = low < limit if strict else low <= limit
     sign = ("<" if strict else "<=") if holds else (">=" if strict else ">")
     what = "value" if interval[1] == low else "interval low end"
+    # rounded as payloads round their floats, so a last-bit move in a
+    # residual near 1e-16 leaves the canonical payload unchanged
     return AuditRecord(claim, epsilon, estimate, interval,
                        "pass" if holds else "fail",
-                       f"{what} {low:.6g} {sign} limit {limit:.6g}", detail)
+                       f"{what} {round(low, 12):.6g} {sign} limit {limit:.6g}",
+                       detail)
 
 
 # --------------------------------------------------------- prover names
@@ -558,6 +561,19 @@ def _c2_stack(m: int) -> np.ndarray:
     return stack
 
 
+@lru_cache(maxsize=4)
+def _c2_tableau(m: int) -> np.ndarray:
+    """The tableau keys of C_m stacked: (elements, 2m, 2) integers.
+
+    Row g of element u is the image u P_g u^dag = i^phase B_j of the
+    generator P_g (X_0, Z_0, X_1, ...) as (j, phase).
+    """
+    tab = np.array([el.key for el in pa.enumerate_clifford(m)],
+                   dtype=np.int64)
+    tab.setflags(write=False)  # cached: shared by every caller
+    return tab
+
+
 def _clifford_confidence(prover: qpip.ProverImpl, e: int,
                          input_bit: int) -> tuple[float, float]:
     """(beta, distance) of the exact key-group average."""
@@ -663,13 +679,75 @@ def _codespace_matrix(k: pc.SignKey, p: pc.CodeParams) -> np.ndarray:
                             for a in range(p.q)])
 
 
-def _apply_symbolic(vecs: np.ndarray, op: pa.SymbolicPauli,
-                    q: int, m: int) -> np.ndarray:
-    """Apply a block Pauli to the columns of a dense q^m by n array."""
-    grid = pc._digit_grid(q, m)
-    src = np.ravel_multi_index(tuple((grid - op.x[:, None]) % q), (q,) * m)
-    phases = np.exp(2j * np.pi / q * (op.z @ ((grid - op.x[:, None]) % q)))
-    return phases[:, None] * vecs[src]
+def _code_supports(k: pc.SignKey, p: pc.CodeParams
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The codewords of one key and the strings each is spread over.
+
+    Returns the `_codespace_matrix` and the (q, q^d) flat indices of the
+    nonzero amplitudes of each |S_a^k>, in index order.
+    """
+    words = _codespace_matrix(k, p)
+    support = [np.flatnonzero(words[:, a]) for a in range(p.q)]
+    if any(len(s) != p.q ** p.d for s in support):
+        raise ValueError("a codeword is not spread over q^d strings")
+    return words, np.array(support)
+
+
+def _pauli_on_strings(x: np.ndarray, z: np.ndarray, support: np.ndarray,
+                      q: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index map and phase exponents of Paulis on basis strings.
+
+    Z^z X^x takes |v> to w^(z.(v + x)) |v + x>.  For Paulis stacked as
+    rows of x and z (n, m) and flat string indices `support` (any
+    shape), returns the flat index of v + x and the exponent z.(v + x)
+    mod q, each of shape (n,) + support.shape.
+    """
+    digits = pc._digit_grid(q, m)[:, support]
+    moved = (digits[None] + x.reshape(x.shape + (1,) * support.ndim)) % q
+    place = q ** np.arange(m - 1, -1, -1)
+    index = np.tensordot(place, moved, axes=(0, 1))
+    phase = np.einsum("nm,nm...->n...", z, moved) % q
+    return index, phase
+
+
+def _logical_failures(x, z, logical_x, logical_z, words, support, q, m
+                      ) -> int:
+    """How many (Pauli, message) pairs break P |S_a> = w^(za) |S_(a+x)>.
+
+    Row n of x and z must act on every codeword as the logical Pauli
+    Z^logical_z[n] X^logical_x[n]: each string of |S_a> lands, with its
+    amplitude unchanged, on a string of |S_(a + logical_x)>, and all of
+    them pick up the one phase exponent logical_z * a.  The shift is a
+    bijection and both codewords cover q^d strings, so this is the
+    identity itself, checked by integer index maps and exponents.
+    """
+    index, phase = _pauli_on_strings(x, z, support, q, m)
+    msg = np.arange(q)
+    target = (msg[None, :] + logical_x[:, None]) % q
+    amps = words[support, msg[:, None]]
+    landed = words[index, target[:, :, None]] == amps[None]
+    phased = phase == (logical_z[:, None] * msg[None, :] % q)[:, :, None]
+    return int(np.count_nonzero(~np.all(landed & phased, axis=2)))
+
+
+def _code_overlap_counts(x: np.ndarray, z: np.ndarray, support: np.ndarray,
+                         q: int, m: int) -> np.ndarray:
+    """Overlaps of Paulis with the code as integer counts, (n, q, q, q).
+
+    Entry [n, a, b, r] counts the strings of |S_a> that Pauli n moves
+    into |S_b> with phase exponent r.  A codeword is the flat
+    superposition over its q^d strings, so |<S_b| P |S_a>| is
+    q^-d |sum_r N_r w^r|: exactly 1 when one N_r holds all q^d strings
+    and, for prime q, exactly 0 when every N_r is equal.
+    """
+    index, phase = _pauli_on_strings(x, z, support, q, m)
+    label = np.full(q ** m, q, dtype=np.int64)  # q: outside the code
+    label[support] = np.arange(q)[:, None]
+    n = len(x)
+    cell = ((np.arange(n)[:, None, None] * q + np.arange(q)[:, None])
+            * (q + 1) + label[index]) * q + phase
+    counts = np.bincount(cell.ravel(), minlength=n * q * (q + 1) * q)
+    return counts.reshape(n, q, q + 1, q)[:, :, :q]
 
 
 def _footprint_check(part: str, every_polynomial: bool) -> Callable:
@@ -678,52 +756,70 @@ def _footprint_check(part: str, every_polynomial: bool) -> Callable:
     For f of degree <= d, X^(k_i f(alpha_i)) on wire i is logical
     X^f(0), and Z^(c_i k_i f(alpha_i)) is logical Z^f(0); `part` picks X
     or Z.  The logical checks take f = 1 only, the correlated checks
-    every f.
+    every f.  The residual counts the (key, f, message) triples where the
+    identity fails (`_logical_failures`).
     """
     def check(rng, cvec, p) -> float:
         q, m = p.q, p.m
-        omega = np.exp(2j * np.pi / q)
-        zero = np.zeros(m, dtype=np.int64)
-        res = 0.0
+        idx = np.arange(q ** (p.d + 1)) if every_polynomial else \
+            np.array([1])
+        coeffs = idx[:, None] // q ** np.arange(p.d + 1) % q
+        powers = np.array([[pow(al, t, q) for t in range(p.d + 1)]
+                           for al in p.alphas], dtype=np.int64)
+        evals = coeffs @ powers.T % q
+        zero = np.zeros_like(evals)
+        none = np.zeros(len(idx), dtype=np.int64)
+        bad = 0
         for k in pc.all_sign_keys(m):
-            kk = k.residues(q)
-            words = _codespace_matrix(k, p)
-            for idx in range(q ** (p.d + 1)) if every_polynomial else (1,):
-                coeffs = [(idx // q ** t) % q for t in range(p.d + 1)]
-                evals = np.array([kk[i] * pc.poly_eval(coeffs, al, q) % q
-                                  for i, al in enumerate(p.alphas)])
-                fp = (pa.SymbolicPauli(q, evals, zero) if part == "x" else
-                      pa.SymbolicPauli(q, zero, np.array(p.interp_c) * evals))
-                got = _apply_symbolic(words, fp, q, m)
-                want = (words[:, (np.arange(q) + coeffs[0]) % q]
-                        if part == "x" else words * np.array(
-                            [omega ** (coeffs[0] * a) for a in range(q)]))
-                res = max(res, float(np.max(np.abs(got - want))))
-        return res
+            words, support = _code_supports(k, p)
+            signed = evals * k.residues(q) % q
+            if part == "x":
+                bad += _logical_failures(signed, zero, coeffs[:, 0], none,
+                                         words, support, q, m)
+            else:
+                z = signed * np.array(p.interp_c) % q
+                bad += _logical_failures(zero, z, none, coeffs[:, 0],
+                                         words, support, q, m)
+        return float(bad)
     return check
 
 
 def _check_logical_sum(rng, cvec, p) -> float:
     """Transversal SUM takes |S_a^k>|S_b^k> to |S_a^k>|S_{a+b}^k>.
 
-    SUM's matrix must be 0/1, one 1 a row; its index map is then exact.
+    SUM's matrix must be a 0/1 permutation matrix; its index map is then
+    exact.  Each string of |S_a^k>|S_{a+b}^k> must read, through that
+    map, a string of |S_a^k>|S_b^k> of the same amplitude: the map is a
+    bijection and both states cover q^(2d) strings, so this is the whole
+    identity.  The residual is the larger of the matrix error and the
+    count of failing (key, a, b).
     """
     q, m = p.q, p.m
     sum1 = pc._sum_power(1, q).entries
     pair_src = np.argmax(sum1, axis=1)
     res = float(np.max(np.abs(sum1 - np.eye(q * q)[pair_src])))
-    grid = pc._digit_grid(q, 2 * m)
-    moved = pair_src[grid[:m] * q + grid[m:]]
-    src = np.ravel_multi_index(tuple(np.concatenate([moved // q, moved % q])),
-                               (q,) * (2 * m))
+    if not np.array_equal(np.sort(pair_src), np.arange(q * q)):
+        res = max(res, 1.0)
+    grid = pc._digit_grid(q, m)
+    place = q ** np.arange(m - 1, -1, -1)
+    msg = np.arange(q)
+    total = (msg[:, None] + msg[None, :]) % q  # [a, b] -> a + b
+    bad = 0
     for k in pc.all_sign_keys(m):
-        w = _codespace_matrix(k, p).T
-        for a in range(q):  # row b: |S_a^k>|S_b^k>
-            state = (w[a, :, None] * w[:, None, :]).reshape(q, -1)
-            want = state[(a + np.arange(q)) % q]
-            res = max(res, float(np.max(np.abs(state.take(src, axis=1)
-                                               - want))))
-    return res
+        words, support = _code_supports(k, p)
+        # per wire, the pair digits of every output string, axes
+        # (wire, a, b, control string, target string)
+        ctrl = grid[:, support][:, :, None, :, None]
+        targ = grid[:, support[total]][:, :, :, None, :]
+        src = pair_src[ctrl * q + targ]
+        have = (words[np.tensordot(place, src // q, axes=1),
+                      msg[:, None, None, None]]
+                * words[np.tensordot(place, src % q, axes=1),
+                        msg[None, :, None, None]])
+        amps = words[support, msg[:, None]]
+        want = amps[:, None, :, None] * amps[total][:, :, None, :]
+        bad += int(np.count_nonzero(~np.all(have == want, axis=(2, 3))))
+    return max(res, float(bad))
 
 
 def _check_interpolation_weights(rng, cvec, p) -> float:
@@ -780,23 +876,29 @@ def _check_decode_diagonalization(rng, cvec, p) -> float:
 
 
 def _check_clifford_decoherence(rng, cvec, p) -> float:
-    stack = _c2_stack(2)
-    pm = np.kron(pa.pauli_matrix_1(2, 1, 0), np.eye(2))
-    pm2 = np.kron(pa.pauli_matrix_1(2, 0, 1),
-                  pa.pauli_matrix_1(2, 0, 1))
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    v /= np.linalg.norm(v)
-    rho = np.outer(v, v.conj())
-    a = np.matmul(stack.conj().transpose(0, 2, 1), np.matmul(pm, stack))
-    b = np.matmul(stack.conj().transpose(0, 2, 1), np.matmul(pm2, stack))
-    cross = np.einsum("kab,bc,kdc->ad", a, rho, b.conj()) / len(stack)
-    return float(np.max(np.abs(cross)))
+    """The Clifford twirl kills the cross term of two distinct Paulis.
+
+    (1/|C_2|) sum_C (C^dag P C) rho (C^dag P' C)^dag vanishes for every
+    rho exactly when, for each pair of images (B_j, B_j') of P = X (x) I
+    and P' = Z (x) Z, the phases i^(phase - phase') sum to zero.  The
+    images are read from the tableau keys (a sum over C is one over
+    C^dag), so the residual is the largest such signed count over
+    |C_2|, an integer sum that is 0 exactly.
+    """
+    tab = _c2_tableau(2)
+    img = tab[:, 0]  # X_0, the generator X (x) I
+    img2 = pa._pauli_product(tab[:, 1], tab[:, 3])  # Z (x) Z
+    phase = (img[:, 1] - img2[:, 1]) & 3
+    counts = np.bincount((img[:, 0] * 16 + img2[:, 0]) * 4 + phase,
+                         minlength=16 * 16 * 4).reshape(16, 16, 4)
+    signed = (counts[..., 0] - counts[..., 2]) \
+        + 1j * (counts[..., 1] - counts[..., 3])
+    return float(np.max(np.abs(signed))) / len(tab)
 
 
 def _check_pauli_decompose(rng, cvec, p) -> float:
-    from scipy.stats import unitary_group
     env = 2
-    u = unitary_group.rvs(4 * env, random_state=rng)
+    u = qc.haar_unitary(4 * env, rng)
     w = pa.pauli_decompose(u, 2, 2, env)
     rebuilt = np.zeros_like(u)
     total = 0.0
@@ -814,19 +916,16 @@ def _check_pauli_decompose(rng, cvec, p) -> float:
 
 
 def _check_pauli_partitioning(rng, cvec, p) -> float:
-    stack = _c2_stack(2)
-    pm = np.kron(pa.pauli_matrix_1(2, 1, 0), np.eye(2))
-    conj = np.matmul(stack.conj().transpose(0, 2, 1), np.matmul(pm, stack))
-    basis = pa.qubit_pauli_basis(2)
-    overlaps = np.abs(np.einsum("kab,qba->kq", conj,
-                                basis.conj().transpose(0, 2, 1))) / 4
-    hits = np.argmax(overlaps, axis=1)
-    counts = np.bincount(hits, minlength=16)
-    expected = len(stack) / 15
-    res = float(counts[0])
-    res = max(res, float(np.max(np.abs(counts[1:] - expected))))
-    res = max(res, float(np.max(np.abs(np.max(overlaps, axis=1) - 1.0))))
-    return res
+    """Conjugating X (x) I by C_2 hits every non-identity Pauli equally.
+
+    The images are read from the tableau keys: each of the 15
+    non-identity Paulis must be hit |C_2| / 15 = 768 times, and the
+    identity never.  The residual is the largest count error.
+    """
+    tab = _c2_tableau(2)
+    counts = np.bincount(tab[:, 0, 0], minlength=16)
+    expected = len(tab) // 15
+    return float(max(counts[0], np.max(np.abs(counts[1:] - expected))))
 
 
 def _check_pauli_twirl(rng, cvec, p) -> float:
@@ -852,10 +951,9 @@ def _check_clifford_twirl(rng, cvec, p) -> float:
     over the non-identity Paulis, leaving w rho + (1 - w) (d I - rho) /
     (d^2 - 1) with w the identity component of the attack.
     """
-    from scipy.stats import unitary_group
     stack = _c2_stack(2)
     d = 4
-    u = unitary_group.rvs(d, random_state=rng)
+    u = qc.haar_unitary(d, rng)
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     v /= np.linalg.norm(v)
     rho = np.outer(v, v.conj())
@@ -912,12 +1010,9 @@ def _check_pauli_mixing(rng, cvec, p) -> float:
 
 
 def _check_unitary_commutation(rng, cvec, p) -> float:
-    from scipy.stats import unitary_group
-    u = qc.UnitaryMatrix(qc.RegisterShape((2, 2)),
-                         unitary_group.rvs(4, random_state=rng),
+    u = qc.UnitaryMatrix(qc.RegisterShape((2, 2)), qc.haar_unitary(4, rng),
                          check_unitary=False)
-    a = qc.UnitaryMatrix(qc.RegisterShape((2,)),
-                         unitary_group.rvs(2, random_state=rng),
+    a = qc.UnitaryMatrix(qc.RegisterShape((2,)), qc.haar_unitary(2, rng),
                          check_unitary=False)
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     v /= np.linalg.norm(v)
@@ -967,28 +1062,40 @@ def _check_sign_key_security(rng, cvec, p) -> float:
 
 
 def _check_pauli_criterion(rng, cvec, p) -> float:
+    """A Pauli maps the code to itself iff it is k-correlated.
+
+    Per key, 60 drawn Paulis: each must either act as a logical operator
+    (some overlap exactly 1) or move the code to its orthogonal
+    complement (every overlap exactly 0), and `is_k_correlated` must
+    say which.  The residual counts the mismatches.
+    """
     q, m = p.q, p.m
     mismatches = 0
     pair_total = 0
     sample = 0
     for k in pc.all_sign_keys(m):
-        w = _codespace_matrix(k, p)
+        _, support = _code_supports(k, p)
         xset, zset = pc._correlated_patterns(k.k, p)
         pair_total += len(xset) * len(zset) - 1
+        xs, zs, predicted = [], [], []
         for _ in range(60):
             x = rng.integers(0, q, size=m)
             z = rng.integers(0, q, size=m)
             if not x.any() and not z.any():
                 continue
-            op = pa.SymbolicPauli(q, x, z)
-            predicted = pc.is_k_correlated(op, k, p)
-            cols = _apply_symbolic(w, op, q, m)
-            overlap = float(np.max(np.abs(w.conj().T @ cols)))
-            if predicted != (overlap > 0.5):
-                mismatches += 1
-            if min(overlap, abs(overlap - 1.0)) > 1e-9:
-                mismatches += 1
-            sample += 1
+            xs.append(x)
+            zs.append(z)
+            predicted.append(pc.is_k_correlated(
+                pa.SymbolicPauli._trusted(q, x, z), k, p))
+        if xs:
+            counts = _code_overlap_counts(np.array(xs), np.array(zs),
+                                          support, q, m)
+            logical = np.any(counts.max(axis=3) == q ** p.d, axis=(1, 2))
+            orthogonal = np.all(counts.min(axis=3) == counts.max(axis=3),
+                                axis=(1, 2))
+            mismatches += int(np.count_nonzero(logical != predicted))
+            mismatches += int(np.count_nonzero(~(logical | orthogonal)))
+        sample += len(xs)
     if pair_total != len(pc.all_sign_keys(m)) * (q ** (2 * (p.d + 1)) - 1):
         mismatches += 1
     if sample == 0:
@@ -997,51 +1104,73 @@ def _check_pauli_criterion(rng, cvec, p) -> float:
 
 
 def _check_correlated_decomposition(rng, cvec, p) -> float:
-    q, m = p.q, p.m
+    """A non-correlated Pauli splits into a correlated part and a leftover
+    the decoder notices.
+
+    Per key, 25 drawn non-correlated Paulis go through
+    `decompose_correlated`.  The residual counts the broken rules: the
+    parts must recompose the Pauli, the correlated part must be the
+    identity or k-correlated, and the leftover must be no identity and
+    act only where the interpolation does not reach (X off the first
+    d + 1 wires, Z off wire 0 and the last d wires).
+    """
+    q, m, d = p.q, p.m, p.d
     bad = 0
     for k in pc.all_sign_keys(m):
-        done = 0
-        while done < 25:
+        ops, parts = [], []
+        while len(ops) < 25:
             x = rng.integers(0, q, size=m)
             z = rng.integers(0, q, size=m)
             if not x.any() and not z.any():
                 continue
-            op = pa.SymbolicPauli(q, x, z)
+            op = pa.SymbolicPauli._trusted(q, x, z)
             if pc.is_k_correlated(op, k, p):
                 continue
-            corr, left = pc.decompose_correlated(op, k, p)
-            recomposed = left.compose(corr)
-            if not (np.array_equal(recomposed.x % q, op.x % q)
-                    and np.array_equal(recomposed.z % q, op.z % q)):
-                bad += 1
-            if not corr.is_identity() and not pc.is_k_correlated(corr, k, p):
-                bad += 1
-            if left.is_identity():
-                bad += 1
-            if any(left.x[:p.d + 1] % q) or left.z[0] % q or \
-                    any(left.z[p.d + 1:] % q):
-                bad += 1
-            done += 1
+            ops.append(op)
+            parts.append(pc.decompose_correlated(op, k, p))
+        bad += sum(not c.is_identity() and not pc.is_k_correlated(c, k, p)
+                   for c, _ in parts)
+        # exponents stacked as (Pauli, x or z, wire)
+        whole = np.array([(op.x, op.z) for op in ops])
+        corr = np.array([(c.x, c.z) for c, _ in parts])
+        left = np.array([(lo.x, lo.z) for _, lo in parts]) % q
+        bad += int(np.count_nonzero(np.any((corr + left - whole) % q,
+                                           axis=(1, 2))))
+        bad += int(np.count_nonzero(~np.any(left, axis=(1, 2))))
+        seen = np.concatenate([left[:, 0, :d + 1], left[:, 1, :1],
+                               left[:, 1, d + 1:]], axis=1)
+        bad += int(np.count_nonzero(np.any(seen, axis=1)))
     return float(bad)
 
 
 def _check_uncorrelated_action(rng, cvec, p) -> float:
+    """Non-correlated Paulis move the code to its orthogonal complement.
+
+    Per key, 25 drawn non-correlated Paulis; the residual is their
+    largest overlap with any codeword, exactly 0 when every count of
+    `_code_overlap_counts` is balanced.
+    """
     q, m = p.q, p.m
+    omega = np.exp(2j * np.pi / q) ** np.arange(q)
     res = 0.0
     for k in pc.all_sign_keys(m):
-        w = _codespace_matrix(k, p)
-        done = 0
-        while done < 25:
+        _, support = _code_supports(k, p)
+        xs, zs = [], []
+        while len(xs) < 25:
             x = rng.integers(0, q, size=m)
             z = rng.integers(0, q, size=m)
             if not x.any() and not z.any():
                 continue
-            op = pa.SymbolicPauli(q, x, z)
-            if pc.is_k_correlated(op, k, p):
+            if pc.is_k_correlated(pa.SymbolicPauli._trusted(q, x, z), k, p):
                 continue
-            cols = _apply_symbolic(w, op, q, m)
-            res = max(res, float(np.max(np.abs(w.conj().T @ cols))))
-            done += 1
+            xs.append(x)
+            zs.append(z)
+        counts = _code_overlap_counts(np.array(xs), np.array(zs), support,
+                                      q, m)
+        bad = counts.min(axis=3) != counts.max(axis=3)
+        if bad.any():
+            res = max(res, float(np.max(np.abs(counts[bad] @ omega)))
+                      / q ** p.d)
     return res
 
 
@@ -1114,6 +1243,29 @@ def lemma_suite(scope: str | Sequence[str] = "all",
     and the scope.  The claim is that every identity holds: each
     residual must stay below 1e-8, and a check that raises records an
     infinite residual.
+
+    Identities over F_q or the Pauli group are checked exactly, so their
+    residual is 0 when they hold and a count (or an exact overlap) when
+    they fail:
+
+    - by index maps and phase exponents mod q, on each codeword's q^d
+      strings: logical-x, logical-z, correlated-x, correlated-z,
+      logical-sum, pauli-criterion and uncorrelated-action (a Pauli or
+      SUM sends a basis string to one basis string times a power of w);
+    - by tableau keys: clifford-decoherence and
+      pauli-partitioning-by-cliffords (a Clifford sends a Pauli to a
+      signed Pauli, which the enumerated keys hold);
+    - in integers mod q: interpolation-weights and
+      correlated-decomposition.
+
+    The rest stay in complex floats, because their claim is analytic:
+    the Fourier layer's amplitudes are irrational (logical-fourier,
+    decode-diagonalization, teleportation-outcome-uniformity), or the
+    claim is about Haar-random unitaries or random states and densities
+    (pauli-decompose, clifford-twirl, unitary-commutation, completeness,
+    pauli-twirl and the mixing and decoherence checks), or about the
+    scan's float masses (sign-key-pauli-security).  `tests/oracles.py`
+    keeps the float form of every exact check.
     """
     names = list(LEMMA_COVERAGE)
     if scope == "all":

@@ -268,6 +268,19 @@ def _compose_key(table: tuple[tuple[int, ...], ...], key: tuple) -> tuple:
     return tuple((jt[j], (ph + pt[j]) & 3) for j, ph in key)
 
 
+def _pauli_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of stacked signed Paulis, each (j, phase) for i^phase B_j.
+
+    B_j is Z^z X^x per wire with the x bit below the z bit, so
+    B_j B_k = (-1)^(x_j . z_k) B_(j xor k).  The last axis of a, b and
+    the result holds (j, phase); indices of up to 8 qubits.
+    """
+    xz = a[..., 0] & (b[..., 0] >> 1)  # even bits: x of a against z of b
+    sign = sum((xz >> bit) & 1 for bit in range(0, 16, 2))
+    return np.stack([a[..., 0] ^ b[..., 0],
+                     (a[..., 1] + b[..., 1] + 2 * sign) & 3], axis=-1)
+
+
 def _generators(n: int) -> dict[str, np.ndarray]:
     h = gate_matrix(GateTag("H"), 2).entries
     k = gate_matrix(GateTag("K"), 2).entries

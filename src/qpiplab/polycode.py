@@ -63,12 +63,24 @@ def lagrange_weights(nodes: Sequence[int], x0: int, q: int) -> list[int]:
     return ws
 
 
-def interpolate(xs: Sequence[int], ys: Sequence[int], q: int) -> list[int]:
-    """Coefficients of the unique degree-<len(xs) polynomial through (xs, ys)."""
+@lru_cache(maxsize=None)
+def _vandermonde_inverse(xs: tuple[int, ...], q: int) -> np.ndarray:
+    """Inverse mod q of the Vandermonde matrix [x^t] of the nodes xs.
+
+    Memoised per node tuple and shared by every caller, so read-only;
+    a code interpolates on a fixed few node sets.
+    """
     n = len(xs)
     vand = np.array([[pow(x, t, q) for t in range(n)] for x in xs],
                     dtype=np.int64)
     vinv = mat_inv_mod(vand, q)
+    vinv.setflags(write=False)
+    return vinv
+
+
+def interpolate(xs: Sequence[int], ys: Sequence[int], q: int) -> list[int]:
+    """Coefficients of the unique degree-<len(xs) polynomial through (xs, ys)."""
+    vinv = _vandermonde_inverse(tuple(int(x) for x in xs), q)
     return [int(v) for v in vinv @ np.array(ys, dtype=np.int64) % q]
 
 
@@ -482,8 +494,7 @@ def is_k_correlated(p_op: pa.SymbolicPauli, k: SignKey, p: CodeParams) -> bool:
     if p_op.is_identity():
         raise ValueError("identity Pauli has no correlation class")
     xs, zs = _correlated_patterns(k.k, p)
-    return tuple(int(v) for v in p_op.x) in xs and \
-        tuple(int(v) for v in p_op.z) in zs
+    return tuple(p_op.x.tolist()) in xs and tuple(p_op.z.tolist()) in zs
 
 
 def decompose_correlated(p_op: pa.SymbolicPauli, k: SignKey, p: CodeParams
@@ -499,22 +510,22 @@ def decompose_correlated(p_op: pa.SymbolicPauli, k: SignKey, p: CodeParams
     if is_k_correlated(p_op, k, p):
         raise ValueError("Pauli is already correlated; nothing to split")
     q, d, m = p.q, p.d, p.m
-    kk = k.residues(q)
-    cc = np.array(p.interp_c, dtype=np.int64)
-    cinv = np.array([qc.inv_mod(int(c), q) for c in cc], dtype=np.int64)
-    kinv = kk  # signs are self-inverse mod q
+    kk = [v % q for v in k.k]  # signs are self-inverse mod q
+    cc = p.interp_c
+    x, z = p_op.x.tolist(), p_op.z.tolist()
 
-    x_nodes = list(range(d + 1))
+    x_nodes = range(d + 1)
     fx = interpolate([p.alphas[i] for i in x_nodes],
-                     [int(kinv[i] * p_op.x[i] % q) for i in x_nodes], q)
-    x_corr = np.array([kk[i] * poly_eval(fx, al, q) % q
-                       for i, al in enumerate(p.alphas)], dtype=np.int64)
+                     [kk[i] * x[i] % q for i in x_nodes], q)
+    x_corr = [kk[i] * poly_eval(fx, al, q) % q
+              for i, al in enumerate(p.alphas)]
 
-    z_nodes = [0] + list(range(d + 1, m))
+    z_nodes = [0, *range(d + 1, m)]
     gz = interpolate([p.alphas[i] for i in z_nodes],
-                     [int(cinv[i] * kinv[i] * p_op.z[i] % q) for i in z_nodes], q)
-    z_corr = np.array([cc[i] * kk[i] * poly_eval(gz, al, q) % q
-                       for i, al in enumerate(p.alphas)], dtype=np.int64)
+                     [qc.inv_mod(cc[i], q) * kk[i] * z[i] % q
+                      for i in z_nodes], q)
+    z_corr = [cc[i] * kk[i] * poly_eval(gz, al, q) % q
+              for i, al in enumerate(p.alphas)]
 
     q_corr = pa.SymbolicPauli(q, x_corr, z_corr)
     q_unc = p_op.compose(q_corr.inverse())

@@ -438,3 +438,18 @@ def state_fidelity(a: StateVector, b: StateVector) -> float:
 def make_rng(seed: int | None = None) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random dim x dim unitary: QR of a complex Ginibre matrix with
+    the phases of R's diagonal moved into Q (Mezzadri, math-ph/0609050).
+
+    The same draws and operations, in the same order, as
+    `scipy.stats.unitary_group.rvs(dim, random_state=rng)`, so both give
+    bit-identical matrices and leave `rng` in the same state.
+    """
+    z = 1 / math.sqrt(2) * (rng.normal(size=(dim, dim))
+                            + 1j * rng.normal(size=(dim, dim)))
+    q, r = np.linalg.qr(z)
+    d = r.diagonal()
+    q *= (d / abs(d))[np.newaxis, :]
+    return q

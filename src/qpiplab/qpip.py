@@ -512,14 +512,13 @@ def random_unitary_prover(env_dims: tuple[int, ...],
                           name: str = "random-unitary") -> ProverImpl:
     """Haar-random unitary over all held block wires plus the environment,
     drawn afresh at every exchange from the trial's generator."""
-    from scipy.stats import unitary_group
 
     def policy(state: qc.StateVector, ctx: PolicyContext) -> qc.StateVector:
         wires = tuple(w for ws in ctx.block_wires for w in ws) + \
             ctx.env_wires
         dims = tuple(state.shape.dims[w] for w in wires)
         dim = int(np.prod(dims))
-        mat = unitary_group.rvs(dim, random_state=ctx.rng)
+        mat = qc.haar_unitary(dim, ctx.rng)
         u = qc.UnitaryMatrix(qc.RegisterShape(dims), mat, check_unitary=False)
         return qc.apply_on_wires(state, u, wires)
 

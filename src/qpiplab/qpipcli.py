@@ -284,14 +284,13 @@ def _run_qas(experiment, params, cfg: ExperimentConfig,
              seed: int) -> audit.AuditRecord:
     """A scheme's security experiment on a random one-wire input and a
     random attack on its block plus one environment qubit."""
-    from scipy.stats import unitary_group
     dims = params.shape().dims
     rng = qc.make_rng(seed)
     v = rng.normal(size=dims[0]) + 1j * rng.normal(size=dims[0])
     psi = qc.StateVector(qc.RegisterShape(dims[:1]), v / np.linalg.norm(v))
     attack = qc.UnitaryMatrix(
         qc.RegisterShape(dims + (2,)),
-        unitary_group.rvs(2 * int(np.prod(dims)), random_state=rng),
+        qc.haar_unitary(2 * int(np.prod(dims)), rng),
         check_unitary=False)
     return experiment(params, psi, attack, _ENV_QUBIT, mode=cfg.key_average,
                       rng=rng, trials=cfg.trials)

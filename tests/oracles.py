@@ -27,6 +27,10 @@ CLI run, audit or engine calls it.
 - `identity_key` and `biased_clifford_circuit` build reference inputs:
   the trivial Clifford key, and a one-qubit circuit whose output bias is
   known in closed form.
+- `FLOAT_LEMMAS` holds the dense complex-float form of each lemma check
+  that `audit.LEMMA_COVERAGE` decides by index maps, exponents mod q or
+  tableau counts: the same draws from the same generator, the same
+  identity, evaluated on full state vectors and 4x4 matrices.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from qpiplab import audit
 from qpiplab import cliffauth as ca
 from qpiplab import pcalg as pa
 from qpiplab import polycode as pc
@@ -297,3 +302,158 @@ def run_qpip_sym(lang_runner: Runner, complement_runner: Runner,
     if not confirmed:
         return ABORT
     return 1 if claim else 0
+
+
+# ------------------------------------------------- lemma checks in floats
+
+
+def _apply_symbolic(vecs: np.ndarray, op: pa.SymbolicPauli,
+                    q: int, m: int) -> np.ndarray:
+    """Apply a block Pauli to the columns of a dense q^m by n array."""
+    grid = pc._digit_grid(q, m)
+    src = np.ravel_multi_index(tuple((grid - op.x[:, None]) % q), (q,) * m)
+    phases = np.exp(2j * np.pi / q * (op.z @ ((grid - op.x[:, None]) % q)))
+    return phases[:, None] * vecs[src]
+
+
+def _footprint_dense(part: str, every_polynomial: bool) -> Callable:
+    """logical-x/z and correlated-x/z: the largest amplitude error."""
+    def check(rng, cvec, p) -> float:
+        q, m = p.q, p.m
+        omega = np.exp(2j * np.pi / q)
+        zero = np.zeros(m, dtype=np.int64)
+        res = 0.0
+        for k in pc.all_sign_keys(m):
+            kk = k.residues(q)
+            words = audit._codespace_matrix(k, p)
+            for idx in range(q ** (p.d + 1)) if every_polynomial else (1,):
+                coeffs = [(idx // q ** t) % q for t in range(p.d + 1)]
+                evals = np.array([kk[i] * pc.poly_eval(coeffs, al, q) % q
+                                  for i, al in enumerate(p.alphas)])
+                fp = (pa.SymbolicPauli(q, evals, zero) if part == "x" else
+                      pa.SymbolicPauli(q, zero, np.array(p.interp_c) * evals))
+                got = _apply_symbolic(words, fp, q, m)
+                want = (words[:, (np.arange(q) + coeffs[0]) % q]
+                        if part == "x" else words * np.array(
+                            [omega ** (coeffs[0] * a) for a in range(q)]))
+                res = max(res, float(np.max(np.abs(got - want))))
+        return res
+    return check
+
+
+def _logical_sum_dense(rng, cvec, p) -> float:
+    """logical-sum on full two-block states, gathered through SUM's map."""
+    q, m = p.q, p.m
+    sum1 = pc._sum_power(1, q).entries
+    pair_src = np.argmax(sum1, axis=1)
+    res = float(np.max(np.abs(sum1 - np.eye(q * q)[pair_src])))
+    grid = pc._digit_grid(q, 2 * m)
+    moved = pair_src[grid[:m] * q + grid[m:]]
+    src = np.ravel_multi_index(tuple(np.concatenate([moved // q, moved % q])),
+                               (q,) * (2 * m))
+    for k in pc.all_sign_keys(m):
+        w = audit._codespace_matrix(k, p).T
+        for a in range(q):  # row b: |S_a^k>|S_b^k>
+            state = (w[a, :, None] * w[:, None, :]).reshape(q, -1)
+            want = state[(a + np.arange(q)) % q]
+            res = max(res, float(np.max(np.abs(state.take(src, axis=1)
+                                               - want))))
+    return res
+
+
+def _clifford_decoherence_dense(rng, cvec, p) -> float:
+    """clifford-decoherence: the twirled cross term on a random state."""
+    stack = audit._c2_stack(2)
+    pm = np.kron(pa.pauli_matrix_1(2, 1, 0), np.eye(2))
+    pm2 = np.kron(pa.pauli_matrix_1(2, 0, 1),
+                  pa.pauli_matrix_1(2, 0, 1))
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    v /= np.linalg.norm(v)
+    rho = np.outer(v, v.conj())
+    a = np.matmul(stack.conj().transpose(0, 2, 1), np.matmul(pm, stack))
+    b = np.matmul(stack.conj().transpose(0, 2, 1), np.matmul(pm2, stack))
+    cross = np.einsum("kab,bc,kdc->ad", a, rho, b.conj()) / len(stack)
+    return float(np.max(np.abs(cross)))
+
+
+def _pauli_partitioning_dense(rng, cvec, p) -> float:
+    """pauli-partitioning-by-cliffords from dense conjugates' overlaps."""
+    stack = audit._c2_stack(2)
+    pm = np.kron(pa.pauli_matrix_1(2, 1, 0), np.eye(2))
+    conj = np.matmul(stack.conj().transpose(0, 2, 1), np.matmul(pm, stack))
+    basis = pa.qubit_pauli_basis(2)
+    overlaps = np.abs(np.einsum("kab,qba->kq", conj,
+                                basis.conj().transpose(0, 2, 1))) / 4
+    hits = np.argmax(overlaps, axis=1)
+    counts = np.bincount(hits, minlength=16)
+    expected = len(stack) / 15
+    res = float(counts[0])
+    res = max(res, float(np.max(np.abs(counts[1:] - expected))))
+    res = max(res, float(np.max(np.abs(np.max(overlaps, axis=1) - 1.0))))
+    return res
+
+
+def _pauli_criterion_dense(rng, cvec, p) -> float:
+    """pauli-criterion with overlaps taken on full codeword vectors."""
+    q, m = p.q, p.m
+    mismatches = 0
+    pair_total = 0
+    sample = 0
+    for k in pc.all_sign_keys(m):
+        w = audit._codespace_matrix(k, p)
+        xset, zset = pc._correlated_patterns(k.k, p)
+        pair_total += len(xset) * len(zset) - 1
+        for _ in range(60):
+            x = rng.integers(0, q, size=m)
+            z = rng.integers(0, q, size=m)
+            if not x.any() and not z.any():
+                continue
+            op = pa.SymbolicPauli(q, x, z)
+            predicted = pc.is_k_correlated(op, k, p)
+            cols = _apply_symbolic(w, op, q, m)
+            overlap = float(np.max(np.abs(w.conj().T @ cols)))
+            if predicted != (overlap > 0.5):
+                mismatches += 1
+            if min(overlap, abs(overlap - 1.0)) > 1e-9:
+                mismatches += 1
+            sample += 1
+    if pair_total != len(pc.all_sign_keys(m)) * (q ** (2 * (p.d + 1)) - 1):
+        mismatches += 1
+    if sample == 0:
+        mismatches += 1
+    return float(mismatches)
+
+
+def _uncorrelated_action_dense(rng, cvec, p) -> float:
+    """uncorrelated-action: the largest overlap on full codeword vectors."""
+    q, m = p.q, p.m
+    res = 0.0
+    for k in pc.all_sign_keys(m):
+        w = audit._codespace_matrix(k, p)
+        done = 0
+        while done < 25:
+            x = rng.integers(0, q, size=m)
+            z = rng.integers(0, q, size=m)
+            if not x.any() and not z.any():
+                continue
+            op = pa.SymbolicPauli(q, x, z)
+            if pc.is_k_correlated(op, k, p):
+                continue
+            cols = _apply_symbolic(w, op, q, m)
+            res = max(res, float(np.max(np.abs(w.conj().T @ cols))))
+            done += 1
+    return res
+
+
+# lemma name -> its dense check, same signature as `audit.LEMMA_COVERAGE`
+FLOAT_LEMMAS: dict[str, Callable] = {
+    "logical-x": _footprint_dense("x", every_polynomial=False),
+    "logical-sum": _logical_sum_dense,
+    "logical-z": _footprint_dense("z", every_polynomial=False),
+    "clifford-decoherence": _clifford_decoherence_dense,
+    "pauli-partitioning-by-cliffords": _pauli_partitioning_dense,
+    "correlated-x": _footprint_dense("x", every_polynomial=True),
+    "correlated-z": _footprint_dense("z", every_polynomial=True),
+    "pauli-criterion": _pauli_criterion_dense,
+    "uncorrelated-action": _uncorrelated_action_dense,
+}

@@ -513,6 +513,102 @@ def test_logical_sum_check_catches_a_wrong_sum(monkeypatch, phase):
     assert ledger.verdict == "fail" and ledger.estimate > 0.1
 
 
+# ----- exact lemma checks: fault injection and their float oracles
+
+
+def _residual(name: str, seed: int = 0) -> float:
+    return audit.lemma_suite(scope=name, seed=seed).detail["results"][0][
+        "residual"]
+
+
+def _shift_a_phase(amps: np.ndarray) -> np.ndarray:
+    amps[np.flatnonzero(amps)[0]] *= np.exp(0.3j)
+    return amps
+
+
+def _move_a_string(amps: np.ndarray) -> np.ndarray:
+    # wire 0 of one string plus 1: no longer a signed evaluation vector
+    src = np.flatnonzero(amps)[0]
+    amps[(src + amps.size // pc.CodeParams().q) % amps.size] = amps[src]
+    amps[src] = 0.0
+    return amps
+
+
+@pytest.mark.parametrize("name, change", [
+    ("logical-x", _shift_a_phase), ("correlated-x", _shift_a_phase),
+    ("logical-sum", _shift_a_phase),
+    # Z footprints are diagonal, so a phase on a codeword string commutes
+    # with them; a string moved off the code breaks them
+    ("logical-z", _move_a_string), ("correlated-z", _move_a_string)])
+def test_exact_codeword_checks_catch_a_corrupted_codeword(monkeypatch, name,
+                                                          change):
+    real = pc.codeword_state
+    key = pc.all_sign_keys(pc.CodeParams().m)[3]
+
+    def corrupted(a, k, p):
+        state = real(a, k, p)
+        if int(a) % p.q or k != key:
+            return state
+        return qc.StateVector(state.shape, change(state.amplitudes.copy()),
+                              check_norm=False)
+
+    monkeypatch.setattr(pc, "codeword_state", corrupted)
+    assert _residual(name) > audit._LEMMA_TOL
+
+
+@pytest.fixture
+def one_wrong_tableau_image(monkeypatch):
+    """C_2 with the X_0 image of one element's key moved to another Pauli."""
+    real = pa.enumerate_clifford
+    els = list(real(2))
+    el = els[5]
+    (j, phase), rest = el.key[0], el.key[1:]
+    els[5] = pa.CliffordElement(2, el.matrix, el.generator_word,
+                                ((j % 15 + 1, phase),) + rest)
+    monkeypatch.setattr(pa, "enumerate_clifford",
+                        lambda n: els if n == 2 else real(n))
+    audit._c2_tableau.cache_clear()
+    yield
+    audit._c2_tableau.cache_clear()
+
+
+@pytest.mark.parametrize("name", ["clifford-decoherence",
+                                  "pauli-partitioning-by-cliffords"])
+def test_tableau_checks_catch_one_wrong_image(one_wrong_tableau_image, name):
+    assert _residual(name) > audit._LEMMA_TOL
+
+
+def _x_part_only(op, k, p):
+    return tuple(int(v) for v in op.x) in pc._correlated_patterns(k.k, p)[0]
+
+
+@pytest.mark.parametrize("name, rule", [
+    ("pauli-criterion", _x_part_only),
+    ("uncorrelated-action", lambda op, k, p: False)])
+def test_exact_pauli_checks_catch_a_wrong_correlation_rule(monkeypatch, name,
+                                                           rule):
+    monkeypatch.setattr(pc, "is_k_correlated", rule)
+    assert _residual(name) > audit._LEMMA_TOL
+
+
+def test_correlated_decomposition_catches_wrong_interpolation_nodes(
+        monkeypatch):
+    real = pc.interpolate
+    monkeypatch.setattr(pc, "interpolate", lambda xs, ys, q: real(
+        [x + 1 for x in xs], ys, q))
+    assert _residual("correlated-decomposition") > audit._LEMMA_TOL
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("name", sorted(oracles.FLOAT_LEMMAS))
+def test_float_lemma_oracles_agree_with_the_exact_checks(monkeypatch, name,
+                                                         seed):
+    assert _residual(name, seed) == 0.0
+    # the oracle runs in the suite's slot, so it draws from the same stream
+    monkeypatch.setitem(audit.LEMMA_COVERAGE, name, oracles.FLOAT_LEMMAS[name])
+    assert _residual(name, seed) < 1e-12
+
+
 def test_lemma_suite_scope_selection():
     ledger = audit.lemma_suite(scope="logical-x,logical-z", seed=0)
     assert [r["name"] for r in ledger.detail["results"]] == \
@@ -523,18 +619,20 @@ def test_lemma_suite_scope_selection():
 
 # (name, residual at seed 0, at seed 11), recorded when the names and
 # the checks were two tables; a check's generator is seeded by
-# seed * 1009 + its index, so these pin the order as well
+# seed * 1009 + its index, so these pin the order as well.  logical-z,
+# correlated-z, clifford-decoherence, pauli-partitioning-by-cliffords and
+# uncorrelated-action read 0.0 since they are checked exactly (they read
+# 7.99e-16, 8.76e-16, 1.28e-17, 7.77e-16 and 3.77e-16 at seed 0 in floats)
 LEMMA_RESIDUALS = [
     ("logical-x", 0.0, 0.0),
     ("logical-sum", 0.0, 0.0),
     ("interpolation-weights", 0.0, 0.0),
     ("logical-fourier", 3.0531133177191805e-16, 3.0531133177191805e-16),
-    ("logical-z", 7.991485278462366e-16, 7.991485278462366e-16),
+    ("logical-z", 0.0, 0.0),
     ("decode-diagonalization", 1.1102230246251565e-16, 1.1102230246251565e-16),
-    ("clifford-decoherence", 1.2762086164992126e-17, 1.1872872352334563e-17),
+    ("clifford-decoherence", 0.0, 0.0),
     ("pauli-decompose", 4.440892098500626e-16, 4.440892098500626e-16),
-    ("pauli-partitioning-by-cliffords",
-     7.771561172376096e-16, 7.771561172376096e-16),
+    ("pauli-partitioning-by-cliffords", 0.0, 0.0),
     ("pauli-twirl", 2.220446049250313e-16, 1.1102230246251565e-16),
     ("clifford-twirl", 9.436898317748282e-16, 1.3322676398767554e-15),
     ("completeness", 4.440892098500626e-16, 2.220446049250313e-16),
@@ -544,10 +642,10 @@ LEMMA_RESIDUALS = [
     ("pauli-decoherence", 1.3570608863529726e-33, 6.756960903349183e-34),
     ("sign-key-pauli-security", 0.0, 0.0),
     ("correlated-x", 0.0, 0.0),
-    ("correlated-z", 8.762859172227242e-16, 8.762859172227242e-16),
+    ("correlated-z", 0.0, 0.0),
     ("pauli-criterion", 0.0, 0.0),
     ("correlated-decomposition", 0.0, 0.0),
-    ("uncorrelated-action", 3.767406954647967e-16, 2.9820760766700935e-16),
+    ("uncorrelated-action", 0.0, 0.0),
     ("teleportation-outcome-uniformity",
      2.220446049250313e-16, 2.220446049250313e-16),
 ]

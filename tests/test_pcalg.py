@@ -128,6 +128,19 @@ def test_generator_words_reproduce_matrices():
         assert np.allclose(m, e.matrix.entries, atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_pauli_product_matches_the_dense_product(n):
+    basis = pa.qubit_pauli_basis(n)
+    j, k = np.meshgrid(np.arange(4 ** n), np.arange(4 ** n), indexing="ij")
+    # (i B_j) (-B_k) for every pair
+    prod = pa._pauli_product(np.stack([j, np.ones_like(j)], axis=-1),
+                             np.stack([k, np.full_like(k, 2)], axis=-1))
+    for a, b, (img, phase) in zip(j.ravel(), k.ravel(),
+                                  prod.reshape(-1, 2)):
+        assert np.allclose(1j ** phase * basis[img],
+                           1j * basis[a] @ -basis[b], atol=1e-12)
+
+
 def test_enumeration_closed_under_composition():
     elems = pa.enumerate_clifford(1)
     keys = {e.key for e in elems}

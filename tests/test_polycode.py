@@ -677,3 +677,24 @@ def test_random_single_tamper_detected(key_idx, shift, wire):
         digits[wire] = (digits[wire] + shift) % Q
         assert not pc.decode_measurement(
             digits, k, pa.SymbolicPauli.identity(Q, M), P).valid
+
+
+@pytest.mark.parametrize("q, d", [(5, 1), (7, 2)])
+def test_vandermonde_inverse_is_cached_and_read_only(q, d):
+    p = pc.CodeParams(q=q, d=d, alphas=tuple(range(1, 2 * d + 2)))
+    rng = qc.make_rng(q)
+    # the node sets decompose_correlated interpolates on
+    for nodes in (p.alphas[:d + 1], p.alphas[:1] + p.alphas[d + 1:]):
+        vand = np.array([[pow(x, t, q) for t in range(d + 1)]
+                         for x in nodes], dtype=np.int64)
+        inv = pc.mat_inv_mod(vand, q)
+        cached = pc._vandermonde_inverse(nodes, q)
+        assert np.array_equal(cached, inv)
+        assert pc._vandermonde_inverse(nodes, q) is cached
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = cached[0, 0]
+        for _ in range(50):
+            ys = rng.integers(0, q, size=d + 1)
+            coeffs = pc.interpolate(list(nodes), ys.tolist(), q)
+            assert coeffs == [int(v) for v in inv @ ys % q]
+            assert [pc.poly_eval(coeffs, x, q) for x in nodes] == ys.tolist()

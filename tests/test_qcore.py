@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import unitary_group
 
 from qpiplab import qcore as qc
 
@@ -433,3 +434,12 @@ def test_measure_wires_matches_the_oracle(seed):
                 assert np.array_equal(got[1].amplitudes, want[1].amplitudes)
             assert int(ours.integers(2 ** 62)) == \
                 int(oracle.integers(2 ** 62))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 10, 64, 250])
+def test_haar_unitary_is_scipys_draw_bit_for_bit(dim):
+    for seed in range(20 if dim < 250 else 3):
+        ours, theirs = qc.make_rng(seed), qc.make_rng(seed)
+        assert np.array_equal(qc.haar_unitary(dim, ours),
+                              unitary_group.rvs(dim, random_state=theirs))
+        assert ours.random() == theirs.random()

@@ -2,6 +2,10 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +41,27 @@ def test_lemmas_replay_exactly():
     assert code == 0
     assert "elapsed" not in envelope.payload
     assert envelope.timings["audit_s"] > 0
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from qpiplab import qpipcli
+out = sys.argv[1]
+for argv in (["lemmas"], ["qas-clifford"], ["qas-poly"]):
+    assert qpipcli.main(argv + ["--output", out]) == 0, argv
+    assert qpipcli.main(["replay", out]) == 0, argv
+"""
+
+
+def test_haar_draws_need_no_scipy(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path / "r.json")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 PAULI_ON_CODE_BLOCK = 'pauli:{"1": [[0, [1, 0, 0], [0, 0, 0]]]}'
