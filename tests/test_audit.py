@@ -234,6 +234,17 @@ GOLDEN_TRIAL_RECORDS = {
         {"fixed-pauli": {"trials": 48, "accept": 7, "wrong_accept": 12,
                          "abort": 29}},
         (1475657852977072745,)),
+    # clifford-e2's instance: three-qubit blocks, so every key comes from
+    # the transvection sampler
+    "fixed-pauli-clifford-e2": (
+        lambda: audit.ProtocolConfig(mode="clifford",
+                                     circuit=audit.clifford_demo_circuit(),
+                                     inputs=(1, 0), e=2),
+        lambda: qpip.fixed_pauli_prover(
+            {3: [(0, pa.SymbolicPauli(2, (1, 0, 0), (0, 0, 0)))]}), 48, 105,
+        {"fixed-pauli": {"trials": 48, "accept": 6, "wrong_accept": 5,
+                         "abort": 37}},
+        (5886312993991691654,)),
     "scripted-misreport": (
         lambda: CLIFFORD_DEMO,
         lambda: qpip.scripted_prover([], misreport_round=2), 40, 103,
