@@ -24,6 +24,9 @@ CLI run, audit or engine calls it.
   circuit, or its compiled schedule, on bare wires with no protocol.
 - `conjugate_by_encoding` conjugates a Pauli by E_k in exponent form; the
   library decides correlation from the decoded frame instead.
+- `symplectic_draw_per_candidate` draws the three-qubit Clifford sampler's
+  transvections with one `rng.integers` call per candidate;
+  `pcalg._symplectic_draw` pools the same bits into about 2.5 calls.
 - `identity_key` and `biased_clifford_circuit` build reference inputs:
   the trivial Clifford key, and a one-qubit circuit whose output bias is
   known in closed form.
@@ -279,6 +282,37 @@ def identity_key(params: ca.CliffordQasParams) -> pa.CliffordElement:
     mat = qc.UnitaryMatrix(qc.RegisterShape((2,) * params.m),
                            np.eye(2 ** params.m), check_unitary=False)
     return pa.CliffordElement(params.m, mat, ())
+
+
+def _bits_to_int(bits: np.ndarray) -> int:
+    return sum(b << i for i, b in enumerate(bits.tolist()))
+
+
+def symplectic_draw_per_candidate(n: int, rng: np.random.Generator
+                                  ) -> tuple[list[list[int]], int]:
+    """`pcalg._symplectic_draw` with one `rng.integers` call per candidate.
+
+    Each f1 and h candidate is its own `rng.integers(0, 2, size=width)`
+    call and the Pauli bits one more, so about 10.4 calls per three-qubit
+    key; the library draws the same bits from a pooled few calls.
+    """
+    levels = []
+    for width in range(2 * n, 0, -2):
+        while True:
+            f1 = _bits_to_int(rng.integers(0, 2, size=width))
+            if f1:
+                break
+        tv = pa._find_transvections(1, f1, width)  # e1 = x_0 to f1
+        while True:
+            h = _bits_to_int(rng.integers(0, 2, size=width))
+            if pa._symp(f1, h):
+                break
+        u = 2  # e2 = z_0, carried through the transvections so far
+        for v in tv:
+            if pa._symp(u, v):
+                u ^= v
+        levels.append(tv + pa._find_transvections(u, h, width, fix=f1))
+    return levels, _bits_to_int(rng.integers(0, 2, size=2 * n))
 
 
 # ------------------------------------------------------ symmetric wrapper

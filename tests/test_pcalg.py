@@ -9,6 +9,8 @@ from scipy import stats
 from qpiplab import pcalg as pa
 from qpiplab import qcore as qc
 
+import oracles
+
 
 def phase_free_equal(a: np.ndarray, b: np.ndarray, atol=1e-9) -> bool:
     """True when a = phase * b with |phase| = 1."""
@@ -212,9 +214,9 @@ def test_symplectic_construction_uniform_n1():
     counts = np.zeros(24)
     n_samples = 24 * 150
     for _ in range(n_samples):
-        u = pa._symplectic_matrix(pa._symplectic_draw(1, rng))
-        xz = rng.integers(0, 2, size=2)
-        m = u @ pa.pauli_matrix_1(2, int(xz[0]), int(xz[1]))
+        levels, xz = pa._symplectic_draw(1, rng)
+        u = pa._symplectic_matrix(levels)
+        m = u @ pa.pauli_matrix_1(2, xz & 1, xz >> 1)
         counts[pos[pa.conjugation_key(m, 1)]] += 1
     expected = n_samples / 24
     chi2 = ((counts - expected) ** 2 / expected).sum()
@@ -225,8 +227,9 @@ def test_symplectic_construction_lands_in_c2():
     rng = qc.make_rng(104)
     keys = {e.key for e in pa.enumerate_clifford(2)}
     for _ in range(300):
-        u = pa._symplectic_matrix(pa._symplectic_draw(2, rng))
-        xz = rng.integers(0, 2, size=4)
+        levels, bits = pa._symplectic_draw(2, rng)
+        u = pa._symplectic_matrix(levels)
+        xz = [(bits >> i) & 1 for i in range(4)]
         m = u @ pa.pauli_matrix(pa.SymbolicPauli(2, xz[0::2], xz[1::2])).entries
         assert pa.conjugation_key(m, 2) in keys
 
@@ -347,8 +350,58 @@ def test_three_qubit_sampler_matches_dense_oracle(seed):
 def test_symplectic_construction_matches_dense_oracle(n):
     rng, ref_rng = qc.make_rng(107), qc.make_rng(107)
     for _ in range(50):
-        u = pa._symplectic_matrix(pa._symplectic_draw(n, rng))
+        levels, _pauli = pa._symplectic_draw(n, rng)
+        u = pa._symplectic_matrix(levels)
         assert np.abs(u - _oracle_symplectic(n, ref_rng)).max() < 1e-12
+        ref_rng.integers(0, 2, size=2 * n)  # the Pauli bits
+
+
+# ------------------------------------- pooled draws vs one call per candidate
+
+def _keys_then_next_draws(n_keys, seed):
+    """n_keys three-qubit matrices with a `random()` between keys, then
+    the next `random()` and `integers` draws."""
+    rng, mats = qc.make_rng(seed), []
+    for _ in range(n_keys):
+        mats.append(pa.sample_clifford(3, rng).matrix.entries)
+        rng.random()
+    return mats, rng.random(), rng.integers(2 ** 62)
+
+
+def test_pooled_draw_matches_one_call_per_candidate(monkeypatch):
+    ours = [_keys_then_next_draws(10, seed) for seed in range(300)]
+    monkeypatch.setattr(pa, "_symplectic_draw",
+                        oracles.symplectic_draw_per_candidate)
+    for seed, (mats, *after) in enumerate(ours):
+        ref, *ref_after = _keys_then_next_draws(10, seed)
+        assert all(np.array_equal(a, b) for a, b in zip(mats, ref))
+        assert after == ref_after
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pooled_draw_levels_match_per_candidate(n):
+    rng, ref_rng = qc.make_rng(108), qc.make_rng(108)
+    for _ in range(200):
+        assert pa._symplectic_draw(n, rng) == \
+            oracles.symplectic_draw_per_candidate(n, ref_rng)
+    assert rng.random() == ref_rng.random()
+
+
+class _CountingRng:
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+def test_three_qubit_key_draws_in_under_three_calls():
+    # one call per candidate makes about 10.4 per key
+    rng = _CountingRng(qc.make_rng(109))
+    for _ in range(2000):
+        pa.sample_clifford(3, rng)
+    assert rng.calls / 2000 < 3
 
 
 # --------------------------------------------------------------- averaging

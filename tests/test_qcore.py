@@ -443,3 +443,18 @@ def test_haar_unitary_is_scipys_draw_bit_for_bit(dim):
         assert np.array_equal(qc.haar_unitary(dim, ours),
                               unitary_group.rvs(dim, random_state=theirs))
         assert ours.random() == theirs.random()
+
+
+def test_bit_draws_do_not_depend_on_their_split_into_calls():
+    # pcalg._symplectic_draw relies on this: it pools the bits of several
+    # candidates into one call and still leaves every draw where one call
+    # per candidate would (each bit is the top bit of one 32-bit output)
+    splits = np.random.default_rng(2024)
+    for seed in range(500):
+        a, b = (int(k) for k in splits.integers(1, 40, size=2))
+        whole, parts = qc.make_rng(seed), qc.make_rng(seed)
+        bits = whole.integers(0, 2, size=a + b)
+        split = np.concatenate([parts.integers(0, 2, size=a),
+                                parts.integers(0, 2, size=b)])
+        assert np.array_equal(bits, split)
+        assert whole.random() == parts.random()
