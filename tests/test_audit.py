@@ -212,6 +212,12 @@ CLIFFORD_DEMO = audit.ProtocolConfig(mode="clifford",
 ZENO_BROKEN = audit.ProtocolConfig(mode="clifford",
                                    circuit=audit.zeno_demo_circuit(1, n_per=6),
                                    inputs=(1,), e=1, broken_variant=True)
+FRAMES_TOFFOLI2 = audit.ProtocolConfig(
+    mode="poly",
+    circuit=qpip.CircuitIR(3, 5, (qpip.CircuitGate(pa.GateTag("T"),
+                                                   (0, 1, 2)),) * 2),
+    inputs=(2, 3, 0), code=pc.CodeParams(q=5, d=1), engine="logical-frame",
+    output_wires=(2,))
 
 # Counts and master seeds of the trial runner at fixed seeds, recorded
 # when each prover was rebuilt per trial chunk: (config, prover or None
@@ -245,6 +251,21 @@ GOLDEN_TRIAL_RECORDS = {
         {"fixed-pauli": {"trials": 48, "accept": 6, "wrong_accept": 5,
                          "abort": 37}},
         (5886312993991691654,)),
+    # frames-toffoli2's instance on the logical-frame engine: two
+    # Toffolis at q = 5, honest and with X on block 0's coordinate 0 in
+    # round 1 (always detected)
+    "honest-frames-toffoli2": (
+        lambda: FRAMES_TOFFOLI2, None, 200, 106,
+        {"honest": {"trials": 200, "accept": 200, "wrong_accept": 0,
+                    "abort": 0}},
+        (9061113142866998810,)),
+    "fixed-pauli-frames-toffoli2": (
+        lambda: FRAMES_TOFFOLI2,
+        lambda: qpip.fixed_pauli_prover(
+            {1: [(0, pa.SymbolicPauli(5, (1, 0, 0), (0, 0, 0)))]}), 200, 107,
+        {"fixed-pauli": {"trials": 200, "accept": 0, "wrong_accept": 0,
+                         "abort": 200}},
+        (5981688063892240734,)),
     "scripted-misreport": (
         lambda: CLIFFORD_DEMO,
         lambda: qpip.scripted_prover([], misreport_round=2), 40, 103,
