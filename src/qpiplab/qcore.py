@@ -6,11 +6,11 @@ index arithmetic, matching `numpy.reshape` with C ordering.
 
 The public functions validate their input: register shapes, wire lists,
 dimensions and outcome digits, raising `ValueError` on anything wrong.
-The `_`-prefixed kernels, `_apply_raw` and `_measure_raw`, act on a flat
-amplitude array and its dims tuple and trust their callers; the protocol
-engines validate once at entry and then call the kernels directly.  Both
-layers share one memoised wire plan per (dims, wires), so a repeated call
-costs no list building, no `argsort` and no primality test.
+The `_`-prefixed kernels, `_apply_raw`, `_gather_raw` (a permutation gate
+as one read through a memoised index) and `_measure_raw`, act on a flat
+amplitude array and its dims and trust their callers: the engines validate
+once at entry.  Both layers share one memoised wire plan per (dims, wires),
+so a repeated call costs no list building, no `argsort` and no primality test.
 """
 
 from __future__ import annotations
@@ -280,6 +280,24 @@ def _apply_raw(amps: np.ndarray, dims: tuple[int, ...], u: np.ndarray,
     psi = amps.reshape(dims).transpose(plan.order).reshape(plan.block, -1)
     psi = (u @ psi).reshape(plan.moved_dims)
     return psi.transpose(plan.inverse).reshape(-1)
+
+
+@lru_cache(maxsize=None)
+def _gather_index(dims: tuple[int, ...], wires: tuple[int, ...],
+                  perm: tuple[int, ...]) -> np.ndarray:
+    """The read-only flat index of `_gather_raw`, from `_apply_raw`'s plan."""
+    plan = _wire_plan(dims, wires)
+    idx = np.arange(math.prod(dims)).reshape(dims).transpose(plan.order)
+    idx = idx.reshape(plan.block, -1)[np.array(perm)]
+    idx = idx.reshape(plan.moved_dims).transpose(plan.inverse).reshape(-1)
+    idx.setflags(write=False)
+    return idx
+
+
+def _gather_raw(amps: np.ndarray, dims: tuple[int, ...],
+                perm: tuple[int, ...], wires: tuple[int, ...]) -> np.ndarray:
+    """The gate with u[i, perm[i]] = 1 as one exact gather (unchecked)."""
+    return amps[_gather_index(dims, wires, perm)]
 
 
 def apply_on_wires(state, u: UnitaryMatrix, wires: Sequence[int]):

@@ -163,6 +163,17 @@ def _plain_logical_matrix(tag: pa.GateTag | pc.LogicalGateTag,
     return u
 
 
+@lru_cache(maxsize=None)
+def _gather_map(tag: pc.LogicalGateTag, q: int) -> tuple[int, ...] | None:
+    """The column of each row's 1 when the gate's plain matrix is a 0/1
+    permutation (LSUM, LX, LM), else None (LF, LZ, LCPG carry phases)."""
+    mat = _plain_logical_matrix(tag, q).entries
+    rows, cols = np.nonzero(mat)  # a unitary with N nonzeros all 1 permutes
+    if len(rows) == len(mat) and (mat[rows, cols] == 1).all():
+        return tuple(cols.tolist())
+    return None
+
+
 def apply_circuit_plain(circuit: CircuitIR,
                         state: qc.StateVector) -> qc.StateVector:
     """Run the circuit on bare wires with no authentication layer."""
@@ -309,6 +320,15 @@ def toffoli_correction_tags(x: int, y: int, z: int, q: int
 # ---------------------------------------------------- Pauli key updates
 
 
+@lru_cache(maxsize=None)
+def _interp_weights(p: pc.CodeParams) -> tuple[np.ndarray, np.ndarray]:
+    """The interpolation weights c and their inverses mod q, read-only."""
+    c_cinv = np.array([(c, qc.inv_mod(c, p.q)) for c in p.interp_c],
+                      dtype=np.int64).T
+    c_cinv.setflags(write=False)
+    return c_cinv[0], c_cinv[1]
+
+
 def pauli_key_update(paulis: list[pa.SymbolicPauli],
                      gate: pc.LogicalGateTag, blocks: Sequence[int],
                      p: pc.CodeParams, sign: pc.SignKey | None = None) -> None:
@@ -324,7 +344,7 @@ def pauli_key_update(paulis: list[pa.SymbolicPauli],
     checks of the public constructor.
     """
     q, name = p.q, gate.name
-    c = np.array(p.interp_c, dtype=np.int64)
+    c, cinv = _interp_weights(p)
     new_pauli = pa.SymbolicPauli._trusted
     old = [paulis[b] for b in blocks]
     if name in ("LX", "LZ"):
@@ -346,8 +366,6 @@ def pauli_key_update(paulis: list[pa.SymbolicPauli],
                new_pauli(q, b.x, (b.z + t * c * a.x) % q)]
     elif name == "LF":
         (a,) = old
-        cinv = np.array([qc.inv_mod(int(v), q) for v in p.interp_c],
-                        dtype=np.int64)
         s = gate.param  # F_{c_i} per wire, or its inverse
         new = [new_pauli(q, (-s * cinv * a.z) % q, (s * c * a.x) % q)]
     elif name == "LM":
@@ -571,6 +589,22 @@ def zeno_prover(e: int = 2, n_per: int = 40, phi: float = 0.45,
     return ProverImpl(name=name, policy=policy)
 
 
+def _check_pauli_plan(prover: ProverImpl, rounds: range, blocks: int,
+                      q: int, m: int) -> None:
+    """Refuse a plan that would never fire (a round the engine never runs),
+    hit another block (negative ids index from the end) or fail mid-run."""
+    for r, steps in (prover.pauli_plan or {}).items():
+        if r not in rounds:
+            raise ValueError(f"Pauli plan round {r} is never run: this run "
+                             f"has rounds {rounds.start}..{rounds.stop - 1}")
+        for b, op in steps:
+            if not 0 <= b < blocks:
+                raise ValueError(f"Pauli plan block {b} is not one of the "
+                                 f"run's {blocks} blocks")
+            if (op.q, op.num_wires) != (q, m):
+                raise ValueError(f"Pauli plan operator's (q, m) is not {q, m}")
+
+
 def _run_policy(prover: ProverImpl, amps: np.ndarray,
                 shape: qc.RegisterShape, phase: str, round_index: int,
                 block_wires: tuple[tuple[int, ...], ...],
@@ -644,6 +678,7 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
     if prover.policy is None and prover.pauli_plan is not None:
         raise ValueError("a bare Pauli plan runs on the logical-frame engine")
     n, m_b = circuit.n, 1 + e
+    _check_pauli_plan(prover, range(1, len(circuit.gates) + 2), n, 2, m_b)
     total_amps = 2 ** (n * m_b) * int(np.prod(prover.env_dims or (1,)))
     if total_amps > _DENSE_AMPLITUDE_CAP:
         raise ValueError("register too large for the dense engine")
@@ -789,6 +824,7 @@ def _poly_dense(circuit: CircuitIR, schedule: LogicalSchedule,
     if prover.policy is None and prover.pauli_plan is not None:
         raise ValueError("a bare Pauli plan runs on the logical-frame engine")
     q, m, n = p.q, p.m, circuit.n
+    _check_pauli_plan(prover, range(2), n, q, m)
     total_amps = q ** (n * m) * int(np.prod(prover.env_dims or (1,)))
     if total_amps > _DENSE_AMPLITUDE_CAP:
         raise ValueError("register too large for the dense engine")
@@ -842,6 +878,7 @@ def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
     q, m = p.q, p.m
     blocks = schedule.block_count
     L = schedule.toffoli_count
+    _check_pauli_plan(prover, range(L + 2), blocks, q, m)
     # The register holds only live blocks: the n wires' current blocks, plus
     # one magic triple while its gadget runs, so q^(n+3) at any gadget count.
     if q ** (circuit.n + 3 * (L > 0)) > _DENSE_AMPLITUDE_CAP:
@@ -860,18 +897,22 @@ def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
     transcript.add("verifier->prover", "quantum-block", tuple(range(blocks)))
 
     def inject(round_index: int) -> None:
-        if prover.pauli_plan is None:
-            return
-        for b, op in prover.pauli_plan.get(round_index, ()):
+        for b, op in (prover.pauli_plan or {}).get(round_index, ()):
             frames[b] = frames[b].compose(op)
 
     def run_round_ops(ops) -> None:
         nonlocal amps
         dims = (q,) * len(live)
         for tag, bs in ops:
-            mat = _plain_logical_matrix(tag, q).entries
-            amps = qc._apply_raw(amps, dims, mat,
-                                 tuple(live.index(b) for b in bs))
+            # SUM, X and multiply gates only move amplitudes: one exact gather.
+            # F, Z and CPG carry phases, so they keep BLAS's rounding
+            wires = tuple(live.index(b) for b in bs)
+            perm = _gather_map(tag, q)
+            if perm is None:
+                amps = qc._apply_raw(
+                    amps, dims, _plain_logical_matrix(tag, q).entries, wires)
+            else:
+                amps = qc._gather_raw(amps, dims, perm, wires)
             pauli_key_update(keys, tag, bs, p, sign)
             pauli_key_update(frames, tag, bs, p)
 

@@ -484,6 +484,7 @@ CLIFFORD_DEMO_LINES = [
 
 
 X_ON_DATA = pa.SymbolicPauli(2, (1, 0, 0), (0, 0, 0))
+X_COORD0 = pa.SymbolicPauli(Q, (1, 0, 0), (0, 0, 0))
 GOLDEN_CLIFFORD_RECORDS = {
     "demo-honest": (
         audit.clifford_demo_circuit(), (1, 0), qpip.honest_prover(), False,
@@ -682,9 +683,29 @@ def test_poly_frame_rejects_dense_policies():
     ("dense", qpip.scripted_prover([], misreport_round=1), "misreport"),
     ("logical-frame", qpip.ProverImpl(name="misreport", pauli_plan={},
                                       misreport_round=1), "misreport"),
+    # a plan that would never fire, hit another block or fail mid-run
+    *((engine, qpip.fixed_pauli_prover(plan), message)
+      for engine, plan, message in [
+          ("logical-frame", {2: [(0, X_COORD0)]}, "round 2 is never run"),
+          ("logical-frame", {1: [(99, X_COORD0)]}, "block 99"),
+          ("logical-frame", {1: [(-1, X_COORD0)]}, "block -1"),
+          ("logical-frame", {1: [(0, pa.SymbolicPauli(7, (1, 0, 0),
+                                                      (0, 0, 0)))]},
+           r"\(q, m\) is not \(5, 3\)"),
+          ("dense", {2: [(0, X_COORD0)]}, "round 2 is never run"),
+          ("dense", {0: [(1, X_COORD0)]}, "block 1"),
+          ("dense", {1: [(0, pa.SymbolicPauli(Q, (1, 0), (0, 0)))]},
+           r"\(q, m\) is not \(5, 3\)"),
+          ("clifford", {0: [(0, X_ON_DATA)]}, "round 0 is never run"),
+          ("clifford", {3: [(0, X_ON_DATA)]}, "round 3 is never run"),
+          ("clifford", {2: [(-1, X_ON_DATA)]}, "block -1"),
+          ("clifford", {1: [(0, pa.SymbolicPauli(2, (1, 0), (0, 0)))]},
+           r"\(q, m\) is not \(2, 3\)")]),
 ])
 def test_engines_refuse_prover_fields_they_cannot_honour(engine, prover,
                                                          message):
+    # one gate (rounds 1 and 2) at e = 2, or no Toffoli (rounds 0 and 1):
+    # one block either way
     rng = qc.make_rng(22)
     with pytest.raises(ValueError, match=message):
         if engine == "clifford":
@@ -747,7 +768,6 @@ MIXED_TOFFOLI2 = qpip.CircuitIR(3, Q, (
     qpip.CircuitGate(LG("LX", 1), (2,)),
     qpip.CircuitGate(LG("LF", -1), (1,)),
 ))
-X_COORD0 = pa.SymbolicPauli(Q, (1, 0, 0), (0, 0, 0))
 X_ALL = pa.SymbolicPauli(Q, (1, 1, 1), (0, 0, 0))
 
 # Records of the engine that held all n + 3L blocks in one register, for
@@ -858,6 +878,68 @@ def test_poly_frame_caps_the_live_register():
                              qpip.honest_prover(), rng,
                              engine="logical-frame", output_wires=(6,))
     assert rec.output == (1,)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_gather_equals_the_dense_product(q):
+    rng = np.random.default_rng(q)
+    dims = (q, q, q, 2, q, q)
+    amps = rng.normal(size=2 * q ** 5) + 1j * rng.normal(size=2 * q ** 5)
+    for tag in [LG(name, c) for name in ("LSUM", "LX", "LM")
+                for c in range(1, q)]:
+        perm = qpip._gather_map(tag, q)
+        mat = qpip._plain_logical_matrix(tag, q).entries
+        # leading, non-leading and reversed wire tuples
+        for wires in ([(0, 1), (2, 5), (4, 1)] if tag.name == "LSUM"
+                      else [(0,), (2,), (5,)]):
+            assert np.array_equal(qc._gather_raw(amps, dims, perm, wires),
+                                  qc._apply_raw(amps, dims, mat, wires))
+    qc._gather_index.cache_clear()  # the q = 7 indices hold 14 MB
+
+
+def test_gather_map_refuses_gates_with_phases_and_indices_are_read_only():
+    for q in (5, 7):
+        for tag in (LG("LF", 1), LG("LF", -1), LG("LZ", 1), LG("LZ", 2),
+                    LG("LCPG", 1), LG("LCPG", q - 1)):
+            assert qpip._gather_map(tag, q) is None
+    idx = qc._gather_index((Q,) * 3, (2, 0), qpip._gather_map(LG("LSUM", 1),
+                                                              Q))
+    assert sorted(idx) == list(range(Q ** 3))
+    with pytest.raises(ValueError, match="read-only"):
+        idx[0] = 1
+
+
+@pytest.mark.parametrize("plan", [None, {1: [(5, X_COORD0)],
+                                         2: [(3, X_ALL)]}],
+                         ids=["honest", "pauli-plan"])
+@pytest.mark.parametrize("circ", [TOFFOLI2, MIXED_TOFFOLI2],
+                         ids=["toffoli2", "mixed-toffoli2"])
+def test_poly_frame_gather_matches_the_dense_path(monkeypatch, circ, plan):
+    """Forcing every gate through the dense product moves no record."""
+    prover = qpip.honest_prover() if plan is None \
+        else qpip.fixed_pauli_prover(plan)
+
+    def records():
+        out = []
+        for seed in range(40):
+            rng = qc.make_rng(seed)
+            rec = qpip.run_poly_qpip(circ, (2, 3, 1), P, prover, rng,
+                                     engine="logical-frame",
+                                     output_wires=(0, 1, 2))
+            out.append((rec.verdict, rec.output, rec.invalid_rounds,
+                        rec.transcript.to_lines(), int(rng.integers(2 ** 62))))
+        return out
+
+    gathers = []
+    gather = qc._gather_raw
+    monkeypatch.setattr(qc, "_gather_raw",
+                        lambda *args: gathers.append(1) or gather(*args))
+    gathered = records()
+    count = len(gathers)
+    assert count >= 40 * 3 * circ.toffoli_count  # the entangling SUMs
+    monkeypatch.setattr(qpip, "_gather_map", lambda tag, q: None)
+    assert records() == gathered
+    assert len(gathers) == count
 
 
 # ----------------------------------------------------- universal circuit

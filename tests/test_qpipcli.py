@@ -405,6 +405,18 @@ def test_replay_rejects_malformed_envelopes(tmp_path, capsys, corrupt,
     ["scan-signkey", "--q", "7", "--d", "2", "--alphas", "1,2,3,4,5"],
     # the qudit engines cannot honour a misreporting prover
     ["qpip-poly", "--adversary", "misreport:1", "--trials", "2"],
+    # a Pauli plan naming a block the run does not hold (a negative id
+    # included), a round it never runs, or another block size
+    *(["qpip-poly", "--engine", "logical-frame", "--trials", "20",
+       "--adversary", "pauli:" + plan]
+      for plan in ('{"1": [[99, [1, 0, 0], [0, 0, 0]]]}',
+                   '{"9": [[0, [1, 0, 0], [0, 0, 0]]]}',
+                   '{"1": [[-1, [1, 0, 0], [0, 0, 0]]]}',
+                   '{"1": [[0, [1, 0], [0, 0]]]}')),
+    ["qpip-poly", "--trials", "2",
+     "--adversary", 'pauli:{"1": [[1, [1, 0, 0], [0, 0, 0]]]}'],
+    ["qpip-clifford", "--trials", "2",
+     "--adversary", 'pauli:{"12": [[0, [1, 0], [0, 0]]]}'],
 ])
 def test_refused_runs_exit_2_without_a_traceback(tmp_path, capsys, argv):
     """A size the library refuses is a run error, not a failing verdict."""
