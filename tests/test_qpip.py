@@ -481,6 +481,9 @@ CLIFFORD_DEMO_LINES = [
     "21\tprover->verifier\tquantum-block\t0",
     "22\tverifier->prover\tverdict\taccept",
 ]
+# zeno_demo_circuit(2, 40) run to the end: 2520 rounds, accepted
+ZENO_E2_ACCEPT_LINES = (
+    5041, "ca62fc79d53d34a8154e9b1d192d4734a37390d7e6edadf33ad0718f99a52d7f")
 
 
 X_ON_DATA = pa.SymbolicPauli(2, (1, 0, 0), (0, 0, 0))
@@ -507,6 +510,23 @@ GOLDEN_CLIFFORD_RECORDS = {
         True, 303, "reject", None, 96,
         (193, "3332afea29ccd9e68e58a1f04cd882277c0d3c68"
               "560521ca6e3a6a7cb178cc36"), 1342264341294693594),
+    # the zeno-e2 instance at full length (2520 rounds), recorded on the
+    # raw-array engine before its rounds were cut to fewer numpy calls:
+    # honest, a Zeno wrong accept (input 1, output 0) and a Zeno reject in round 2453;
+    # every accept logs the same lines, so the next draw tells them apart
+    "zeno-e2-honest": (
+        audit.zeno_demo_circuit(2, 40), (1,), qpip.honest_prover(), True,
+        305, "accept", (1,), 2520, ZENO_E2_ACCEPT_LINES, 3232465195267206136),
+    "zeno-e2-zeno-accept": (
+        audit.zeno_demo_circuit(2, 40), (1,), qpip.zeno_prover(e=2, n_per=40),
+        True, 306, "accept", (0,), 2520, ZENO_E2_ACCEPT_LINES,
+        4292093318007371859),
+    "zeno-e2-zeno-reject": (
+        audit.zeno_demo_circuit(2, 40), (1,), qpip.zeno_prover(e=2, n_per=40),
+        True, 307, "reject", None, 2453,
+        (4907, "a2164b6ecdb5eb73eb32261d90526b42ce0a09bcd0d552c3"
+               "1e8f1fcf1db48778"),
+        1017391982926930037),
 }
 
 
