@@ -6,16 +6,20 @@ index arithmetic, matching `numpy.reshape` with C ordering.
 
 The public functions validate their input: register shapes, wire lists,
 dimensions and outcome digits, raising `ValueError` on anything wrong.
-The `_`-prefixed kernels, `_apply_raw`, `_gather_raw` (a permutation gate
-as one read through a memoised index) and `_measure_raw`, act on a flat
-amplitude array and its dims and trust their callers: the engines validate
-once at entry.  Both layers share one memoised wire plan per (dims, wires),
-so a repeated call costs no list building, no `argsort` and no primality test.
+The `_`-prefixed kernels, `_apply_raw` (one matrix-vector product when
+the wires are the whole register), `_gather_raw` (a permutation gate as one
+read through a memoised index) and `_measure_raw`, act on a flat amplitude
+array and its dims and trust their callers: the engines validate once at
+entry.  Both layers share one memoised wire plan per (dims, wires), so a
+repeated call costs no list building, no `argsort` and no primality test.
+A measurement also reads a memoised outcome plan per (dims, wires): each
+outcome's digits and the flat indices its post-state keeps.
 """
 
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -92,7 +96,11 @@ class RegisterShape:
         return len(self.dims)
 
     def index_to_digits(self, index: int) -> tuple[int, ...]:
-        return _index_to_digits(index, self.dims)
+        digits = []
+        for d in reversed(self.dims):
+            digits.append(index % d)
+            index //= d
+        return tuple(reversed(digits))
 
     def digits_to_index(self, digits: Sequence[int]) -> int:
         if len(digits) != len(self.dims):
@@ -120,14 +128,6 @@ class RegisterShape:
         return f"RegisterShape{self.dims}"
 
 
-def _index_to_digits(index: int, dims: tuple[int, ...]) -> tuple[int, ...]:
-    digits = []
-    for d in reversed(dims):
-        digits.append(index % d)
-        index //= d
-    return tuple(reversed(digits))
-
-
 class _WirePlan(NamedTuple):
     """How to bring the listed wires of a register to the front and back."""
 
@@ -139,6 +139,8 @@ class _WirePlan(NamedTuple):
     block: int                  # product of the listed wires' dims
     leading: bool               # wires are 0..k-1: no transpose needed
     sort_perm: tuple[int, ...]  # ascending wire axes -> listed order
+    ascending: bool             # sort_perm is the identity
+    sum_axes: int | tuple[int, ...]  # rest, as numpy reduces it fastest
 
 
 @lru_cache(maxsize=None)
@@ -163,7 +165,9 @@ def _wire_plan(dims: tuple[int, ...], wires: tuple[int, ...]) -> _WirePlan:
     return _WirePlan(wires, rest, order, inverse,
                      tuple(dims[i] for i in order), block,
                      wires == tuple(range(len(wires))),
-                     tuple(ascending.index(w) for w in wires))
+                     tuple(ascending.index(w) for w in wires),
+                     list(wires) == ascending,
+                     rest[0] if len(rest) == 1 else rest)
 
 
 def _check_wires(shape: RegisterShape, wires: Sequence[int]) -> _WirePlan:
@@ -187,6 +191,15 @@ class StateVector:
                 raise ValueError(f"state not normalized: |psi|^2 = {nrm2}")
         self.shape = shape
         self.amplitudes = amplitudes
+
+    @classmethod
+    def _wrap(cls, shape: RegisterShape,
+              amplitudes: np.ndarray) -> "StateVector":
+        """A state over flat complex128 amplitudes of `shape` (unchecked)."""
+        state = cls.__new__(cls)
+        state.shape = shape
+        state.amplitudes = amplitudes
+        return state
 
     def to_density(self) -> "DensityMatrix":
         a = self.amplitudes
@@ -276,6 +289,8 @@ def _apply_raw(amps: np.ndarray, dims: tuple[int, ...], u: np.ndarray,
     """U acting on the listed wires of a flat amplitude vector (unchecked)."""
     plan = _wire_plan(dims, wires)
     if plan.leading:
+        if not plan.rest:  # the whole register: one matrix-vector product
+            return u @ amps
         return (u @ amps.reshape(plan.block, -1)).reshape(-1)
     psi = amps.reshape(dims).transpose(plan.order).reshape(plan.block, -1)
     psi = (u @ psi).reshape(plan.moved_dims)
@@ -336,26 +351,51 @@ def _probabilities_raw(amps: np.ndarray, dims: tuple[int, ...],
                        plan: _WirePlan) -> np.ndarray:
     probs = np.abs(amps.reshape(dims)) ** 2
     if plan.rest:
-        probs = probs.sum(axis=plan.rest)
+        probs = np.add.reduce(probs, axis=plan.sum_axes)
+    if plan.ascending:
+        return probs.reshape(-1)
     # axes of probs are now in wire order sorted ascending; permute to `wires`
     return np.transpose(probs, plan.sort_perm).reshape(-1)
 
 
-def _project_raw(amps: np.ndarray, dims: tuple[int, ...],
-                 wires: tuple[int, ...], outcome: Sequence[int]
+class _OutcomePlan(NamedTuple):
+    """Each outcome of measuring the listed wires, in the Born order."""
+
+    rows: tuple[np.ndarray, ...]  # outcome o's flat indices, read-only
+    digits: tuple[tuple[int, ...], ...]  # outcome o's digits, listed order
+
+
+@lru_cache(maxsize=None)
+def _outcome_plan(dims: tuple[int, ...],
+                  wires: tuple[int, ...]) -> _OutcomePlan:
+    """The memoised outcome plan of `wires`, beside their `_wire_plan`.
+
+    Like `_gather_index`, it holds one int64 index per amplitude for the
+    life of the process: 125 KB at 5^6 amplitudes.
+    """
+    plan = _wire_plan(dims, wires)
+    rows = np.arange(math.prod(dims)).reshape(dims).transpose(plan.order)
+    rows = np.ascontiguousarray(rows.reshape(plan.block, -1))
+    rows.setflags(write=False)
+    digits = itertools.product(*(range(dims[w]) for w in wires))
+    return _OutcomePlan(tuple(rows), tuple(digits))
+
+
+def _project_raw(amps: np.ndarray, row: np.ndarray
                  ) -> tuple[float, np.ndarray]:
-    psi = amps.reshape(dims)
-    sl = [slice(None)] * len(dims)
-    for w, o in zip(wires, outcome):
-        sl[w] = o
-    sl = tuple(sl)
-    branch = np.zeros_like(psi)
-    branch[sl] = psi[sl]
+    """Keep the amplitudes at the flat indices `row`, renormalised.
+
+    The norm is taken over the whole zero-padded vector: BLAS pairs terms
+    by position, so a shorter vector need not round the same.
+    """
+    kept = amps[row]
+    branch = np.zeros(amps.size, dtype=np.complex128)
+    branch[row] = kept
     prob = float(np.vdot(branch, branch).real)
     if prob < 1e-12:
         raise ValueError("projection onto a numerically zero branch")
-    branch[sl] /= math.sqrt(prob)
-    return prob, branch.reshape(-1)
+    branch[row] = kept / math.sqrt(prob)
+    return prob, branch
 
 
 def _measure_raw(amps: np.ndarray, dims: tuple[int, ...],
@@ -366,18 +406,18 @@ def _measure_raw(amps: np.ndarray, dims: tuple[int, ...],
     The one measurement kernel (unchecked wires): the draw that
     `rng.choice(len(probs), p=probs / total)` makes, one `rng.random()`
     against the normalised cumulative sum, without choice's argument
-    checks; then the renormalised post-measurement amplitudes.
+    checks; then the renormalised post-measurement amplitudes, kept
+    through the memoised outcome plan's row of the drawn outcome.
     """
-    plan = _wire_plan(dims, wires)
-    probs = _probabilities_raw(amps, dims, plan)
-    total = probs.sum()
+    probs = _probabilities_raw(amps, dims, _wire_plan(dims, wires))
+    total = float(np.add.reduce(probs))
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"probabilities sum to {total}")
-    cdf = (probs / total).cumsum()
+    cdf = np.add.accumulate(probs / total)
     cdf /= cdf[-1]
     flat = int(cdf.searchsorted(rng.random(), side="right"))
-    outcome = _index_to_digits(flat, plan.moved_dims[:len(wires)])
-    return outcome, _project_raw(amps, dims, wires, outcome)[1]
+    outcomes = _outcome_plan(dims, wires)
+    return outcomes.digits[flat], _project_raw(amps, outcomes.rows[flat])[1]
 
 
 def measurement_probabilities(state: StateVector,
@@ -395,10 +435,16 @@ def project_wires(state: StateVector, wires: Sequence[int],
     """
     wires = _check_wires(state.shape, wires).wires
     dims = state.shape.dims
+    if len(outcome) != len(wires):
+        raise ValueError(f"{len(outcome)} outcome digits for "
+                         f"{len(wires)} wires")
+    flat = 0
     for w, o in zip(wires, outcome):
         if not 0 <= o < dims[w]:
             raise ValueError("outcome digit out of range")
-    prob, post = _project_raw(state.amplitudes, dims, wires, outcome)
+        flat = flat * dims[w] + o
+    prob, post = _project_raw(state.amplitudes,
+                              _outcome_plan(dims, wires).rows[flat])
     return prob, StateVector(state.shape, post, check_norm=False)
 
 

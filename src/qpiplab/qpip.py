@@ -28,7 +28,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain, product
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -132,6 +133,12 @@ class CircuitIR:
     def toffoli_count(self) -> int:
         return sum(1 for g in self.gates
                    if isinstance(g.op, pa.GateTag) and g.op.name == "T")
+
+    @cached_property
+    def _qubit_rounds(self) -> dict:
+        """Per block size: each gate's wires, data wires and matrix, as
+        `run_clifford_qpip` resolves them once."""
+        return {}
 
 
 @lru_cache(maxsize=None)
@@ -393,7 +400,7 @@ class TranscriptEntry(NamedTuple):
 
     def to_line(self) -> str:
         body = (self.payload if isinstance(self.payload, str)
-                else ",".join(str(v) for v in self.payload))
+                else ",".join(map(str, self.payload)))
         return f"{self.round}\t{self.direction}\t{self.kind}\t{body}"
 
 
@@ -408,7 +415,9 @@ class Transcript(list):
 
     def add(self, direction: str, kind: str,
             payload: tuple[int, ...] | str) -> None:
-        self.append(TranscriptEntry(len(self), direction, kind, payload))
+        # skips the named tuple's Python-level __new__
+        self.append(tuple.__new__(TranscriptEntry,
+                                  (len(self), direction, kind, payload)))
 
     def to_lines(self) -> list[str]:
         return [e.to_line() for e in self]
@@ -535,33 +544,22 @@ def random_unitary_prover(env_dims: tuple[int, ...],
         wires = tuple(w for ws in ctx.block_wires for w in ws) + \
             ctx.env_wires
         dims = tuple(state.shape.dims[w] for w in wires)
-        dim = int(np.prod(dims))
-        mat = qc.haar_unitary(dim, ctx.rng)
+        mat = qc.haar_unitary(math.prod(dims), ctx.rng)
         u = qc.UnitaryMatrix(qc.RegisterShape(dims), mat, check_unitary=False)
         return qc.apply_on_wires(state, u, wires)
 
     return ProverImpl(name=name, policy=policy, env_dims=tuple(env_dims))
 
 
-def _hermitian_block_pauli(digits: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Tensor of single-qubit Paulis, phased so the product is hermitian."""
-    mat = np.eye(1, dtype=np.complex128)
-    for x, z in digits:
-        f = pa.pauli_matrix_1(2, x, z) * ((-1j) ** (x * z))
-        mat = np.kron(mat, f)
-    return mat
-
-
 def _rotation_axes(num_qubits: int) -> list[np.ndarray]:
+    """The 4^n - 1 hermitian Pauli axes; qubit k reads digit k, base 4."""
     axes = []
-    for idx in range(1, 4 ** num_qubits):
-        digits = []
-        rest = idx
-        for _ in range(num_qubits):
-            digits.append((rest % 4 // 2, rest % 2))
-            rest //= 4
-        axes.append(_hermitian_block_pauli(digits))
-    return axes
+    for digits in product(range(4), repeat=num_qubits):
+        mat = np.eye(1, dtype=np.complex128)
+        for x, z in ((d // 2, d % 2) for d in reversed(digits)):
+            mat = np.kron(mat, pa.pauli_matrix_1(2, x, z) * (-1j) ** (x * z))
+        axes.append(mat)
+    return axes[1:]
 
 
 def zeno_prover(e: int = 2, n_per: int = 40, phi: float = 0.45,
@@ -605,6 +603,16 @@ def _check_pauli_plan(prover: ProverImpl, rounds: range, blocks: int,
                 raise ValueError(f"Pauli plan operator's (q, m) is not {q, m}")
 
 
+def _check_dense_prover(prover: ProverImpl, rounds: range, blocks: int,
+                        q: int, m: int) -> None:
+    """A dense engine's entry checks on the prover and the register size."""
+    if prover.policy is None and prover.pauli_plan is not None:
+        raise ValueError("a bare Pauli plan runs on the logical-frame engine")
+    _check_pauli_plan(prover, rounds, blocks, q, m)
+    if q ** (blocks * m) * math.prod(prover.env_dims) > _DENSE_AMPLITUDE_CAP:
+        raise ValueError("register too large for the dense engine")
+
+
 def _run_policy(prover: ProverImpl, amps: np.ndarray,
                 shape: qc.RegisterShape, phase: str, round_index: int,
                 block_wires: tuple[tuple[int, ...], ...],
@@ -617,10 +625,8 @@ def _run_policy(prover: ProverImpl, amps: np.ndarray,
     """
     if prover.policy is None:
         return amps
-    ctx = PolicyContext(phase=phase, round_index=round_index,
-                        block_wires=block_wires, env_wires=env_wires,
-                        rng=rng)
-    out = prover.policy(qc.StateVector(shape, amps, check_norm=False), ctx)
+    out = prover.policy(qc.StateVector._wrap(shape, amps), PolicyContext(
+        phase, round_index, block_wires, env_wires, rng))
     if not isinstance(out, qc.StateVector) or out.shape != shape:
         raise ValueError(f"prover {prover.name!r} returned a state that "
                          f"does not match the register {shape.dims}")
@@ -665,9 +671,9 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
     Validation happens once, here at entry: the circuit (checked when it
     was built), the input length, the output wire and the register shape,
     prover environment included.  The rounds then run on the flat
-    amplitude array through `qcore._apply_raw` and `qcore._measure_raw`;
-    the array is wrapped in a `StateVector` only for the prover's policy,
-    whose returned state is checked against the register shape.
+    amplitude array through the raw qcore kernels, each gate resolved once
+    per circuit; only the prover's policy sees a `StateVector`, and the
+    state it returns is checked against the register shape.
     """
     if circuit.mode != "clifford":
         raise ValueError("this engine runs qubit circuits")
@@ -675,13 +681,8 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
         raise ValueError("input length mismatch")
     if not 0 <= output_wire < circuit.n:
         raise ValueError(f"output wire {output_wire} out of range")
-    if prover.policy is None and prover.pauli_plan is not None:
-        raise ValueError("a bare Pauli plan runs on the logical-frame engine")
     n, m_b = circuit.n, 1 + e
-    _check_pauli_plan(prover, range(1, len(circuit.gates) + 2), n, 2, m_b)
-    total_amps = 2 ** (n * m_b) * int(np.prod(prover.env_dims or (1,)))
-    if total_amps > _DENSE_AMPLITUDE_CAP:
-        raise ValueError("register too large for the dense engine")
+    _check_dense_prover(prover, range(1, len(circuit.gates) + 2), n, 2, m_b)
     params = ca.CliffordQasParams(l=1, e=e)
     shape1 = qc.RegisterShape((2,))
 
@@ -693,44 +694,48 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
     aux_wires = tuple(ws[1:] for ws in block_wires)
 
     transcript = Transcript()
-    transcript.add("verifier->prover", "quantum-block", tuple(range(n)))
+    add = transcript.add
+    add("verifier->prover", "quantum-block", tuple(range(n)))
 
+    memo = circuit._qubit_rounds
+    if m_b not in memo:
+        memo[m_b] = tuple((g.wires, tuple(b * m_b for b in g.wires),
+                           _plain_logical_matrix(g.op, 2).entries
+                           if isinstance(g.op, pa.GateTag) else g.op.entries)
+                          for g in circuit.gates)
     # the final round is the loop's last pass: it touches the output
     # block, applies no gate and always checks the auxiliaries
-    rounds = [*circuit.gates, None]
-    for i, gate in enumerate(rounds, start=1):
+    rounds = chain(memo[m_b], [((output_wire,), (), None)])
+    for i, (touched, data, op) in enumerate(rounds, start=1):
         if prover.misreport_round == i:
-            transcript.add("prover->verifier", "verdict", "abort")
+            add("prover->verifier", "verdict", "abort")
             return VerdictRecord("abort", None, transcript, i)
         amps = _run_policy(prover, amps, shape, "send", i, block_wires,
                            env_wires, rng)
-        touched = (output_wire,) if gate is None else gate.wires
-        transcript.add("prover->verifier", "quantum-block", touched)
+        add("prover->verifier", "quantum-block", touched)
         for b in touched:
             amps = qc._apply_raw(amps, dims, keys[b].dagger_matrix(),
                                  block_wires[b])
-        if broken_variant or gate is None:
+        if broken_variant or op is None:
             for b in touched:
                 outcome, amps = qc._measure_raw(amps, dims, aux_wires[b], rng)
                 if any(outcome):
-                    transcript.add("verifier->prover", "verdict", "reject")
+                    add("verifier->prover", "verdict", "reject")
                     return VerdictRecord("reject", None, transcript, i)
-        if gate is None:
+        if op is None:
             break
-        data = tuple(block_wires[b][0] for b in touched)
-        op = gate.op if isinstance(gate.op, qc.UnitaryMatrix) else \
-            _plain_logical_matrix(gate.op, 2)
-        amps = qc._apply_raw(amps, dims, op.entries, data)
+        amps = qc._apply_raw(amps, dims, op, data)
         for b in touched:
             if not broken_variant:
                 keys[b] = ca.random_clifford_key(params, rng)
             amps = qc._apply_raw(amps, dims, keys[b].matrix.entries,
                                  block_wires[b])
-        transcript.add("verifier->prover", "quantum-block", touched)
+        add("verifier->prover", "quantum-block", touched)
 
     bit, _ = qc._measure_raw(amps, dims, (block_wires[output_wire][0],), rng)
-    transcript.add("verifier->prover", "verdict", "accept")
-    return VerdictRecord("accept", (int(bit[0]),), transcript, len(rounds))
+    add("verifier->prover", "verdict", "accept")
+    return VerdictRecord("accept", (int(bit[0]),), transcript, i)
+
 
 
 # ------------------------------------------------- qudit protocol engine
@@ -821,13 +826,8 @@ def _poly_dense(circuit: CircuitIR, schedule: LogicalSchedule,
     if schedule.toffoli_count > 0:
         raise ValueError("the dense engine runs Toffoli-free circuits; use "
                          "the logical-frame engine for gadget rounds")
-    if prover.policy is None and prover.pauli_plan is not None:
-        raise ValueError("a bare Pauli plan runs on the logical-frame engine")
     q, m, n = p.q, p.m, circuit.n
-    _check_pauli_plan(prover, range(2), n, q, m)
-    total_amps = q ** (n * m) * int(np.prod(prover.env_dims or (1,)))
-    if total_amps > _DENSE_AMPLITUDE_CAP:
-        raise ValueError("register too large for the dense engine")
+    _check_dense_prover(prover, range(2), n, q, m)
 
     from . import polyauth as pya
 

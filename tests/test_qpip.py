@@ -512,8 +512,9 @@ GOLDEN_CLIFFORD_RECORDS = {
               "560521ca6e3a6a7cb178cc36"), 1342264341294693594),
     # the zeno-e2 instance at full length (2520 rounds), recorded on the
     # raw-array engine before its rounds were cut to fewer numpy calls:
-    # honest, a Zeno wrong accept (input 1, output 0) and a Zeno reject in round 2453;
-    # every accept logs the same lines, so the next draw tells them apart
+    # honest, a Zeno wrong accept (input 1, output 0) and a Zeno reject in
+    # round 2453; every accept logs the same lines, so the next draw tells
+    # them apart
     "zeno-e2-honest": (
         audit.zeno_demo_circuit(2, 40), (1,), qpip.honest_prover(), True,
         305, "accept", (1,), 2520, ZENO_E2_ACCEPT_LINES, 3232465195267206136),
