@@ -539,13 +539,11 @@ def universal_blindness_pair(desc_a, desc_b, n: int, max_gates: int,
 def _policy_block_pauli(prover: qpip.ProverImpl, q: int,
                         m: int) -> pa.SymbolicPauli:
     """Collapse a fixed-Pauli plan into one block operator for block 0."""
-    op = pa.SymbolicPauli.identity(q, m)
-    if prover.pauli_plan is None and prover.policy is None:
-        return op  # honest
-    if prover.pauli_plan is None:
+    if prover.policy is not None:
         raise ValueError("confidence audits need honest or fixed-Pauli "
                          "provers: their acceptance set is analytic")
-    for _, steps in sorted(prover.pauli_plan.items()):
+    op = pa.SymbolicPauli.identity(q, m)
+    for _, steps in sorted((prover.pauli_plan or {}).items()):
         for b, p_op in steps:
             if b != 0:
                 raise ValueError("the confidence audit is single-block")

@@ -192,15 +192,6 @@ class StateVector:
         self.shape = shape
         self.amplitudes = amplitudes
 
-    @classmethod
-    def _wrap(cls, shape: RegisterShape,
-              amplitudes: np.ndarray) -> "StateVector":
-        """A state over flat complex128 amplitudes of `shape` (unchecked)."""
-        state = cls.__new__(cls)
-        state.shape = shape
-        state.amplitudes = amplitudes
-        return state
-
     def to_density(self) -> "DensityMatrix":
         a = self.amplitudes
         return DensityMatrix(self.shape, np.outer(a, a.conj()), check_psd=False)

@@ -18,6 +18,10 @@ Pauli frame per block; Clifford rounds act on the logical state while keys
 and frames evolve by exact conjugation rules, which covers honest and
 Pauli-attacking provers at any gadget count.
 
+A prover's Pauli plan is data every engine applies itself; the dense
+engines' one prover turn, `_run_policy`, also hands its policy the raw
+amplitudes.
+
 Verifier keys and attack frames share one type, `pcalg.SymbolicPauli`,
 and one rule table, `pauli_key_update`, which moves either through a
 transversal gate at a cost independent of the block count.
@@ -443,15 +447,15 @@ class VerdictRecord:
 
 @dataclass(frozen=True)
 class PolicyContext:
-    """What a dense-engine policy sees when it gets the register.
+    """What a dense-engine policy sees beside the register's amplitudes.
 
-    `rng` is the trial's generator: a randomised prover (random-unitary)
-    draws from it, so its draws follow the trial seed and no prover holds
-    state of its own.
+    An engine hands the prover the register once per round index.  `rng`
+    is the trial's generator: a randomised prover (random-unitary) draws
+    from it, so its draws follow the trial seed and no prover holds state.
     """
 
-    phase: str
     round_index: int
+    dims: tuple[int, ...]
     block_wires: tuple[tuple[int, ...], ...]
     env_wires: tuple[int, ...]
     rng: np.random.Generator
@@ -459,20 +463,19 @@ class PolicyContext:
 
 @dataclass(frozen=True)
 class ProverImpl:
-    """A prover: an optional dense policy, an optional Pauli plan.
+    """A prover: an optional Pauli plan, an optional dense policy.
 
-    The dense engines read `policy`, which rewrites the register at each
-    exchange, and `env_dims`; the logical-frame engine and the confidence
-    audit read `pauli_plan`, which maps a round to (block, Pauli) pairs;
-    only the Clifford engine reads `misreport_round`.  An engine that
-    cannot honour a field refuses the prover at entry.  Policies never
-    see verifier keys, and a prover holds no state between calls, so one
-    value serves every trial of an experiment.
+    Every engine and the confidence audit read `pauli_plan`, which maps a
+    round to (block, Pauli) pairs; the dense engines run `policy`, which
+    maps (amplitudes, PolicyContext) to amplitudes after the plan's round,
+    and read `env_dims`; only the Clifford engine reads `misreport_round`.
+    An engine that cannot honour a field refuses the prover at entry.
+    Policies never see verifier keys, and a prover holds no state between
+    calls, so one value serves every trial of an experiment.
     """
 
     name: str
-    policy: Callable[[qc.StateVector, PolicyContext],
-                     qc.StateVector] | None = None
+    policy: Callable[[np.ndarray, PolicyContext], np.ndarray] | None = None
     pauli_plan: Mapping[int, tuple[tuple[int, pa.SymbolicPauli], ...]] | \
         None = None
     env_dims: tuple[int, ...] = ()
@@ -483,53 +486,31 @@ def honest_prover() -> ProverImpl:
     return ProverImpl(name="honest")
 
 
-def _apply_block_pauli(state: qc.StateVector, wires: Sequence[int],
-                       p_op: pa.SymbolicPauli) -> qc.StateVector:
-    q = p_op.q
-    for i, w in enumerate(wires):
-        x, z = int(p_op.x[i]), int(p_op.z[i])
-        if x == 0 and z == 0:
-            continue
-        u = qc.UnitaryMatrix(qc.RegisterShape((q,)),
-                             pa.pauli_matrix_1(q, x, z), check_unitary=False)
-        state = qc.apply_on_wires(state, u, (w,))
-    return state
-
-
 def fixed_pauli_prover(plan: Mapping[int, Sequence[tuple[int,
                                                          pa.SymbolicPauli]]],
                        name: str = "fixed-pauli") -> ProverImpl:
-    """Apply fixed Paulis to chosen blocks at chosen protocol rounds.
-
-    The same plan drives both engines: the dense policy multiplies the
-    Pauli matrices onto the block wires, the frame engine composes the
-    Paulis onto its symbolic frames.
-    """
+    """Apply fixed Paulis to chosen blocks at chosen protocol rounds."""
     frozen = {int(r): tuple((int(b), op) for b, op in steps)
               for r, steps in plan.items()}
-
-    def policy(state: qc.StateVector, ctx: PolicyContext) -> qc.StateVector:
-        for b, op in frozen.get(ctx.round_index, ()):
-            state = _apply_block_pauli(state, ctx.block_wires[b], op)
-        return state
-
-    return ProverImpl(name=name, policy=policy, pauli_plan=frozen)
+    return ProverImpl(name=name, pauli_plan=frozen)
 
 
-def scripted_prover(steps: Sequence[tuple[int, str, qc.UnitaryMatrix,
+def scripted_prover(steps: Sequence[tuple[int, qc.UnitaryMatrix,
                                           tuple[int, ...]]],
                     misreport_round: int | None = None,
                     name: str = "scripted") -> ProverImpl:
-    """Apply listed unitaries at (round, phase) on absolute register wires."""
-    table: dict[tuple[int, str], list[tuple[qc.UnitaryMatrix,
-                                            tuple[int, ...]]]] = {}
-    for rnd, phase, u, wires in steps:
-        table.setdefault((int(rnd), phase), []).append((u, tuple(wires)))
+    """Apply listed unitaries at a round on absolute register wires."""
+    table: dict[int, list[tuple[np.ndarray, tuple[int, ...]]]] = {}
+    for rnd, u, wires in steps:
+        wires = tuple(int(w) for w in wires)
+        if not len(set(wires)) == len(wires) == u.shape.num_wires:
+            raise ValueError("unitary dimension does not match listed wires")
+        table.setdefault(int(rnd), []).append((u.entries, wires))
 
-    def policy(state: qc.StateVector, ctx: PolicyContext) -> qc.StateVector:
-        for u, wires in table.get((ctx.round_index, ctx.phase), ()):
-            state = qc.apply_on_wires(state, u, wires)
-        return state
+    def policy(amps: np.ndarray, ctx: PolicyContext) -> np.ndarray:
+        for u, wires in table.get(ctx.round_index, ()):
+            amps = qc._apply_raw(amps, ctx.dims, u, wires)
+        return amps
 
     return ProverImpl(name=name, policy=policy,
                       misreport_round=misreport_round)
@@ -540,13 +521,12 @@ def random_unitary_prover(env_dims: tuple[int, ...],
     """Haar-random unitary over all held block wires plus the environment,
     drawn afresh at every exchange from the trial's generator."""
 
-    def policy(state: qc.StateVector, ctx: PolicyContext) -> qc.StateVector:
+    def policy(amps: np.ndarray, ctx: PolicyContext) -> np.ndarray:
         wires = tuple(w for ws in ctx.block_wires for w in ws) + \
             ctx.env_wires
-        dims = tuple(state.shape.dims[w] for w in wires)
-        mat = qc.haar_unitary(math.prod(dims), ctx.rng)
-        u = qc.UnitaryMatrix(qc.RegisterShape(dims), mat, check_unitary=False)
-        return qc.apply_on_wires(state, u, wires)
+        mat = qc.haar_unitary(math.prod(ctx.dims[w] for w in wires),
+                              ctx.rng)
+        return qc._apply_raw(amps, ctx.dims, mat, wires)
 
     return ProverImpl(name=name, policy=policy, env_dims=tuple(env_dims))
 
@@ -572,17 +552,13 @@ def zeno_prover(e: int = 2, n_per: int = 40, phi: float = 0.45,
     """
     b = 1 + e
     theta = phi / n_per
-    shape = qc.RegisterShape((2,) * b)
     eye = np.eye(2 ** b, dtype=np.complex128)
-    rots = [qc.UnitaryMatrix(shape,
-                             math.cos(theta) * eye
-                             + 1j * math.sin(theta) * axis,
-                             check_unitary=False)
+    rots = [math.cos(theta) * eye + 1j * math.sin(theta) * axis
             for axis in _rotation_axes(b)]
 
-    def policy(state: qc.StateVector, ctx: PolicyContext) -> qc.StateVector:
+    def policy(amps: np.ndarray, ctx: PolicyContext) -> np.ndarray:
         rot = rots[(ctx.round_index - 1) % len(rots)]
-        return qc.apply_on_wires(state, rot, ctx.block_wires[0])
+        return qc._apply_raw(amps, ctx.dims, rot, ctx.block_wires[0])
 
     return ProverImpl(name=name, policy=policy)
 
@@ -606,39 +582,45 @@ def _check_pauli_plan(prover: ProverImpl, rounds: range, blocks: int,
 def _check_dense_prover(prover: ProverImpl, rounds: range, blocks: int,
                         q: int, m: int) -> None:
     """A dense engine's entry checks on the prover and the register size."""
-    if prover.policy is None and prover.pauli_plan is not None:
-        raise ValueError("a bare Pauli plan runs on the logical-frame engine")
     _check_pauli_plan(prover, rounds, blocks, q, m)
     if q ** (blocks * m) * math.prod(prover.env_dims) > _DENSE_AMPLITUDE_CAP:
         raise ValueError("register too large for the dense engine")
 
 
-def _run_policy(prover: ProverImpl, amps: np.ndarray,
-                shape: qc.RegisterShape, phase: str, round_index: int,
-                block_wires: tuple[tuple[int, ...], ...],
+def _run_policy(prover: ProverImpl, amps: np.ndarray, dims: tuple[int, ...],
+                round_index: int, block_wires: tuple[tuple[int, ...], ...],
                 env_wires: tuple[int, ...],
                 rng: np.random.Generator) -> np.ndarray:
-    """Hand the register to the prover's policy: the engines' only wrap.
+    """The dense engines' one prover turn at `round_index`.
 
-    The policy is untrusted code, so the state it returns is checked
-    against the register shape before the engine takes its amplitudes.
+    The Pauli plan's round comes first, one single-wire product per
+    non-identity wire of each listed block; then the policy, if any.  The
+    policy is untrusted code, so what it returns must be an array of the
+    register's shape and dtype before the engine takes it.
     """
+    if prover.pauli_plan:
+        for b, op in prover.pauli_plan.get(round_index, ()):
+            for w, x, z in zip(block_wires[b], op.x.tolist(), op.z.tolist()):
+                if x or z:
+                    amps = qc._apply_raw(amps, dims,
+                                         pa.pauli_matrix_1(op.q, x, z), (w,))
     if prover.policy is None:
         return amps
-    out = prover.policy(qc.StateVector._wrap(shape, amps), PolicyContext(
-        phase, round_index, block_wires, env_wires, rng))
-    if not isinstance(out, qc.StateVector) or out.shape != shape:
+    out = prover.policy(amps, PolicyContext(round_index, dims, block_wires,
+                                            env_wires, rng))
+    if not (isinstance(out, np.ndarray) and out.shape == amps.shape
+            and out.dtype == amps.dtype):
         raise ValueError(f"prover {prover.name!r} returned a state that "
-                         f"does not match the register {shape.dims}")
-    return out.amplitudes
+                         f"does not match the register {dims}")
+    return out
 
 
 def _dense_register(blocks: Sequence[qc.StateVector],
                     env_dims: tuple[int, ...]
-                    ) -> tuple[qc.RegisterShape, np.ndarray,
+                    ) -> tuple[tuple[int, ...], np.ndarray,
                                tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The dense engines' register: the encoded blocks, then the prover's
-    environment wires in |0>; returns shape, amplitudes and wire tuples."""
+    environment wires in |0>; returns dims, amplitudes and wire tuples."""
     state = blocks[0]
     for enc in blocks[1:]:
         state = qc.tensor(state, enc)
@@ -648,7 +630,7 @@ def _dense_register(blocks: Sequence[qc.StateVector],
     n, m = len(blocks), blocks[0].shape.num_wires
     block_wires = tuple(tuple(range(b * m, (b + 1) * m)) for b in range(n))
     env_wires = tuple(range(n * m, n * m + len(env_dims)))
-    return state.shape, state.amplitudes, block_wires, env_wires
+    return state.shape.dims, state.amplitudes, block_wires, env_wires
 
 
 # ------------------------------------------------- qubit protocol engine
@@ -672,8 +654,8 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
     was built), the input length, the output wire and the register shape,
     prover environment included.  The rounds then run on the flat
     amplitude array through the raw qcore kernels, each gate resolved once
-    per circuit; only the prover's policy sees a `StateVector`, and the
-    state it returns is checked against the register shape.
+    per circuit; the prover's turn, `_run_policy`, hands it the same array
+    and checks what its policy returns.
     """
     if circuit.mode != "clifford":
         raise ValueError("this engine runs qubit circuits")
@@ -687,10 +669,9 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
     shape1 = qc.RegisterShape((2,))
 
     keys = [ca.random_clifford_key(params, rng) for _ in range(n)]
-    shape, amps, block_wires, env_wires = _dense_register(
+    dims, amps, block_wires, env_wires = _dense_register(
         [ca.cqas_encode(qc.basis_state(shape1, (int(bit),)), keys[b])
          for b, bit in enumerate(input_bits)], prover.env_dims)
-    dims = shape.dims
     aux_wires = tuple(ws[1:] for ws in block_wires)
 
     transcript = Transcript()
@@ -710,8 +691,8 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
         if prover.misreport_round == i:
             add("prover->verifier", "verdict", "abort")
             return VerdictRecord("abort", None, transcript, i)
-        amps = _run_policy(prover, amps, shape, "send", i, block_wires,
-                           env_wires, rng)
+        amps = _run_policy(prover, amps, dims, i, block_wires, env_wires,
+                           rng)
         add("prover->verifier", "quantum-block", touched)
         for b in touched:
             amps = qc._apply_raw(amps, dims, keys[b].dagger_matrix(),
@@ -821,8 +802,8 @@ def _poly_dense(circuit: CircuitIR, schedule: LogicalSchedule,
                 output_wires: tuple[int, ...]) -> VerdictRecord:
     # Validation happens once, here and in run_poly_qpip: the circuit
     # compiled, the register fits, and the encoded state carries a checked
-    # shape.  The gates and measurements below then run on the flat
-    # amplitude array; only the prover's policy sees a StateVector.
+    # shape.  The gates, the prover's turns at rounds 0 and 1, and the
+    # measurements below all run on the flat amplitude array.
     if schedule.toffoli_count > 0:
         raise ValueError("the dense engine runs Toffoli-free circuits; use "
                          "the logical-frame engine for gadget rounds")
@@ -834,16 +815,14 @@ def _poly_dense(circuit: CircuitIR, schedule: LogicalSchedule,
     sign = pc.random_sign_key(m, rng)
     keys = [pc.random_pauli_key(p, rng) for _ in range(n)]
     shape1 = qc.RegisterShape((q,))
-    shape, amps, block_wires, env_wires = _dense_register(
+    dims, amps, block_wires, env_wires = _dense_register(
         [pya.pqas_encode(qc.basis_state(shape1, (int(digit),)),
                          pya.PolyQasKey(sign, keys[b]), p)
          for b, digit in enumerate(input_digits)], prover.env_dims)
-    dims = shape.dims
 
     transcript = Transcript()
     transcript.add("verifier->prover", "quantum-block", tuple(range(n)))
-    amps = _run_policy(prover, amps, shape, "recv", 0, block_wires,
-                       env_wires, rng)
+    amps = _run_policy(prover, amps, dims, 0, block_wires, env_wires, rng)
 
     for gate in circuit.gates:
         tag = gate.op
@@ -854,7 +833,7 @@ def _poly_dense(circuit: CircuitIR, schedule: LogicalSchedule,
         pauli_key_update(keys, tag, gate.wires, p, sign)
 
     final_round = 1
-    amps = _run_policy(prover, amps, shape, "send", final_round, block_wires,
+    amps = _run_policy(prover, amps, dims, final_round, block_wires,
                        env_wires, rng)
     strings = []
     for w in output_wires:
@@ -872,7 +851,7 @@ def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
     # compiled, the prover speaks Pauli plans, the peak register fits and
     # the input digits form a basis state.  The register below is a flat
     # amplitude array over q^len(live), moved by the raw qcore kernels.
-    if prover.policy is not None and prover.pauli_plan is None:
+    if prover.policy is not None:
         raise ValueError("the logical-frame engine accepts honest provers "
                          "or Pauli plans only")
     q, m = p.q, p.m

@@ -49,7 +49,7 @@ def test_prover_factories_build_named_provers():
 
 def test_policy_context_exposes_no_verifier_secrets():
     fields = {f.name for f in dataclasses.fields(qpip.PolicyContext)}
-    assert fields == {"phase", "round_index", "block_wires", "env_wires",
+    assert fields == {"round_index", "dims", "block_wires", "env_wires",
                       "rng"}
 
 
@@ -64,13 +64,12 @@ def test_zeno_circuit_shape():
 
 def test_zeno_policy_applies_small_rotations():
     prover = qpip.zeno_prover(e=1, n_per=10, phi=0.3)
-    shape = qc.RegisterShape((2, 2))
-    state = qc.basis_state(shape, (0, 0))
-    ctx = qpip.PolicyContext(phase="send", round_index=1,
+    amps = qc.basis_state(qc.RegisterShape((2, 2)), (0, 0)).amplitudes
+    ctx = qpip.PolicyContext(round_index=1, dims=(2, 2),
                              block_wires=((0, 1),), env_wires=(),
                              rng=qc.make_rng(0))
-    out = prover.policy(state, ctx)
-    overlap = abs(np.vdot(state.amplitudes, out.amplitudes))
+    out = prover.policy(amps, ctx)
+    overlap = abs(np.vdot(amps, out))
     assert math.cos(0.03) - 1e-12 <= overlap <= 1.0
 
 

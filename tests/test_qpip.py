@@ -427,7 +427,7 @@ def test_clifford_broken_variant_checks_every_round():
     flip = qc.UnitaryMatrix(qc.RegisterShape((2,) * 2),
                             np.kron(np.eye(2), pa.pauli_matrix_1(2, 1, 0)),
                             check_unitary=False)
-    prover = qpip.scripted_prover([(1, "send", flip, (0, 1))])
+    prover = qpip.scripted_prover([(1, flip, (0, 1))])
     rejected = sum(
         1 for _ in range(60)
         if qpip.run_clifford_qpip(circ, (1,), 1, prover, rng,
@@ -551,15 +551,33 @@ def test_clifford_reproduces_golden_records(name):
     assert int(rng.integers(2 ** 62)) == next_draw
 
 
-def test_clifford_checks_the_state_a_policy_returns():
-    circ = qpip.CircuitIR(1, 2, (identity_gate(),))
-
-    def shrink(state, ctx):  # drops the auxiliary qubits
-        return qc.basis_state(qc.RegisterShape((2,)), (0,))
-
-    prover = qpip.ProverImpl(name="shrinking", policy=shrink)
+@pytest.mark.parametrize("engine", ["clifford", "dense"])
+@pytest.mark.parametrize("policy", [
+    # the wrong length: drops all but one amplitude
+    lambda amps, ctx: amps[:1],
+    # the old return type: a policy written for StateVector in and out
+    lambda amps, ctx: qc.StateVector(qc.RegisterShape(ctx.dims), amps),
+    # the right shape in the wrong dtype
+    lambda amps, ctx: amps.real.copy(),
+], ids=["wrong-length", "state-vector", "float64"])
+def test_dense_engines_check_what_a_policy_returns(engine, policy):
+    prover = qpip.ProverImpl(name="bad", policy=policy)
     with pytest.raises(ValueError, match="does not match the register"):
-        qpip.run_clifford_qpip(circ, (1,), 1, prover, qc.make_rng(12))
+        if engine == "clifford":
+            qpip.run_clifford_qpip(qpip.CircuitIR(1, 2, (identity_gate(),)),
+                                   (1,), 1, prover, qc.make_rng(12))
+        else:
+            qpip.run_poly_qpip(qpip.CircuitIR(1, Q, ()), (0,), P, prover,
+                               qc.make_rng(12))
+
+
+@pytest.mark.parametrize("wires", [(0, 0), (0,), (0, 1, 2)])
+def test_scripted_prover_refuses_a_step_whose_wires_do_not_fit(wires):
+    flip = qc.UnitaryMatrix(qc.RegisterShape((2, 2)),
+                            np.kron(np.eye(2), pa.pauli_matrix_1(2, 1, 0)),
+                            check_unitary=False)
+    with pytest.raises(ValueError, match="unitary dimension does not match"):
+        qpip.scripted_prover([(1, flip, wires)])
 
 
 def test_clifford_rejects_an_output_wire_out_of_range():
@@ -695,12 +713,38 @@ def test_poly_frame_rejects_dense_policies():
                            engine="logical-frame")
 
 
+def test_bare_pauli_plan_runs_alike_on_both_poly_engines():
+    # the verdict and output turn on the keys and the plan alone, so the
+    # dense and logical-frame engines agree seed for seed
+    circ = audit.poly_demo_circuit(Q)
+    plans = [
+        {1: [(0, X_COORD0)]},
+        {1: [(0, pa.SymbolicPauli(Q, (1, 1, 1), (0, 0, 0)))]},
+        {0: [(0, pa.SymbolicPauli(Q, (2, 2, 2), (1, 0, 3)))]},
+        {0: [(0, pa.SymbolicPauli(Q, (0, 0, 0), (1, 2, 3)))],
+         1: [(0, pa.SymbolicPauli(Q, (3, 3, 3), (0, 4, 0)))]},
+    ]
+    verdicts = {"accept": 0, "abort": 0}
+    for plan in plans:
+        prover = qpip.ProverImpl(name="plan", pauli_plan=plan)
+        for seed in range(50):
+            dense, frames = (
+                qpip.run_poly_qpip(circ, (3,), P, prover, qc.make_rng(seed),
+                                   engine=engine)
+                for engine in ("dense", "logical-frame"))
+            assert (dense.verdict, dense.output) == \
+                (frames.verdict, frames.output), (plan, seed)
+            verdicts[dense.verdict] += 1
+    assert min(verdicts.values()) > 0
+
+
 @pytest.mark.parametrize("engine, prover, message", [
-    ("clifford", qpip.ProverImpl(name="plan",
-                                 pauli_plan={1: ((0, X_ON_DATA),)}),
-     "bare Pauli plan"),
-    ("dense", qpip.ProverImpl(name="plan", pauli_plan={
-        1: ((0, pa.SymbolicPauli.identity(Q, M)),)}), "bare Pauli plan"),
+    # a policy runs on the dense engines only, beside a plan or not
+    ("logical-frame", qpip.ProverImpl(
+        name="both", policy=lambda amps, ctx: amps,
+        pauli_plan={1: ((0, X_COORD0),)}), "Pauli plans only"),
+    # an environment the dense register cannot hold
+    ("dense", qpip.ProverImpl(name="big", env_dims=(Q,) * 7), "too large"),
     ("dense", qpip.scripted_prover([], misreport_round=1), "misreport"),
     ("logical-frame", qpip.ProverImpl(name="misreport", pauli_plan={},
                                       misreport_round=1), "misreport"),

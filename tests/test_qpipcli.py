@@ -88,11 +88,11 @@ def test_qpip_poly_random_unitary_environment_matches_wires():
 
 
 def _first_draw(prover: qpip.ProverImpl, seed: int) -> np.ndarray:
-    state = qc.basis_state(qc.RegisterShape((2, 2)), (0, 0))
-    ctx = qpip.PolicyContext(phase="gate", round_index=1,
+    amps = qc.basis_state(qc.RegisterShape((2, 2)), (0, 0)).amplitudes
+    ctx = qpip.PolicyContext(round_index=1, dims=(2, 2),
                              block_wires=((0,),), env_wires=(1,),
                              rng=qc.make_rng(seed))
-    return prover.policy(state, ctx).amplitudes
+    return prover.policy(amps, ctx)
 
 
 def test_random_unitary_draws_follow_the_trial_generator():
