@@ -4,6 +4,8 @@ A message of l qubits is padded with e zeroed auxiliary qubits and hidden
 under a uniformly random Clifford on all m = l + e qubits.  Averaging any
 fixed attack over the key group turns it into a depolarizing mixture, so
 an undetected-and-wrong outcome survives with probability at most 2^-e.
+The security experiment averages over the whole group where C_m is
+enumerated (m <= 2) and over drawn keys at m = 3: the block size decides.
 """
 
 import math
@@ -141,41 +143,48 @@ def _two_term_reference(rho_plain: np.ndarray, s: float, m: int
     return s * rho_plain + (1 - s) * mix
 
 
+def key_average(params: CliffordQasParams) -> str:
+    """How `cqas_security_experiment` averages the keys: "exact" where C_m
+    is enumerated (m <= 2), "sampled" at m = 3; larger blocks are refused."""
+    if params.m > 3:
+        raise ValueError("the key average runs for blocks of m <= 3 qubits")
+    return "exact" if params.m <= 2 else "sampled"
+
+
 def cqas_security_experiment(params: CliffordQasParams, psi: qc.StateVector,
                              attack: qc.UnitaryMatrix,
                              env_state: qc.StateVector | None = None,
-                             mode: str = "exact",
                              rng: np.random.Generator | None = None,
                              trials: int = 2000):
     """Average the attacked round over keys and score Bob's state.
 
-    Exact mode sums the whole key group (m <= 2) and checks that the
-    averaged state collapses to the two-term mixture
-    s*rho + (1-s)/(4^m-1) sum_P P rho P^dag; sampled mode draws keys and
-    gives the estimate a +-3/sqrt(trials) interval.  The claim is
-    tr(Pi_1 rho_B) >= 1 - epsilon, gated on 1 - tr(Pi_1 rho_B).
+    The block size picks the average (`key_average`).  At m <= 2 it sums
+    the whole key group and checks that the averaged state collapses to
+    the two-term mixture s*rho + (1-s)/(4^m-1) sum_P P rho P^dag; at
+    m = 3 it draws `trials` keys from `rng` and gives the estimate a
+    +-3/sqrt(trials) interval.  The claim is tr(Pi_1 rho_B) >= 1 - epsilon,
+    gated on 1 - tr(Pi_1 rho_B).
     """
     from . import audit  # audit imports this module
+    mode = key_average(params)
     m, rho, env_dim, rho_env = _attack_setup(params, psi, attack, env_state)
     proj = QasProjectors(psi, params.e)
     kept = tuple(range(m))
+    s = _identity_weight(attack, m, env_dim, rho_env)
 
     if mode == "exact":
-        if m > 2:
-            raise ValueError("exact averaging is enumerated only for m <= 2")
         avg = pa.group_average_channel(rho, attack, "clifford", kept)
         rho_b = qc.partial_trace(avg, kept) if env_dim > 1 else avg
-        s = _identity_weight(attack, m, env_dim, rho_env)
         plain = qc.partial_trace(rho, kept) if env_dim > 1 else rho
         ref = _two_term_reference(plain.entries, s, m)
         residual = float(np.max(np.abs(rho_b.entries - ref)))
         if residual > 1e-8:
             raise AssertionError(
                 f"averaged state missed the two-term form by {residual:.3e}")
-        trial_count = None
-    elif mode == "sampled":
+        trial_count, half, limit = None, 0.0, params.epsilon + 1e-8
+    else:
         if rng is None:
-            raise ValueError("sampled mode needs an rng")
+            raise ValueError("averaging drawn keys at m = 3 needs an rng")
         acc = np.zeros((2 ** m, 2 ** m), dtype=np.complex128)
         for _ in range(trials):
             el = pa.sample_clifford(m, rng)
@@ -192,22 +201,14 @@ def cqas_security_experiment(params: CliffordQasParams, psi: qc.StateVector,
             acc += reduced.entries
         rho_b = qc.DensityMatrix(qc.RegisterShape((2,) * m), acc / trials,
                                  check_psd=False)
-        s = _identity_weight(attack, m, env_dim, rho_env)
-        residual = None
-        trial_count = trials
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        residual, trial_count = None, trials
+        half, limit = 3.0 / math.sqrt(max(trials, 1)), params.epsilon
 
     tr_pi1 = float(np.trace(proj.pi1 @ rho_b.entries).real)
     tr_pi0 = float(np.trace(proj.pi0 @ rho_b.entries).real)
     est = 1.0 - tr_pi1
-    if mode == "exact":
-        interval, limit = (est, est), params.epsilon + 1e-8
-    else:
-        half = 3.0 / math.sqrt(max(trials, 1))
-        interval, limit = (est - half, est + half), params.epsilon
     return audit.gate("1 - tr(Pi_1 rho_B) <= epsilon", params.epsilon, est,
-                      interval,
+                      (est - half, est + half),
                       {"mode": mode, "tr_pi0": tr_pi0, "tr_pi1": tr_pi1,
                        "s": s, "two_term_residual": residual,
                        "trials": trial_count}, limit=limit)

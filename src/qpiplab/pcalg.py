@@ -567,19 +567,27 @@ def _embed_stack(mats: np.ndarray, wires: Sequence[int],
     return big[:, idx[:, None], idx[None, :]]
 
 
+@lru_cache(maxsize=None)
+def clifford_stack(n: int) -> np.ndarray:
+    """The matrices of C_n stacked in `enumerate_clifford` order."""
+    stack = np.stack([el.matrix.entries for el in enumerate_clifford(n)])
+    stack.setflags(write=False)  # cached: shared by every caller
+    return stack
+
+
 _STACK_CACHE: dict[tuple, np.ndarray] = {}
 
 
 def _embedded_group_stack(group: str, wires: tuple[int, ...],
                           shape: RegisterShape) -> np.ndarray:
+    if group == "clifford" and wires == tuple(range(shape.num_wires)):
+        return clifford_stack(len(wires))  # the whole register, in order
     key = (group, wires, shape.dims)
     if key not in _STACK_CACHE:
-        block_dims = [shape.dims[w] for w in wires]
         if group == "clifford":
-            table = enumerate_clifford(len(wires))
-            mats = np.stack([e.matrix.entries for e in table])
+            mats = clifford_stack(len(wires))
         else:
-            mats = all_pauli_matrices(block_dims[0], len(wires))
+            mats = all_pauli_matrices(shape.dims[wires[0]], len(wires))
         _STACK_CACHE[key] = np.ascontiguousarray(
             _embed_stack(mats, wires, shape))
     return _STACK_CACHE[key]

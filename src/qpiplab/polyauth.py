@@ -7,7 +7,6 @@ probability of an undetected wrong message.  The exhaustive scan measures
 that bound exactly for every Pauli at the shipped instance.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,78 +180,45 @@ def _attack_weights(attack: qc.UnitaryMatrix, p: pc.CodeParams,
     return w
 
 
+def key_average(p: pc.CodeParams) -> str:
+    """How `pqas_security_experiment` averages the keys: "exact", in a
+    closed form sized for m = 3; other block sizes are refused."""
+    if p.m != 3:
+        raise ValueError("the exact key average is sized for m = 3")
+    return "exact"
+
+
 def pqas_security_experiment(p: pc.CodeParams, psi: qc.StateVector,
                              attack: qc.UnitaryMatrix,
-                             env_state: qc.StateVector | None = None,
-                             mode: str = "exact",
-                             rng: np.random.Generator | None = None,
-                             trials: int = 4000):
+                             env_state: qc.StateVector | None = None):
     """Key-averaged undetected-and-wrong probability for one attack.
 
-    Exact mode averages both keys in closed form: the pad average keeps
+    Both keys are averaged exactly, in closed form: the pad average keeps
     only the attack's diagonal Pauli components, and each component's
     sign-key average is the scan's own `sign_key_masses` (sized for
-    m = 3); its gate is (1 - alpha_I) epsilon, alpha_I the attack's
-    identity weight.  Sampled mode draws keys and gates on epsilon with a
-    +-3/sqrt(trials) interval.
+    m = 3).  The gate is (1 - alpha_I) epsilon, alpha_I the attack's
+    identity weight.
     """
     from . import audit  # audit imports this module
+    mode = key_average(p)
     q, m = p.q, p.m
-
-    if mode == "exact":
-        weights = _attack_weights(attack, p, env_state)
-        mass = sign_key_masses(p, psi)[0]
-        xs, zs = _all_exponent_grids(p)
-        wflat = weights.reshape(-1)
-        # rows of the grid run over (x digits, z digits) in index order
-        xidx = np.ravel_multi_index(xs.T, (q,) * m)
-        zidx = np.ravel_multi_index(zs.T, (q,) * m)
-        wrow = wflat[xidx * q ** m + zidx]
-        ident = (xidx == 0) & (zidx == 0)
-        alpha_i = float(wrow[ident].sum())
-        tr_pi0 = float((wrow * mass)[~ident].sum())
-        interval = (tr_pi0, tr_pi0)
-        limit = (1.0 - alpha_i) * p.epsilon + 1e-8
-        trial_count = None
-    elif mode == "sampled":
-        if rng is None:
-            raise ValueError("sampled mode needs an rng")
-        env_dim = 1 if env_state is None else env_state.shape.dim
-        if attack.shape.dim != q ** m * env_dim:
-            raise ValueError("attack must cover the code block and "
-                             "environment")
-        proj = np.eye(q) - np.outer(psi.amplitudes, psi.amplitudes.conj())
-        acc = 0.0
-        for _ in range(trials):
-            key = random_poly_key(p, rng)
-            enc = pqas_encode(psi, key, p)
-            vec = enc.amplitudes if env_state is None else np.kron(
-                enc.amplitudes, env_state.amplitudes)
-            vec = attack.entries @ vec
-            vec = vec.reshape(q ** m, env_dim)
-            vec = pa.pauli_matrix(key.pauli).entries.conj().T @ vec
-            decoded = np.stack([
-                pc.decode_Ek(qc.StateVector(p.shape(), vec[:, e],
-                                            check_norm=False),
-                             key.sign, p).amplitudes
-                for e in range(env_dim)], axis=1)
-            sector = decoded.reshape(q, q ** (m - 1), env_dim)[:, 0, :]
-            acc += float(np.einsum("ae,ab,be->", sector.conj(), proj,
-                                   sector, optimize=True).real)
-        tr_pi0 = acc / trials
-        half = 3.0 / math.sqrt(max(trials, 1))
-        interval = (tr_pi0 - half, tr_pi0 + half)
-        limit = p.epsilon
-        alpha_i = float("nan")
-        trial_count = trials
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    weights = _attack_weights(attack, p, env_state)
+    mass = sign_key_masses(p, psi)[0]
+    xs, zs = _all_exponent_grids(p)
+    wflat = weights.reshape(-1)
+    # rows of the grid run over (x digits, z digits) in index order
+    xidx = np.ravel_multi_index(xs.T, (q,) * m)
+    zidx = np.ravel_multi_index(zs.T, (q,) * m)
+    wrow = wflat[xidx * q ** m + zidx]
+    ident = (xidx == 0) & (zidx == 0)
+    alpha_i = float(wrow[ident].sum())
+    tr_pi0 = float((wrow * mass)[~ident].sum())
+    # "mode" and "trials" keep the record of earlier reports, which replay
     return audit.gate(
-        "undetected-and-wrong mass <= (1 - alpha_I) epsilon"
-        if mode == "exact" else "undetected-and-wrong mass <= epsilon",
-        p.epsilon, tr_pi0, interval,
-        {"mode": mode, "alpha_identity": alpha_i, "trials": trial_count},
-        limit=limit)
+        "undetected-and-wrong mass <= (1 - alpha_I) epsilon", p.epsilon,
+        tr_pi0, (tr_pi0, tr_pi0),
+        {"mode": mode, "alpha_identity": alpha_i, "trials": None},
+        limit=(1.0 - alpha_i) * p.epsilon + 1e-8)
 
 
 # ------------------------------------------------- measure-resend control

@@ -99,7 +99,9 @@ class ExperimentConfig:
     A field left at None takes its subcommand's default from the row in
     `_SUBCOMMANDS`, else the generic default declared beside it; so does
     the delegated circuit of the protocol subcommands, which depends on
-    the adversary (qpip-clifford) or the engine (qpip-poly).
+    the adversary (qpip-clifford) or the engine (qpip-poly).  A field the
+    subcommand has no flag for must keep that default: the run would
+    ignore any other value, so such a config is refused.
     """
 
     subcommand: str
@@ -125,11 +127,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.subcommand not in _SUBCOMMANDS:
             raise ValueError(f"unknown subcommand {self.subcommand!r}")
-        defaults = _SUBCOMMANDS[self.subcommand].defaults
+        row = _SUBCOMMANDS[self.subcommand]
+        taken = {"subcommand", *_COMMON, *row.flags}
         for f in dataclasses.fields(self):
-            if getattr(self, f.name) is None:
-                object.__setattr__(self, f.name, defaults.get(
-                    f.name, f.metadata.get("default")))
+            default = row.defaults.get(f.name, f.metadata.get("default"))
+            value = getattr(self, f.name)
+            if value is None:
+                object.__setattr__(self, f.name, default)
+            elif f.name not in taken and value != default:
+                raise ValueError(f"{self.subcommand} takes no {f.name}; "
+                                 f"it keeps its default {default!r}")
         if callable(self.circuit_name):  # a protocol's default circuit
             object.__setattr__(self, "circuit_name", None if
                                self.circuit_json is not None
@@ -280,10 +287,13 @@ def _round_floats(obj, places: int = 12):
 _ENV_QUBIT = qc.basis_state(qc.RegisterShape((2,)), (0,))
 
 
-def _run_qas(experiment, params, cfg: ExperimentConfig,
-             seed: int) -> audit.AuditRecord:
+def _run_qas(cfg: ExperimentConfig, seed: int) -> audit.AuditRecord:
     """A scheme's security experiment on a random one-wire input and a
-    random attack on its block plus one environment qubit."""
+    random attack on its block plus one environment qubit.  The block size
+    is checked first: where it is refused, the draw alone takes gigabytes."""
+    clifford = cfg.subcommand == "qas-clifford"
+    params = ca.CliffordQasParams(l=1, e=cfg.e) if clifford else cfg.code()
+    (ca if clifford else pq).key_average(params)
     dims = params.shape().dims
     rng = qc.make_rng(seed)
     v = rng.normal(size=dims[0]) + 1j * rng.normal(size=dims[0])
@@ -292,8 +302,10 @@ def _run_qas(experiment, params, cfg: ExperimentConfig,
         qc.RegisterShape(dims + (2,)),
         qc.haar_unitary(2 * int(np.prod(dims)), rng),
         check_unitary=False)
-    return experiment(params, psi, attack, _ENV_QUBIT, mode=cfg.key_average,
-                      rng=rng, trials=cfg.trials)
+    if clifford:
+        return ca.cqas_security_experiment(params, psi, attack, _ENV_QUBIT,
+                                           rng=rng, trials=cfg.trials)
+    return pq.pqas_security_experiment(params, psi, attack, _ENV_QUBIT)
 
 
 def _run_qpip(cfg: ExperimentConfig, seed: int) -> audit.AuditRecord:
@@ -366,16 +378,9 @@ _SUBCOMMANDS = {
             scope=cfg.scope, c_vector=cfg.c_vector, seed=seed),
         "run the algebraic identity suite", ("scope", "c_vector")),
     "qas-clifford": _Subcommand(
-        lambda cfg, seed: _run_qas(ca.cqas_security_experiment,
-                                   ca.CliffordQasParams(l=1, e=cfg.e),
-                                   cfg, seed),
-        "Clifford authentication security experiment",
-        ("e", "key_average")),
+        _run_qas, "Clifford authentication security experiment", ("e",)),
     "qas-poly": _Subcommand(
-        lambda cfg, seed: _run_qas(pq.pqas_security_experiment, cfg.code(),
-                                   cfg, seed),
-        "signed-code authentication security experiment",
-        _CODE + ("key_average",)),
+        _run_qas, "signed-code authentication security experiment", _CODE),
     "scan-signkey": _Subcommand(
         lambda cfg, seed: pq.sign_key_security_scan(cfg.code()),
         "exhaustive sign-key security scan", _CODE),
@@ -400,9 +405,9 @@ _SUBCOMMANDS = {
         ("mode", "adversary", "input_digit", "e") + _CODE,
         {"mode": "clifford"}),
     "zeno-demo": _Subcommand(
-        lambda cfg, seed: _run_qpip(dataclasses.replace(
-            cfg, adversary="zeno", broken_variant=True,
-            circuit_name="zeno", circuit_json=None), seed),
+        lambda cfg, seed: _run_qpip(ExperimentConfig(
+            "qpip-clifford", e=cfg.e, trials=cfg.trials, adversary="zeno",
+            broken_variant=True, n_per=cfg.n_per, phi=cfg.phi), seed),
         "accumulated-rotation negative control against the reused-key "
         "protocol variant", ("e", "n_per", "phi"), {"e": 2, "trials": 200}),
 }

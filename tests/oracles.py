@@ -397,7 +397,7 @@ def _logical_sum_dense(rng, cvec, p) -> float:
 
 def _clifford_decoherence_dense(rng, cvec, p) -> float:
     """clifford-decoherence: the twirled cross term on a random state."""
-    stack = audit._c2_stack(2)
+    stack = pa.clifford_stack(2)
     pm = np.kron(pa.pauli_matrix_1(2, 1, 0), np.eye(2))
     pm2 = np.kron(pa.pauli_matrix_1(2, 0, 1),
                   pa.pauli_matrix_1(2, 0, 1))
@@ -412,7 +412,7 @@ def _clifford_decoherence_dense(rng, cvec, p) -> float:
 
 def _pauli_partitioning_dense(rng, cvec, p) -> float:
     """pauli-partitioning-by-cliffords from dense conjugates' overlaps."""
-    stack = audit._c2_stack(2)
+    stack = pa.clifford_stack(2)
     pm = np.kron(pa.pauli_matrix_1(2, 1, 0), np.eye(2))
     conj = np.matmul(stack.conj().transpose(0, 2, 1), np.matmul(pm, stack))
     basis = pa.qubit_pauli_basis(2)

@@ -164,27 +164,37 @@ def test_attack_family_monotonicity():
 
 
 def test_sampled_mode_tracks_exact():
+    """At m = 3 the experiment draws keys; the estimate tracks the
+    two-term form the whole-group average collapses to."""
+    params = ca.CliffordQasParams(1, 2)
     rng = qc.make_rng(19)
-    attack = pauli_attack([1, 0], [0, 0])
-    exact = ca.cqas_security_experiment(PARAMS, PSI, attack)
-    sampled = ca.cqas_security_experiment(PARAMS, PSI, attack,
-                                          mode="sampled", rng=rng,
-                                          trials=3000)
+    attack = qc.UnitaryMatrix(qc.RegisterShape((2,) * 3), haar(8, rng))
+    rec = ca.cqas_security_experiment(params, PSI, attack, rng=rng,
+                                      trials=3000)
+    assert rec.detail["mode"] == "sampled"
+    assert rec.detail["trials"] == 3000
+    plain = np.kron(PSI.amplitudes, np.eye(4)[0])
+    ref = ca._two_term_reference(np.outer(plain, plain.conj()),
+                                 rec.detail["s"], params.m)
+    proj = ca.QasProjectors(PSI, params.e)
     sigma = 3 / np.sqrt(3000)
-    assert abs(sampled.detail["tr_pi0"] - exact.detail["tr_pi0"]) < sigma
-    assert abs(sampled.detail["tr_pi1"] - exact.detail["tr_pi1"]) < sigma
-    assert sampled.interval == pytest.approx(
-        (sampled.estimate - sigma, sampled.estimate + sigma))
+    assert abs(rec.detail["tr_pi0"] - np.trace(proj.pi0 @ ref).real) < sigma
+    assert abs(rec.detail["tr_pi1"] - np.trace(proj.pi1 @ ref).real) < sigma
+    assert rec.interval == pytest.approx(
+        (rec.estimate - sigma, rec.estimate + sigma))
 
 
 def test_mode_errors():
-    big = ca.CliffordQasParams(2, 1)
-    psi2 = qc.basis_state(qc.RegisterShape((2, 2)), (0, 0))
+    """The block size picks the average: exact at m <= 2, drawn keys
+    (which need an rng) at m = 3, and larger blocks are refused."""
+    assert ca.key_average(PARAMS) == "exact"
+    three = ca.CliffordQasParams(1, 2)
+    assert ca.key_average(three) == "sampled"
     ident8 = qc.UnitaryMatrix(qc.RegisterShape((2, 2, 2)), np.eye(8))
-    with pytest.raises(ValueError):
-        ca.cqas_security_experiment(big, psi2, ident8, mode="exact")
-    ident4 = qc.UnitaryMatrix(qc.RegisterShape((2, 2)), np.eye(4))
-    with pytest.raises(ValueError):
-        ca.cqas_security_experiment(PARAMS, PSI, ident4, mode="sampled")
-    with pytest.raises(ValueError):
-        ca.cqas_security_experiment(PARAMS, PSI, ident4, mode="bogus")
+    with pytest.raises(ValueError, match="rng"):
+        ca.cqas_security_experiment(three, PSI, ident8)
+    psi2 = qc.basis_state(qc.RegisterShape((2, 2)), (0, 0))
+    ident16 = qc.UnitaryMatrix(qc.RegisterShape((2,) * 4), np.eye(16))
+    with pytest.raises(ValueError, match="m <= 3"):
+        ca.cqas_security_experiment(ca.CliffordQasParams(2, 2), psi2,
+                                    ident16, rng=qc.make_rng(0))

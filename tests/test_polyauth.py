@@ -298,33 +298,16 @@ def test_literal_average_matches_closed_form():
         pytest.approx(0.5, abs=1e-12)
 
 
-def test_sampled_mode_tracks_exact():
-    rng = qc.make_rng(61)
-    env = qc.StateVector(qc.RegisterShape((2,)),
-                         np.array([1, 1j]) / np.sqrt(2))
-    u = unitary_group.rvs(Q ** M * 2, random_state=rng)
-    att = qc.UnitaryMatrix(qc.RegisterShape((Q, Q, Q, 2)), u)
-    exact = pq.pqas_security_experiment(P, PSI0, att, env_state=env)
-    sampled = pq.pqas_security_experiment(P, PSI0, att, env_state=env,
-                                          mode="sampled", rng=rng,
-                                          trials=500)
-    assert sampled.detail["trials"] == 500
-    assert abs(sampled.estimate - exact.estimate) < 0.03
-
-
 def test_experiment_input_validation():
     ident = qc.UnitaryMatrix(SHAPE, np.eye(Q ** M, dtype=complex))
     small = qc.UnitaryMatrix(qc.RegisterShape((Q,)),
                              np.eye(Q, dtype=complex))
     with pytest.raises(ValueError):
         pq.pqas_security_experiment(P, PSI0, small)
-    with pytest.raises(ValueError):
-        pq.pqas_security_experiment(P, PSI0, ident, mode="sampled")
-    with pytest.raises(ValueError):
-        pq.pqas_security_experiment(P, PSI0, ident, mode="bogus")
     p7 = pc.CodeParams(q=7, d=2, alphas=(1, 2, 3, 4, 5))
     psi7 = qc.basis_state(qc.RegisterShape((7,)), (0,))
-    with pytest.raises(ValueError):
+    assert pq.key_average(P) == "exact"
+    with pytest.raises(ValueError, match="m = 3"):
         pq.pqas_security_experiment(p7, psi7, ident)
     with pytest.raises(ValueError):
         oracles.pqas_average_literal(

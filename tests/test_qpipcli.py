@@ -27,11 +27,14 @@ def run_and_replay(subcommand: str, seed: int = 3, **kwargs):
     return stored, code
 
 
+# each scheme at its defaults, then at a second size: three Clifford
+# qubits (the block size where keys are drawn) and the q = 7 code
 @pytest.mark.parametrize("subcommand", ["qas-clifford", "qas-poly"])
-@pytest.mark.parametrize("kwargs", [{}, {"key_average": "sampled",
-                                         "trials": 40}])
+@pytest.mark.parametrize("kwargs", [{}, {"qas-clifford": {"e": 2,
+                                                          "trials": 40},
+                                         "qas-poly": {"q": 7}}])
 def test_qas_subcommands_run_and_replay(subcommand, kwargs):
-    envelope, code = run_and_replay(subcommand, **kwargs)
+    envelope, code = run_and_replay(subcommand, **kwargs.get(subcommand, {}))
     assert code == 0
     assert envelope.payload["verdict"] == "pass"
 
@@ -173,9 +176,9 @@ SUBCOMMAND_OUTCOMES = [
     ("lemmas", {"scope": "logical-x"}, 0, "pass"),
     ("lemmas", {"scope": "interpolation-weights,logical-fourier",
                 "c_vector": (4, 0, 2)}, 1, "fail"),
-    ("qas-clifford", {"key_average": "sampled", "trials": 40}, 0, "pass"),
+    ("qas-clifford", {"e": 2, "trials": 40}, 0, "pass"),
     ("qas-poly", {}, 0, "pass"),
-    ("qas-poly", {"key_average": "sampled", "trials": 40}, 0, "pass"),
+    ("qas-poly", {"q": 7}, 0, "pass"),
     ("scan-signkey", {}, 1, "fail"),
     ("qpip-clifford", {"circuit_name": "clifford-demo", "trials": 20},
      0, "pass"),
@@ -233,8 +236,8 @@ _CIRCUIT = ["--circuit", "--circuit-json", "--circuit-file", "--inputs",
             "--adversary"]
 SUBCOMMAND_OPTIONS = {
     "lemmas": ["--scope", "--c-vector"],
-    "qas-clifford": ["--e", "--key-average"],
-    "qas-poly": _CODE + ["--key-average"],
+    "qas-clifford": ["--e"],
+    "qas-poly": _CODE,
     "scan-signkey": _CODE,
     "qpip-clifford": _CIRCUIT + ["--e", "--broken-variant", "--n-per",
                                  "--phi"],
@@ -382,6 +385,25 @@ def test_replay_names_unknown_config_keys(tmp_path, capsys):
     assert "unknown config keys: ['workers']" in capsys.readouterr().err
 
 
+def test_fields_a_subcommand_has_no_flag_for_keep_their_defaults(tmp_path,
+                                                                 capsys):
+    """A value the run would ignore is refused, so a report of a removed
+    mode (sampled qas-poly keys) is not replayed as a mismatch."""
+    with pytest.raises(ValueError, match="qas-poly takes no key_average"):
+        cli.ExperimentConfig(subcommand="qas-poly", key_average="sampled")
+    with pytest.raises(ValueError, match="zeno-demo takes no adversary"):
+        cli.ExperimentConfig(subcommand="zeno-demo", adversary="zeno")
+    assert cli.ExperimentConfig(subcommand="qas-poly", key_average="exact") \
+        == cli.ExperimentConfig(subcommand="qas-poly")
+    path = tmp_path / "qas.json"
+    assert cli.main(["qas-poly", "--output", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["config"]["key_average"] = "sampled"
+    path.write_text(json.dumps(data))
+    assert cli.main(["replay", str(path)]) == 2
+    assert "qas-poly takes no key_average" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda d: d.update(extra=1), "unexpected keyword argument 'extra'"),
     (lambda d: d.pop("seed"), "missing 1 required positional argument"),
@@ -400,7 +422,7 @@ def test_replay_rejects_malformed_envelopes(tmp_path, capsys, corrupt,
 @pytest.mark.parametrize("argv", [
     ["blindness", "--e", "2"],
     ["confidence", "--e", "2"],
-    ["qas-clifford", "--e", "2"],
+    ["qas-clifford", "--e", "3"],
     ["qpip-clifford", "--e", "3"],
     ["scan-signkey", "--q", "7", "--d", "2", "--alphas", "1,2,3,4,5"],
     # the qudit engines cannot honour a misreporting prover
@@ -417,9 +439,20 @@ def test_replay_rejects_malformed_envelopes(tmp_path, capsys, corrupt,
      "--adversary", 'pauli:{"1": [[1, [1, 0, 0], [0, 0, 0]]]}'],
     ["qpip-clifford", "--trials", "2",
      "--adversary", 'pauli:{"12": [[0, [1, 0], [0, 0]]]}'],
+    # blocks whose attack draw alone would take gigabytes
+    ["qas-poly", "--q", "7", "--d", "2", "--alphas", "1,2,3,4,5"],
+    ["qas-clifford", "--e", "12"],
+    # the Clifford views are averaged exactly only
+    ["blindness", "--key-average", "sampled"],
 ])
-def test_refused_runs_exit_2_without_a_traceback(tmp_path, capsys, argv):
-    """A size the library refuses is a run error, not a failing verdict."""
+def test_refused_runs_exit_2_without_a_traceback(tmp_path, capsys,
+                                                 monkeypatch, argv):
+    """A size the library refuses is a run error, not a failing verdict,
+    and a QAS block is refused before its attack is drawn."""
+    def no_draw(*args):
+        raise AssertionError("drew an attack for a refused run")
+
+    monkeypatch.setattr(qc, "haar_unitary", no_draw)
     path = tmp_path / "r.json"
     assert cli.main(argv + ["--output", str(path)]) == 2
     err = capsys.readouterr().err
