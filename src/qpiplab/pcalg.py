@@ -192,18 +192,37 @@ class CliffordElement:
     Pauli basis element of index j.  Equal keys iff the unitaries agree
     modulo global phase.  It is the key passed in (the enumeration's, by
     table lookup), else `conjugation_key(matrix)`, computed on first read.
+
+    An enumerated element holds the matrix it was built with.  A sampled
+    three-qubit element holds only its draw (`_symplectic_draw`'s levels
+    and Pauli): `matrix` builds the dense unitary on first read.  The
+    Clifford engine reads it only to seal a block, in a round where the
+    prover acts, so a key drawn for an honest round never costs its 8x8
+    products.
     """
 
-    __slots__ = ("n", "matrix", "generator_word", "_key", "_dagger")
+    __slots__ = ("n", "_matrix", "_draw", "generator_word", "_key",
+                 "_dagger")
 
-    def __init__(self, n: int, matrix: UnitaryMatrix,
+    def __init__(self, n: int, matrix: UnitaryMatrix | None,
                  generator_word: tuple[str, ...] | None,
-                 key: tuple | None = None):
+                 key: tuple | None = None,
+                 draw: tuple[list[list[int]], int] | None = None):
         self.n = n
-        self.matrix = matrix
+        self._matrix = matrix
+        self._draw = draw
         self.generator_word = generator_word
         self._key = key
         self._dagger: np.ndarray | None = None
+
+    @property
+    def matrix(self) -> UnitaryMatrix:
+        if self._matrix is None:
+            levels, p = self._draw
+            m = _symplectic_matrix(levels) @ qubit_pauli_basis(self.n)[p]
+            self._matrix = UnitaryMatrix(_THREE_QUBITS, m,
+                                         check_unitary=False)
+        return self._matrix
 
     @property
     def key(self) -> tuple:
@@ -507,9 +526,9 @@ def sample_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
     """Uniform random Clifford element modulo phase.
 
     n <= 2 draws from the exact enumeration; n = 3 uses the symplectic
-    transvection construction followed by a uniform Pauli.  No key is
-    composed at n = 3: the element's `key` is computed from its matrix
-    only if read.
+    transvection construction followed by a uniform Pauli.  Neither the
+    matrix nor the key is built at n = 3: the element keeps its draw, and
+    `matrix` and `key` are computed from it only if read.
 
     At n <= 2 this is one `rng.integers(len(table))` call; at n = 3 the
     bits of `_symplectic_draw`, which also draws the Pauli, in about 2.5
@@ -522,10 +541,7 @@ def sample_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
     if n != 3:
         raise ValueError("sampling supports n <= 3")
     levels, pauli = _symplectic_draw(n, rng)
-    p = _pauli_index(pauli, n)
-    m = _symplectic_matrix(levels) @ qubit_pauli_basis(n)[p]
-    return CliffordElement(n, UnitaryMatrix(_THREE_QUBITS, m,
-                                            check_unitary=False), None)
+    return CliffordElement(n, None, None, draw=(levels, _pauli_index(pauli, n)))
 
 
 # ------------------------------------------------------- group averaging

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, product
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -449,7 +449,7 @@ class VerdictRecord:
 class PolicyContext:
     """What a dense-engine policy sees beside the register's amplitudes.
 
-    An engine hands the prover the register once per round index.  `rng`
+    An engine hands a policy the register at most once a round.  `rng`
     is the trial's generator: a randomised prover (random-unitary) draws
     from it, so its draws follow the trial seed and no prover holds state.
     """
@@ -468,7 +468,8 @@ class ProverImpl:
     Every engine and the confidence audit read `pauli_plan`, which maps a
     round to (block, Pauli) pairs; the dense engines run `policy`, which
     maps (amplitudes, PolicyContext) to amplitudes after the plan's round,
-    and read `env_dims`; only the Clifford engine reads `misreport_round`.
+    at the rounds in `policy_rounds` (None: every round), and read
+    `env_dims`; only the Clifford engine reads `misreport_round`.
     An engine that cannot honour a field refuses the prover at entry.
     Policies never see verifier keys, and a prover holds no state between
     calls, so one value serves every trial of an experiment.
@@ -480,6 +481,7 @@ class ProverImpl:
         None = None
     env_dims: tuple[int, ...] = ()
     misreport_round: int | None = None
+    policy_rounds: frozenset[int] | None = None
 
 
 def honest_prover() -> ProverImpl:
@@ -513,7 +515,8 @@ def scripted_prover(steps: Sequence[tuple[int, qc.UnitaryMatrix,
         return amps
 
     return ProverImpl(name=name, policy=policy,
-                      misreport_round=misreport_round)
+                      misreport_round=misreport_round,
+                      policy_rounds=frozenset(table))
 
 
 def random_unitary_prover(env_dims: tuple[int, ...],
@@ -565,12 +568,14 @@ def zeno_prover(e: int = 2, n_per: int = 40, phi: float = 0.45,
 
 def _check_pauli_plan(prover: ProverImpl, rounds: range, blocks: int,
                       q: int, m: int) -> None:
-    """Refuse a plan that would never fire (a round the engine never runs),
-    hit another block (negative ids index from the end) or fail mid-run."""
-    for r, steps in (prover.pauli_plan or {}).items():
+    """Refuse a plan or policy round the engine never runs, or a plan that
+    would hit another block (negative ids index from the end) or fail."""
+    plan = prover.pauli_plan or {}
+    for r in chain(plan, prover.policy_rounds or ()):
         if r not in rounds:
-            raise ValueError(f"Pauli plan round {r} is never run: this run "
+            raise ValueError(f"prover round {r} is never run: this run "
                              f"has rounds {rounds.start}..{rounds.stop - 1}")
+    for steps in plan.values():
         for b, op in steps:
             if not 0 <= b < blocks:
                 raise ValueError(f"Pauli plan block {b} is not one of the "
@@ -615,22 +620,14 @@ def _run_policy(prover: ProverImpl, amps: np.ndarray, dims: tuple[int, ...],
     return out
 
 
-def _dense_register(blocks: Sequence[qc.StateVector],
-                    env_dims: tuple[int, ...]
-                    ) -> tuple[tuple[int, ...], np.ndarray,
-                               tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The dense engines' register: the encoded blocks, then the prover's
-    environment wires in |0>; returns dims, amplitudes and wire tuples."""
-    state = blocks[0]
-    for enc in blocks[1:]:
-        state = qc.tensor(state, enc)
-    for dim in env_dims:
-        state = qc.tensor(state, qc.basis_state(qc.RegisterShape((dim,)),
-                                                (0,)))
-    n, m = len(blocks), blocks[0].shape.num_wires
+def _dense_register(n: int, m: int, q: int, env_dims: tuple[int, ...]
+                    ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...],
+                               tuple[int, ...]]:
+    """A dense engine's register: n blocks of m wires, then the prover's
+    environment; returns dims and the blocks' and environment's wires."""
+    dims = (q,) * (n * m) + env_dims
     block_wires = tuple(tuple(range(b * m, (b + 1) * m)) for b in range(n))
-    env_wires = tuple(range(n * m, n * m + len(env_dims)))
-    return state.shape.dims, state.amplitudes, block_wires, env_wires
+    return dims, block_wires, tuple(range(n * m, len(dims)))
 
 
 # ------------------------------------------------- qubit protocol engine
@@ -650,12 +647,14 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
     (broken_variant=True) reproduces the insecure protocol cousin that the
     accumulated-small-rotation attack defeats.
 
-    Validation happens once, here at entry: the circuit (checked when it
-    was built), the input length, the output wire and the register shape,
-    prover environment included.  The rounds then run on the flat
-    amplitude array through the raw qcore kernels, each gate resolved once
-    per circuit; the prover's turn, `_run_policy`, hands it the same array
-    and checks what its policy returns.
+    The register is held plain, each block from |bit 0^e>, since K and
+    K^dag cancel where the prover does nothing.  In a round where it acts
+    (its Pauli plan's or policy's rounds) every plain block is first sealed
+    under its current key, and each touched sealed block gets K^dag after
+    the prover's turn.  So a drawn key's matrix is built only if used.
+
+    Validation happens once, at entry; the rounds run on the flat
+    amplitudes through the raw qcore kernels.
     """
     if circuit.mode != "clifford":
         raise ValueError("this engine runs qubit circuits")
@@ -666,13 +665,16 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
     n, m_b = circuit.n, 1 + e
     _check_dense_prover(prover, range(1, len(circuit.gates) + 2), n, 2, m_b)
     params = ca.CliffordQasParams(l=1, e=e)
-    shape1 = qc.RegisterShape((2,))
 
     keys = [ca.random_clifford_key(params, rng) for _ in range(n)]
-    dims, amps, block_wires, env_wires = _dense_register(
-        [ca.cqas_encode(qc.basis_state(shape1, (int(bit),)), keys[b])
-         for b, bit in enumerate(input_bits)], prover.env_dims)
+    dims, block_wires, env_wires = _dense_register(n, m_b, 2, prover.env_dims)
+    digits = [0] * len(dims)
+    digits[:n * m_b:m_b] = map(int, input_bits)
+    amps = qc.basis_state(qc.RegisterShape(dims), digits).amplitudes
     aux_wires = tuple(ws[1:] for ws in block_wires)
+    sealed = [False] * n
+    acting = None if prover.policy and prover.policy_rounds is None else \
+        set(prover.pauli_plan or ()) | set(prover.policy_rounds or ())
 
     transcript = Transcript()
     add = transcript.add
@@ -691,12 +693,20 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
         if prover.misreport_round == i:
             add("prover->verifier", "verdict", "abort")
             return VerdictRecord("abort", None, transcript, i)
-        amps = _run_policy(prover, amps, dims, i, block_wires, env_wires,
-                           rng)
+        if acting is None or i in acting:
+            for b in range(n):
+                if not sealed[b]:
+                    amps = qc._apply_raw(amps, dims, keys[b].matrix.entries,
+                                         block_wires[b])
+                    sealed[b] = True
+            amps = _run_policy(prover, amps, dims, i, block_wires, env_wires,
+                               rng)
         add("prover->verifier", "quantum-block", touched)
         for b in touched:
-            amps = qc._apply_raw(amps, dims, keys[b].dagger_matrix(),
-                                 block_wires[b])
+            if sealed[b]:
+                amps = qc._apply_raw(amps, dims, keys[b].dagger_matrix(),
+                                     block_wires[b])
+                sealed[b] = False
         if broken_variant or op is None:
             for b in touched:
                 outcome, amps = qc._measure_raw(amps, dims, aux_wires[b], rng)
@@ -706,17 +716,14 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
         if op is None:
             break
         amps = qc._apply_raw(amps, dims, op, data)
-        for b in touched:
-            if not broken_variant:
+        if not broken_variant:
+            for b in touched:
                 keys[b] = ca.random_clifford_key(params, rng)
-            amps = qc._apply_raw(amps, dims, keys[b].matrix.entries,
-                                 block_wires[b])
         add("verifier->prover", "quantum-block", touched)
 
     bit, _ = qc._measure_raw(amps, dims, (block_wires[output_wire][0],), rng)
     add("verifier->prover", "verdict", "accept")
     return VerdictRecord("accept", (int(bit[0]),), transcript, i)
-
 
 
 # ------------------------------------------------- qudit protocol engine
@@ -815,10 +822,12 @@ def _poly_dense(circuit: CircuitIR, schedule: LogicalSchedule,
     sign = pc.random_sign_key(m, rng)
     keys = [pc.random_pauli_key(p, rng) for _ in range(n)]
     shape1 = qc.RegisterShape((q,))
-    dims, amps, block_wires, env_wires = _dense_register(
-        [pya.pqas_encode(qc.basis_state(shape1, (int(digit),)),
-                         pya.PolyQasKey(sign, keys[b]), p)
-         for b, digit in enumerate(input_digits)], prover.env_dims)
+    dims, block_wires, env_wires = _dense_register(n, m, q, prover.env_dims)
+    # the environment's wires in |0>
+    amps = np.zeros(math.prod(dims), dtype=np.complex128)
+    amps[::math.prod(prover.env_dims)] = reduce(np.kron, [pya.pqas_encode(
+        qc.basis_state(shape1, (int(digit),)), pya.PolyQasKey(sign, keys[b]),
+        p).amplitudes for b, digit in enumerate(input_digits)])
 
     transcript = Transcript()
     transcript.add("verifier->prover", "quantum-block", tuple(range(n)))

@@ -27,6 +27,10 @@ CLI run, audit or engine calls it.
 - `symplectic_draw_per_candidate` draws the three-qubit Clifford sampler's
   transvections with one `rng.integers` call per candidate;
   `pcalg._symplectic_draw` pools the same bits into about 2.5 calls.
+- `run_clifford_qpip_always_sealed` is the qubit engine that holds every
+  block under its key in every round and applies K and K^dag each round;
+  `qpip.run_clifford_qpip` seals blocks only in rounds where the prover
+  acts.
 - `identity_key` and `biased_clifford_circuit` build reference inputs:
   the trivial Clifford key, and a one-qubit circuit whose output bias is
   known in closed form.
@@ -313,6 +317,79 @@ def symplectic_draw_per_candidate(n: int, rng: np.random.Generator
                 u ^= v
         levels.append(tv + pa._find_transvections(u, h, width, fix=f1))
     return levels, _bits_to_int(rng.integers(0, 2, size=2 * n))
+
+
+# ------------------------------------------------- qubit protocol engine
+
+
+def run_clifford_qpip_always_sealed(circuit: qpip.CircuitIR,
+                                    input_bits: Sequence[int], e: int,
+                                    prover: qpip.ProverImpl,
+                                    rng: np.random.Generator,
+                                    broken_variant: bool = False,
+                                    output_wire: int = 0
+                                    ) -> qpip.VerdictRecord:
+    """`qpip.run_clifford_qpip` with every block sealed in every round.
+
+    Each block is encoded under its key at the start; each round the
+    prover's turn runs, the touched blocks get K^dag, the gate, and K again
+    (a fresh key unless `broken_variant`).  Keys and measurements draw from
+    `rng` at the same points as the library engine's.
+    """
+    n, m_b = circuit.n, 1 + e
+    qpip._check_dense_prover(prover, range(1, len(circuit.gates) + 2), n,
+                             2, m_b)
+    params = ca.CliffordQasParams(l=1, e=e)
+    keys = [ca.random_clifford_key(params, rng) for _ in range(n)]
+    state = None
+    for b, bit in enumerate(input_bits):
+        enc = ca.cqas_encode(qc.basis_state(qc.RegisterShape((2,)),
+                                            (int(bit),)), keys[b])
+        state = enc if state is None else qc.tensor(state, enc)
+    for dim in prover.env_dims:
+        state = qc.tensor(state, qc.basis_state(qc.RegisterShape((dim,)),
+                                                (0,)))
+    dims, amps = state.shape.dims, state.amplitudes
+    block_wires = tuple(tuple(range(b * m_b, (b + 1) * m_b))
+                        for b in range(n))
+    env_wires = tuple(range(n * m_b, len(dims)))
+
+    transcript = qpip.Transcript()
+    transcript.add("verifier->prover", "quantum-block", tuple(range(n)))
+    rounds = [(g.wires, tuple(b * m_b for b in g.wires),
+               qpip._plain_logical_matrix(g.op, 2).entries
+               if isinstance(g.op, pa.GateTag) else g.op.entries)
+              for g in circuit.gates] + [((output_wire,), (), None)]
+    for i, (touched, data, op) in enumerate(rounds, start=1):
+        if prover.misreport_round == i:
+            transcript.add("prover->verifier", "verdict", "abort")
+            return qpip.VerdictRecord("abort", None, transcript, i)
+        amps = qpip._run_policy(prover, amps, dims, i, block_wires,
+                                env_wires, rng)
+        transcript.add("prover->verifier", "quantum-block", touched)
+        for b in touched:
+            amps = qc._apply_raw(amps, dims, keys[b].dagger_matrix(),
+                                 block_wires[b])
+        if broken_variant or op is None:
+            for b in touched:
+                outcome, amps = qc._measure_raw(amps, dims,
+                                                block_wires[b][1:], rng)
+                if any(outcome):
+                    transcript.add("verifier->prover", "verdict", "reject")
+                    return qpip.VerdictRecord("reject", None, transcript, i)
+        if op is None:
+            break
+        amps = qc._apply_raw(amps, dims, op, data)
+        for b in touched:
+            if not broken_variant:
+                keys[b] = ca.random_clifford_key(params, rng)
+            amps = qc._apply_raw(amps, dims, keys[b].matrix.entries,
+                                 block_wires[b])
+        transcript.add("verifier->prover", "quantum-block", touched)
+
+    bit, _ = qc._measure_raw(amps, dims, (block_wires[output_wire][0],), rng)
+    transcript.add("verifier->prover", "verdict", "accept")
+    return qpip.VerdictRecord("accept", (int(bit[0]),), transcript, i)
 
 
 # ------------------------------------------------------ symmetric wrapper

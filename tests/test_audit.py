@@ -222,6 +222,7 @@ FRAMES_TOFFOLI2 = audit.ProtocolConfig(
 # when each prover was rebuilt per trial chunk: (config, prover or None
 # for completeness, trials, rng seed, per-policy counts, seeds).  The
 # stateless provers must reproduce them.
+# Pins decisions and draws, not rounding (test_golden_rounding.py).
 GOLDEN_TRIAL_RECORDS = {
     "honest-poly-dense": (
         lambda: audit.ProtocolConfig(mode="poly",
@@ -634,6 +635,7 @@ def test_lemma_suite_scope_selection():
 # correlated-z, clifford-decoherence, pauli-partitioning-by-cliffords and
 # uncorrelated-action read 0.0 since they are checked exactly (they read
 # 7.99e-16, 8.76e-16, 1.28e-17, 7.77e-16 and 3.77e-16 at seed 0 in floats)
+# Pins rounding on purpose: each float residual is compared bit for bit.
 LEMMA_RESIDUALS = [
     ("logical-x", 0.0, 0.0),
     ("logical-sum", 0.0, 0.0),

@@ -387,6 +387,43 @@ def test_pooled_draw_levels_match_per_candidate(n):
     assert rng.random() == ref_rng.random()
 
 
+# ---------------------------------------------- lazily built three-qubit keys
+
+def _eager_sample_three_qubits(rng):
+    """A three-qubit key's matrix built at once from its draw, as
+    `sample_clifford` did before the element kept only the draw."""
+    levels, pauli = pa._symplectic_draw(3, rng)
+    return pa._symplectic_matrix(levels) @ \
+        pa.qubit_pauli_basis(3)[pa._pauli_index(pauli, 3)]
+
+
+def test_lazy_key_matrix_is_byte_identical_to_the_eager_build():
+    for seed in range(300):
+        rng, ref_rng = qc.make_rng(seed), qc.make_rng(seed)
+        keys = [pa.sample_clifford(3, rng) for _ in range(4)]
+        refs = [_eager_sample_three_qubits(ref_rng) for _ in range(4)]
+        # read after every draw, last key first: a build draws nothing
+        for key, ref in reversed(list(zip(keys, refs))):
+            assert key.matrix.entries.tobytes() == ref.tobytes()
+        assert rng.integers(2 ** 62) == ref_rng.integers(2 ** 62)
+
+
+def test_sampled_key_builds_its_matrix_only_when_read(monkeypatch):
+    built = []
+    real = pa._symplectic_matrix
+    monkeypatch.setattr(pa, "_symplectic_matrix",
+                        lambda levels: built.append(levels) or real(levels))
+    rng = qc.make_rng(111)
+    a, b = pa.sample_clifford(3, rng), pa.sample_clifford(3, rng)
+    assert built == []
+    mat = a.matrix
+    assert len(built) == 1 and a.matrix is mat
+    a.dagger_matrix(), a.key
+    assert len(built) == 1
+    b.key  # the key is read off the matrix
+    assert len(built) == 2
+
+
 class _CountingRng:
     def __init__(self, rng):
         self.rng, self.calls = rng, 0

@@ -1,6 +1,7 @@
 """Tests for the interactive delegation engines and their compilation."""
 
 import hashlib
+from itertools import product
 
 import numpy as np
 import pytest
@@ -488,6 +489,7 @@ ZENO_E2_ACCEPT_LINES = (
 
 X_ON_DATA = pa.SymbolicPauli(2, (1, 0, 0), (0, 0, 0))
 X_COORD0 = pa.SymbolicPauli(Q, (1, 0, 0), (0, 0, 0))
+# Pins decisions and draws, not rounding (test_golden_rounding.py).
 GOLDEN_CLIFFORD_RECORDS = {
     "demo-honest": (
         audit.clifford_demo_circuit(), (1, 0), qpip.honest_prover(), False,
@@ -585,6 +587,99 @@ def test_clifford_rejects_an_output_wire_out_of_range():
     with pytest.raises(ValueError, match="output wire"):
         qpip.run_clifford_qpip(circ, (1,), 1, qpip.honest_prover(),
                                qc.make_rng(13), output_wire=1)
+
+
+def test_a_step_at_a_round_the_run_never_reaches_is_refused():
+    flip = qc.UnitaryMatrix(qc.RegisterShape((2,)),
+                            pa.pauli_matrix_1(2, 1, 0), check_unitary=False)
+    # one gate: rounds 1 and 2
+    with pytest.raises(ValueError, match="round 7 is never run"):
+        qpip.run_clifford_qpip(qpip.CircuitIR(1, 2, (identity_gate(),)),
+                               (1,), 1, qpip.scripted_prover([(7, flip, (0,))]),
+                               qc.make_rng(14))
+    # no Toffoli: rounds 0 and 1
+    shift = qc.UnitaryMatrix(qc.RegisterShape((Q,)),
+                             pa.pauli_matrix_1(Q, 1, 0), check_unitary=False)
+    with pytest.raises(ValueError, match="round 2 is never run"):
+        qpip.run_poly_qpip(qpip.CircuitIR(1, Q, ()), (0,), P,
+                           qpip.scripted_prover([(2, shift, (0,))]),
+                           qc.make_rng(14))
+
+
+def test_keys_are_applied_only_in_rounds_where_the_prover_acts(monkeypatch):
+    built = []
+    real = pa._symplectic_matrix
+    monkeypatch.setattr(pa, "_symplectic_matrix",
+                        lambda levels: built.append(levels) or real(levels))
+    circ = audit.clifford_demo_circuit()  # two blocks, eleven rounds
+    flip = qc.UnitaryMatrix(qc.RegisterShape((2,)),
+                            pa.pauli_matrix_1(2, 1, 0), check_unitary=False)
+    for prover, seals in [
+            (qpip.honest_prover(), 0),
+            (qpip.scripted_prover([], misreport_round=5), 0),
+            # round 3 seals both blocks; their later K^dag reuses the keys
+            (qpip.fixed_pauli_prover({3: [(0, X_ON_DATA)]}), 2),
+            (qpip.scripted_prover([(3, flip, (3,))]), 2)]:
+        built.clear()
+        qpip.run_clifford_qpip(circ, (1, 0), 2, prover, qc.make_rng(15))
+        assert len(built) == seals, prover.name
+
+
+def _coupling_circuit(n):
+    g, h, k = qpip.CircuitGate, pa.GateTag("H"), pa.GateTag("K")
+    if n == 1:
+        return qpip.CircuitIR(1, 2, (g(h, (0,)), g(k, (0,)), g(h, (0,))))
+    cnot = pa.GateTag("CNOT")
+    return qpip.CircuitIR(2, 2, (g(h, (0,)), g(cnot, (0, 1)), g(k, (1,)),
+                                 g(cnot, (1, 0))))
+
+
+def _coupling_prover(kind, seed, e, n, rounds):
+    """A prover of the given kind; its rounds, blocks, wires and operators
+    are drawn from `seed`, apart from the trial's generator."""
+    draw = np.random.default_rng(seed)
+    rnd = 1 + int(draw.integers(rounds))
+    if kind == "honest":
+        return qpip.honest_prover()
+    if kind == "fixed-pauli":
+        x, z = draw.integers(0, 2, size=(2, 1 + e))
+        return qpip.fixed_pauli_prover(
+            {rnd: [(int(draw.integers(n)), pa.SymbolicPauli(2, x, z))]})
+    if kind == "scripted":
+        wires = tuple(draw.choice(n * (1 + e), size=2, replace=False))
+        u = qc.UnitaryMatrix(qc.RegisterShape((2, 2)),
+                             qc.haar_unitary(4, draw), check_unitary=False)
+        return qpip.scripted_prover([(rnd, u, wires)])
+    if kind == "misreport":
+        return qpip.scripted_prover([], misreport_round=rnd)
+    if kind == "zeno":
+        return qpip.zeno_prover(e=e, n_per=2)
+    return qpip.random_unitary_prover(env_dims=(2,))
+
+
+@pytest.mark.parametrize("kind", ["honest", "fixed-pauli", "scripted",
+                                  "misreport", "zeno", "random-unitary"])
+def test_sealing_only_where_the_prover_acts_matches_always_sealed(kind):
+    """At equal seeds the engine and the always-sealed oracle give the same
+    record and leave the generator in the same state."""
+    verdicts = set()
+    for e, n, broken in product((1, 2), (1, 2), (False, True)):
+        circ = _coupling_circuit(n)
+        inputs = (1, 0)[:n]
+        for seed in range(40):
+            prover = _coupling_prover(kind, seed, e, n, len(circ.gates) + 1)
+            rng, ref_rng = qc.make_rng(seed), qc.make_rng(seed)
+            rec = qpip.run_clifford_qpip(circ, inputs, e, prover, rng,
+                                         broken_variant=broken)
+            ref = oracles.run_clifford_qpip_always_sealed(
+                circ, inputs, e, prover, ref_rng, broken_variant=broken)
+            assert (rec.verdict, rec.output, rec.rounds) == \
+                (ref.verdict, ref.output, ref.rounds)
+            assert rec.transcript.to_lines() == ref.transcript.to_lines()
+            assert rng.integers(2 ** 62) == ref_rng.integers(2 ** 62)
+            verdicts.add(rec.verdict)
+    if kind not in ("honest", "misreport"):
+        assert len(verdicts) > 1  # the attack is caught in some trials only
 
 
 # ------------------------------------------------- qudit protocol engine
@@ -839,6 +934,7 @@ X_ALL = pa.SymbolicPauli(Q, (1, 1, 1), (0, 0, 0))
 # fixed seeds: (circuit, inputs, Pauli plan, output wires, seed, verdict,
 # output, invalid rounds, transcript lines, the generator's next draw).
 # The live-block register must reproduce them, and every random draw.
+# Pins decisions and draws, not rounding (test_golden_rounding.py).
 GOLDEN_FRAME_RECORDS = {
     "toffoli2-honest": (
         TOFFOLI2, (2, 3, 0), None, (2,), 101, "accept", (2,), (), [
@@ -1121,6 +1217,7 @@ MIXED_DENSE = qpip.CircuitIR(2, Q, (
 # Records of the dense engine when it ran its own copy of the transversal
 # gates, for fixed seeds: (inputs, Pauli plan, seed, verdict, output,
 # invalid rounds, transcript lines, the generator's next draw).
+# Pins decisions and draws, not rounding.
 GOLDEN_DENSE_RECORDS = {
     "honest": (
         (1, 3), None, 201, "accept", (0, 1), (), [

@@ -305,6 +305,7 @@ def test_protocol_default_circuit_follows_the_other_flags(argv, circuit):
 # The honest qpip-clifford payload was recorded when honest runs went
 # through their own estimator.  Schema 3 renamed the gated value to
 # `estimate` and its interval to `interval`; every number is as recorded.
+# Pins counts, verdicts and seeds, not rounding.
 _WRONG_ACCEPT = {"claim": "wrong-accept rate <= gamma + epsilon",
                  "epsilon": 0.5, "bound": 0.5, "verdict": "pass",
                  "seeds": [5765488047046174020], "trials": 40}
