@@ -354,139 +354,64 @@ def _dm(entries: np.ndarray, shape: qc.RegisterShape) -> qc.DensityMatrix:
     return qc.DensityMatrix(shape, entries, check_psd=False)
 
 
-def _classical_view_histograms(circuit: qpip.CircuitIR,
-                               inputs: Sequence[int], p: pc.CodeParams,
-                               trials: int, rng: np.random.Generator
-                               ) -> dict[tuple[int, int, int], np.ndarray]:
-    """Per-digit outcome counts of the prover's acquired classical view.
-
-    Runs the logical-frame engine with the honest prover and fresh
-    sampled keys each trial, trial j on the j-th child stream of one
-    master seed drawn from `rng`, and bins every classical digit the
-    verifier sends to the prover (the teleportation corrections), keyed
-    by round, entry position within the round, and digit position.  The
-    prover's quantum view is the exact clause's job; these messages are
-    the only classical information the protocol hands it.
-    """
-    config = ProtocolConfig(mode="poly", circuit=circuit,
-                            inputs=tuple(inputs), code=p,
-                            engine="logical-frame",
-                            output_wires=tuple(range(circuit.n)))
-    master = int(rng.integers(0, 2 ** 63 - 1))
-    hists: dict[tuple[int, int, int], np.ndarray] = {}
-    for rec in _trial_records(config, qpip.honest_prover(), trials, master):
-        pos_in_round: dict[int, int] = {}
-        for entry in rec.transcript:
-            if entry.kind != "classical-string" or \
-                    entry.direction != "verifier->prover":
-                continue
-            pos = pos_in_round.get(entry.round, 0)
-            pos_in_round[entry.round] = pos + 1
-            for j, digit in enumerate(entry.payload):
-                key = (entry.round, pos, j)
-                if key not in hists:
-                    hists[key] = np.zeros(p.q)
-                hists[key][int(digit) % p.q] += 1
-    return hists
-
-
 def blindness_audit(mode: str,
                     pairs: Sequence[tuple[tuple[qpip.CircuitIR,
                                                 Sequence[int]],
                                           tuple[qpip.CircuitIR,
                                                 Sequence[int]]]],
-                    key_average: str = "exact",
-                    rng: np.random.Generator | None = None,
-                    trials: int = 10_000, e: int = 1,
+                    e: int = 1,
                     code: pc.CodeParams | None = None) -> AuditRecord:
-    """Compare the prover's view across instance pairs under key averaging.
+    """Compare the prover's view across instance pairs under exact key
+    averaging.
 
-    Clifford mode averages exactly only: it reports per-round view
-    distances, one view per protocol round, each the fresh-key average
-    over every block of the enumerated group, plus the distance of each
-    view to the maximally mixed state.  Polynomial exact mode averages the
-    delivered block over all sign keys and all Pauli pads and compares
-    the differing input blocks.  Polynomial sampled mode runs the
-    logical-frame protocol itself at sampled keys and compares the
-    per-round, per-digit distributions of the prover's classical view
-    (single-wire quantum marginals carry no key dependence at all, so
-    the classical messages are where sampling has content).  The claim
-    is perfect blindness (epsilon 0): the largest distance must stay
-    below 1e-8 for exact averages and below 0.02 for sampled ones.
+    Clifford mode reports per-round view distances, one view per protocol
+    round, each the fresh-key average over every block of the enumerated
+    group, plus the distance of each view to the maximally mixed state.
+    Polynomial mode averages the delivered block over all sign keys and
+    all Pauli pads and compares the differing input blocks; the
+    classical messages of the qudit protocol, the Toffoli corrections,
+    are uniform and keyless by the teleportation-outcome-uniformity
+    lemma.  The claim is perfect blindness (epsilon 0): the largest
+    distance must stay below 1e-8.
     """
     if mode not in ("clifford", "poly"):
         raise ValueError(f"unknown mode {mode!r}")
-    if key_average not in ("exact", "sampled"):
-        raise ValueError(f"unknown key_average {key_average!r}")
-    if mode == "clifford" and key_average == "sampled":
-        # at e = 1 the exact views cover it; at e = 2 sampling noise
-        # sits near the fixed tolerance and the verdict is a coin flip
-        raise ValueError("clifford blindness averages the keys exactly")
-    rng = rng if rng is not None else qc.make_rng(0)
     p = code if code is not None else pc.CodeParams()
-    tol = 1e-8 if key_average == "exact" else 0.02
+    if mode == "poly" and p.q ** p.m > _VIEW_DIM_CAP:
+        raise ValueError("prover view exceeds the exact-averaging cap")
     distances: dict[str, tuple[float, ...]] = {}
 
     for i, ((circ_a, in_a), (circ_b, in_b)) in enumerate(pairs):
         if mode == "clifford":
             va = _clifford_round_views(circ_a, tuple(in_a), e)
             vb = _clifford_round_views(circ_b, tuple(in_b), e)
-            shape = va[0].shape
-            mixed = _dm(np.eye(shape.dim) / shape.dim, shape)
-            distances[f"pair{i}"] = tuple(
-                qc.trace_distance(a, b) for a, b in zip(va, vb))
-            distances[f"pair{i}-mixed-a"] = tuple(
-                qc.trace_distance(a, mixed) for a in va)
-            distances[f"pair{i}-mixed-b"] = tuple(
-                qc.trace_distance(b, mixed) for b in vb)
+            mixed_keys = ("-mixed-a", "-mixed-b")
         else:
-            if key_average == "exact":
-                if p.q ** p.m > _VIEW_DIM_CAP:
-                    raise ValueError("prover view exceeds the "
-                                     "exact-averaging cap")
-                diff = [w for w, (da, db) in enumerate(zip(in_a, in_b))
-                        if da != db] or [0]
-                shape = qc.RegisterShape((p.q,) * p.m)
-                per_block = []
-                mixed_block = []
-                mixed = _dm(np.eye(shape.dim) / shape.dim, shape)
-                for w in diff:
-                    va = _dm(_poly_block_view(int(in_a[w]), p), shape)
-                    vb = _dm(_poly_block_view(int(in_b[w]), p), shape)
-                    per_block.append(qc.trace_distance(va, vb))
-                    mixed_block.append(qc.trace_distance(va, mixed))
-                distances[f"pair{i}"] = tuple(per_block)
-                distances[f"pair{i}-mixed"] = tuple(mixed_block)
-            else:
-                ha = _classical_view_histograms(circ_a, tuple(in_a), p,
-                                                trials, rng)
-                hb = _classical_view_histograms(circ_b, tuple(in_b), p,
-                                                trials, rng)
-                rounds = sorted({k[0] for k in ha} | {k[0] for k in hb})
-                for rnd in rounds:
-                    per_digit = []
-                    keys = sorted(k for k in set(ha) | set(hb)
-                                  if k[0] == rnd)
-                    for k in keys:
-                        if k not in ha or k not in hb:
-                            per_digit.append(1.0)
-                            continue
-                        pa_hist = ha[k] / ha[k].sum()
-                        pb_hist = hb[k] / hb[k].sum()
-                        per_digit.append(
-                            0.5 * float(np.sum(np.abs(pa_hist - pb_hist))))
-                    distances[f"pair{i}-round{rnd}"] = tuple(per_digit)
+            diff = [w for w, (da, db) in enumerate(zip(in_a, in_b))
+                    if da != db] or [0]
+            shape = qc.RegisterShape((p.q,) * p.m)
+            va, vb = ([_dm(_poly_block_view(int(digits[w]), p), shape)
+                       for w in diff] for digits in (in_a, in_b))
+            mixed_keys = ("-mixed",)
+        shape = va[0].shape
+        mixed = _dm(np.eye(shape.dim) / shape.dim, shape)
+        distances[f"pair{i}"] = tuple(
+            qc.trace_distance(a, b) for a, b in zip(va, vb))
+        for suffix, views in zip(mixed_keys, (va, vb)):
+            distances[f"pair{i}{suffix}"] = tuple(
+                qc.trace_distance(v, mixed) for v in views)
 
     max_distance = max((max(v) for v in distances.values() if v),
                        default=0.0)
+    # key_average and trials keep their exact-mode values, so reports
+    # written when a sampled mode existed still replay
     return gate("the prover's views of paired instances are "
                 "indistinguishable", 0.0, max_distance,
                 (max_distance, max_distance),
-                {"mode": mode, "key_average": key_average,
+                {"mode": mode, "key_average": "exact",
                  "distances": {k: list(v) for k, v in distances.items()},
-                 "tolerance": tol,
-                 "trials": trials if key_average == "sampled" else None},
-                limit=tol, strict=True)
+                 "tolerance": 1e-8, "trials": None},
+                limit=1e-8, strict=True)
 
 
 def universal_blindness_pair(desc_a, desc_b, n: int, max_gates: int,
@@ -1139,17 +1064,23 @@ def _check_uncorrelated_action(rng, cvec, p) -> float:
 
 
 def _check_teleportation_uniformity(rng, cvec, p) -> float:
+    """The Toffoli gadget on a random state |psi> of the three data wires:
+    every measurement outcome has probability 1/q^3, so the corrections
+    the verifier sends carry no key, and after its corrections each branch
+    is T|psi> up to a global phase.  A superposed input, unlike a basis
+    one, also sees a wrong phase (Z) correction."""
     q = p.q
     shape3 = qc.RegisterShape((q,) * 3)
-    inp = (2, 3, 0)
-    state = qc.tensor(qc.basis_state(shape3, inp), qpip.magic_state(q))
+    v = rng.normal(size=q ** 3) + 1j * rng.normal(size=q ** 3)
+    psi = qc.StateVector(shape3, v / np.linalg.norm(v))
+    state = qc.tensor(psi, qpip.magic_state(q))
     for tag, blocks in qpip._entangling_layer((0, 1, 2), (3, 4, 5), q):
         state = qc.apply_on_wires(state, qpip._plain_logical_matrix(tag, q),
                                   blocks)
     probs = qc.measurement_probabilities(state, (0, 1, 2))
     res = float(np.max(np.abs(probs - 1.0 / q ** 3)))
-    want = qc.apply_on_wires(qc.basis_state(shape3, inp),
-                             pa.gate_matrix(pa.GateTag("T"), q), (0, 1, 2))
+    want = qc.apply_on_wires(psi, pa.gate_matrix(pa.GateTag("T"), q),
+                             (0, 1, 2))
     for beta_idx in range(q ** 3):
         beta = shape3.index_to_digits(beta_idx)
         _, branch = qc.project_wires(state, (0, 1, 2), beta)

@@ -32,6 +32,8 @@ EIG_ATOL = 1e-7
 
 # Refuse registers larger than this many amplitudes unless overridden.
 DEFAULT_DIM_CAP = 2 ** 24
+# Refuse Haar draws above this dimension; a draw's memory grows as dim^2.
+_HAAR_DIM_CAP = 4096
 
 
 def _pad_the_heap_top() -> None:
@@ -500,8 +502,12 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
     The same draws and operations, in the same order, as
     `scipy.stats.unitary_group.rvs(dim, random_state=rng)`, so both give
-    bit-identical matrices and leave `rng` in the same state.
+    bit-identical matrices and leave `rng` in the same state.  A dim above
+    _HAAR_DIM_CAP is refused before anything is drawn.
     """
+    if dim > _HAAR_DIM_CAP:
+        raise ValueError(f"Haar unitary of dimension {dim} exceeds the "
+                         f"cap {_HAAR_DIM_CAP}")
     z = 1 / math.sqrt(2) * (rng.normal(size=(dim, dim))
                             + 1j * rng.normal(size=(dim, dim)))
     q, r = np.linalg.qr(z)

@@ -568,10 +568,13 @@ def zeno_prover(e: int = 2, n_per: int = 40, phi: float = 0.45,
 
 def _check_pauli_plan(prover: ProverImpl, rounds: range, blocks: int,
                       q: int, m: int) -> None:
-    """Refuse a plan or policy round the engine never runs, or a plan that
-    would hit another block (negative ids index from the end) or fail."""
+    """Refuse a plan, policy or misreport round the engine never runs, or
+    a plan that would hit another block (negative ids index from the end)
+    or fail."""
     plan = prover.pauli_plan or {}
-    for r in chain(plan, prover.policy_rounds or ()):
+    misreport = () if prover.misreport_round is None else \
+        (prover.misreport_round,)
+    for r in chain(plan, prover.policy_rounds or (), misreport):
         if r not in rounds:
             raise ValueError(f"prover round {r} is never run: this run "
                              f"has rounds {rounds.start}..{rounds.stop - 1}")

@@ -51,7 +51,6 @@ SEED_ENV_VAR = "QPIPLAB_SEED"
 DEFAULT_REPORT_PATH = "qpiplab-report.json"
 
 ENGINES = ("dense", "logical-frame")
-KEY_AVERAGES = ("exact", "sampled")
 MODES = ("clifford", "poly")
 
 _LOGICAL_NAMES = ("LX", "LZ", "LSUM", "LCPG", "LF", "LM")
@@ -101,7 +100,9 @@ class ExperimentConfig:
     the delegated circuit of the protocol subcommands, which depends on
     the adversary (qpip-clifford) or the engine (qpip-poly).  A field the
     subcommand has no flag for must keep that default: the run would
-    ignore any other value, so such a config is refused.
+    ignore any other value, so such a config is refused.  No subcommand
+    has a flag for `key_average`: it stays in the echo at "exact", so
+    reports of the removed sampled modes are refused, not replayed.
     """
 
     subcommand: str
@@ -147,8 +148,6 @@ class ExperimentConfig:
             raise ValueError("trials and n_per must be positive")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.key_average not in KEY_AVERAGES:
-            raise ValueError(f"unknown key average {self.key_average!r}")
         if self.mode not in (None, *MODES):
             raise ValueError(f"unknown protocol mode {self.mode!r}")
         if self.circuit_name is not None and \
@@ -323,14 +322,9 @@ def _run_blindness(cfg: ExperimentConfig, seed: int) -> audit.AuditRecord:
         circ_a, circ_b = (qpip.CircuitIR(1, 2, (qpip.CircuitGate(
             pa.GateTag(tag), (0,)),)) for tag in ("H", "K"))
         pairs = [((circ_a, (0,)), (circ_b, (1,)))]
-    elif cfg.key_average == "exact":
-        pairs = [((None, (0,)), (None, (3,)))]
     else:
-        tof = audit.toffoli_demo_circuit(cfg.q)
-        pairs = [((tof, (2, 3, 0)), (tof, (1, 4, 2)))]
-    return audit.blindness_audit(cfg.mode, pairs, key_average=cfg.key_average,
-                                 rng=qc.make_rng(seed), trials=cfg.trials,
-                                 e=cfg.e, code=cfg.code())
+        pairs = [((None, (0,)), (None, (3,)))]
+    return audit.blindness_audit(cfg.mode, pairs, e=cfg.e, code=cfg.code())
 
 
 def _int_tuple(text: str) -> tuple[int, ...]:
@@ -355,11 +349,10 @@ _FLAGS = {
     "circuit_file": {"help": "path to a circuit description file"},
     "broken_variant": {"action": "store_const", "const": True},
     "engine": {"choices": ENGINES},
-    "key_average": {"choices": KEY_AVERAGES},
     "mode": {"choices": MODES},
 }
 
-_COMMON = ("seed", "output", "trials")
+_COMMON = ("seed", "output")
 _CODE = ("q", "d", "alphas")
 _CIRCUIT = ("circuit_name", "circuit_json", "circuit_file", "inputs",
             "adversary")
@@ -378,7 +371,8 @@ _SUBCOMMANDS = {
             scope=cfg.scope, c_vector=cfg.c_vector, seed=seed),
         "run the algebraic identity suite", ("scope", "c_vector")),
     "qas-clifford": _Subcommand(
-        _run_qas, "Clifford authentication security experiment", ("e",)),
+        _run_qas, "Clifford authentication security experiment",
+        ("trials", "e")),
     "qas-poly": _Subcommand(
         _run_qas, "signed-code authentication security experiment", _CODE),
     "scan-signkey": _Subcommand(
@@ -386,17 +380,17 @@ _SUBCOMMANDS = {
         "exhaustive sign-key security scan", _CODE),
     "qpip-clifford": _Subcommand(
         _run_qpip, "run the qpip-clifford protocol",
-        _CIRCUIT + ("e", "broken_variant", "n_per", "phi"),
+        ("trials",) + _CIRCUIT + ("e", "broken_variant", "n_per", "phi"),
         {"circuit_name": lambda cfg: "zeno" if cfg.adversary == "zeno"
          else "clifford-demo"}),
     "qpip-poly": _Subcommand(
         _run_qpip, "run the qpip-poly protocol",
-        _CIRCUIT + _CODE + ("engine",),
+        ("trials",) + _CIRCUIT + _CODE + ("engine",),
         {"circuit_name": lambda cfg: "poly-toffoli"
          if cfg.engine == "logical-frame" else "poly-demo"}),
     "blindness": _Subcommand(
         _run_blindness, "prover-view blindness audit",
-        ("mode", "key_average", "e") + _CODE, {"mode": "clifford"}),
+        ("mode", "e") + _CODE, {"mode": "clifford"}),
     "confidence": _Subcommand(
         lambda cfg, seed: audit.confidence_audit(
             cfg.mode, build_policy(cfg), e=cfg.e, code=cfg.code(),
@@ -409,7 +403,8 @@ _SUBCOMMANDS = {
             "qpip-clifford", e=cfg.e, trials=cfg.trials, adversary="zeno",
             broken_variant=True, n_per=cfg.n_per, phi=cfg.phi), seed),
         "accumulated-rotation negative control against the reused-key "
-        "protocol variant", ("e", "n_per", "phi"), {"e": 2, "trials": 200}),
+        "protocol variant", ("trials", "e", "n_per", "phi"),
+        {"e": 2, "trials": 200}),
 }
 
 SUBCOMMANDS = tuple(_SUBCOMMANDS)

@@ -316,7 +316,7 @@ def test_trial_records_are_a_prefix_of_longer_runs():
 
 def test_blindness_clifford_exact_is_flat():
     pair = ((one_qubit_circuit("H"), (0,)), (one_qubit_circuit("K"), (1,)))
-    rep = audit.blindness_audit("clifford", [pair], key_average="exact")
+    rep = audit.blindness_audit("clifford", [pair])
     assert rep.estimate < 1e-8
     assert rep.verdict == "pass"
     assert len(rep.detail["distances"]["pair0"]) == 2
@@ -324,8 +324,7 @@ def test_blindness_clifford_exact_is_flat():
 
 
 def test_blindness_poly_exact_hides_the_input():
-    rep = audit.blindness_audit("poly", [((None, (0,)), (None, (3,)))],
-                                key_average="exact")
+    rep = audit.blindness_audit("poly", [((None, (0,)), (None, (3,)))])
     assert rep.estimate < 1e-8
     assert max(rep.detail["distances"]["pair0-mixed"]) < 1e-8
 
@@ -367,35 +366,17 @@ def test_cached_arrays_are_read_only():
             arr.flat[0] = arr.flat[0]
 
 
-def test_blindness_poly_sampled_reports_correction_rounds():
-    tof = audit.toffoli_demo_circuit()
-    rep = audit.blindness_audit("poly",
-                                [((tof, (2, 3, 0)), (tof, (1, 4, 2)))],
-                                key_average="sampled",
-                                rng=qc.make_rng(3), trials=800)
-    (key,) = rep.detail["distances"].keys()
-    assert key.startswith("pair0-round")
-    assert len(rep.detail["distances"][key]) == 3
-    assert rep.estimate < 0.12
-
-
-def test_blindness_rejects_unknown_average_and_big_views():
-    pair = ((one_qubit_circuit("H"), (0,)), (one_qubit_circuit("K"), (1,)))
-    with pytest.raises(ValueError, match="key_average"):
-        audit.blindness_audit("clifford", [pair], key_average="guess")
-    with pytest.raises(ValueError, match="exactly"):
-        audit.blindness_audit("clifford", [pair], key_average="sampled")
+def test_blindness_rejects_big_views():
     wide = qpip.CircuitIR(7, 2, ())
     with pytest.raises(ValueError, match="cap"):
         audit.blindness_audit("clifford", [((wide, (0,) * 7),
-                                            (wide, (1,) + (0,) * 6))],
-                              key_average="exact")
+                                            (wide, (1,) + (0,) * 6))])
 
 
 def test_blindness_rejects_unknown_mode():
     pair = ((None, (0,)), (None, (3,)))
     with pytest.raises(ValueError, match="unknown mode 'foo'"):
-        audit.blindness_audit("foo", [pair], key_average="exact")
+        audit.blindness_audit("foo", [pair])
 
 
 def test_universal_pair_shares_the_circuit_and_hides_programs():
@@ -406,8 +387,7 @@ def test_universal_pair_shares_the_circuit_and_hides_programs():
     assert circ_a is circ_b
     assert len(in_a) == len(in_b) == circ_a.n
     assert in_a != in_b
-    rep = audit.blindness_audit("poly", [((circ_a, in_a), (circ_b, in_b))],
-                                key_average="exact")
+    rep = audit.blindness_audit("poly", [((circ_a, in_a), (circ_b, in_b))])
     assert rep.estimate < 1e-8
 
 
@@ -609,6 +589,21 @@ def test_correlated_decomposition_catches_wrong_interpolation_nodes(
     monkeypatch.setattr(pc, "interpolate", lambda xs, ys, q: real(
         [x + 1 for x in xs], ys, q))
     assert _residual("correlated-decomposition") > audit._LEMMA_TOL
+
+
+def test_teleportation_check_catches_a_wrong_phase_correction(monkeypatch):
+    """Block 0's Z correction with the sign of y z flipped: a basis input
+    sees no phase correction, the check's superposed input does."""
+    real = qpip.toffoli_correction_tags
+
+    def flipped(x, y, z, q):
+        return [(pc.LogicalGateTag("LZ", -tag.param % q)
+                 if tag.name == "LZ" and blocks == (0,) else tag, blocks)
+                for tag, blocks in real(x, y, z, q)]
+
+    monkeypatch.setattr(qpip, "toffoli_correction_tags", flipped)
+    ledger = audit.lemma_suite(scope="teleportation-outcome-uniformity")
+    assert ledger.verdict == "fail" and ledger.estimate > 0.5
 
 
 @pytest.mark.parametrize("seed", [0, 11])

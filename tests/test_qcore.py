@@ -469,6 +469,13 @@ def test_measure_wires_matches_the_oracle(seed):
                 int(oracle.integers(2 ** 62))
 
 
+def test_haar_unitary_refuses_a_dimension_above_the_cap():
+    rng, fresh = qc.make_rng(3), qc.make_rng(3)
+    with pytest.raises(ValueError, match="dimension 4097"):
+        qc.haar_unitary(4097, rng)
+    assert rng.random() == fresh.random()  # nothing was drawn
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 8, 10, 64, 250])
 def test_haar_unitary_is_scipys_draw_bit_for_bit(dim):
     for seed in range(20 if dim < 250 else 3):

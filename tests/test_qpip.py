@@ -1,6 +1,7 @@
 """Tests for the interactive delegation engines and their compilation."""
 
 import hashlib
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -861,6 +862,9 @@ def test_bare_pauli_plan_runs_alike_on_both_poly_engines():
           ("clifford", {2: [(-1, X_ON_DATA)]}, "block -1"),
           ("clifford", {1: [(0, pa.SymbolicPauli(2, (1, 0), (0, 0)))]},
            r"\(q, m\) is not \(2, 3\)")]),
+    # a misreport in a round the run never reaches would never fire
+    ("clifford", qpip.scripted_prover([], misreport_round=3),
+     "round 3 is never run"),
 ])
 def test_engines_refuse_prover_fields_they_cannot_honour(engine, prover,
                                                          message):
@@ -874,6 +878,22 @@ def test_engines_refuse_prover_fields_they_cannot_honour(engine, prover,
         else:
             qpip.run_poly_qpip(qpip.CircuitIR(1, Q, ()), (0,), P, prover,
                                rng, engine=engine)
+
+
+def test_a_haar_draw_above_the_cap_is_refused_before_it_allocates():
+    """Two q = 5 blocks and a q = 5 environment: 78,125 amplitudes fit the
+    dense cap, but the policy's Haar unitary over them would not."""
+    circ = qpip.CircuitIR(2, Q, ())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dimension 78125"):
+            qpip.run_poly_qpip(circ, (0, 0), P,
+                               qpip.random_unitary_prover((Q,)),
+                               qc.make_rng(23))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
 
 
 def test_poly_dense_rejects_toffoli_circuits():

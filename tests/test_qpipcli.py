@@ -229,22 +229,23 @@ def test_pinned_findings_fail_their_gates():
 
 # ----- one table for the flags and defaults
 
-# The option strings of every subcommand after -h, --help, --seed,
-# --output and --trials, recorded when each subparser was built by hand.
+# The option strings of every subcommand after -h, --help, --seed and
+# --output, recorded when each subparser was built by hand; --trials is
+# kept only where a run reads it, and blindness lost --key-average.
 _CODE = ["--q", "--d", "--alphas"]
 _CIRCUIT = ["--circuit", "--circuit-json", "--circuit-file", "--inputs",
             "--adversary"]
 SUBCOMMAND_OPTIONS = {
     "lemmas": ["--scope", "--c-vector"],
-    "qas-clifford": ["--e"],
+    "qas-clifford": ["--trials", "--e"],
     "qas-poly": _CODE,
     "scan-signkey": _CODE,
-    "qpip-clifford": _CIRCUIT + ["--e", "--broken-variant", "--n-per",
-                                 "--phi"],
-    "qpip-poly": _CIRCUIT + _CODE + ["--engine"],
-    "blindness": ["--mode", "--key-average", "--e"] + _CODE,
+    "qpip-clifford": ["--trials"] + _CIRCUIT + ["--e", "--broken-variant",
+                                                "--n-per", "--phi"],
+    "qpip-poly": ["--trials"] + _CIRCUIT + _CODE + ["--engine"],
+    "blindness": ["--mode", "--e"] + _CODE,
     "confidence": ["--mode", "--adversary", "--input-digit", "--e"] + _CODE,
-    "zeno-demo": ["--e", "--n-per", "--phi"],
+    "zeno-demo": ["--trials", "--e", "--n-per", "--phi"],
 }
 
 
@@ -253,7 +254,7 @@ def test_subcommand_option_strings_are_kept():
                if isinstance(a, argparse._SubParsersAction)]
     got = {name: [s for a in sp._actions for s in a.option_strings]
            for name, sp in subs.choices.items()}
-    common = ["-h", "--help", "--seed", "--output", "--trials"]
+    common = ["-h", "--help", "--seed", "--output"]
     assert got == {**{name: common + extra
                       for name, extra in SUBCOMMAND_OPTIONS.items()},
                    "replay": ["-h", "--help"]}
@@ -394,6 +395,8 @@ def test_fields_a_subcommand_has_no_flag_for_keep_their_defaults(tmp_path,
         cli.ExperimentConfig(subcommand="qas-poly", key_average="sampled")
     with pytest.raises(ValueError, match="zeno-demo takes no adversary"):
         cli.ExperimentConfig(subcommand="zeno-demo", adversary="zeno")
+    with pytest.raises(ValueError, match="lemmas takes no trials"):
+        cli.ExperimentConfig(subcommand="lemmas", trials=5)
     assert cli.ExperimentConfig(subcommand="qas-poly", key_average="exact") \
         == cli.ExperimentConfig(subcommand="qas-poly")
     path = tmp_path / "qas.json"
@@ -440,11 +443,12 @@ def test_replay_rejects_malformed_envelopes(tmp_path, capsys, corrupt,
      "--adversary", 'pauli:{"1": [[1, [1, 0, 0], [0, 0, 0]]]}'],
     ["qpip-clifford", "--trials", "2",
      "--adversary", 'pauli:{"12": [[0, [1, 0], [0, 0]]]}'],
+    # a misreport in a round the run never reaches would never fire
+    ["qpip-clifford", "--adversary", "misreport:99", "--trials", "20"],
+    ["qpip-clifford", "--adversary", "misreport:0", "--trials", "20"],
     # blocks whose attack draw alone would take gigabytes
     ["qas-poly", "--q", "7", "--d", "2", "--alphas", "1,2,3,4,5"],
     ["qas-clifford", "--e", "12"],
-    # the Clifford views are averaged exactly only
-    ["blindness", "--key-average", "sampled"],
 ])
 def test_refused_runs_exit_2_without_a_traceback(tmp_path, capsys,
                                                  monkeypatch, argv):
@@ -461,7 +465,25 @@ def test_refused_runs_exit_2_without_a_traceback(tmp_path, capsys,
     assert not path.exists()
 
 
-def test_jobs_option_is_gone():
+@pytest.mark.parametrize("argv", [
+    ["lemmas", "--jobs", "2"],
+    ["blindness", "--key-average", "sampled"],
+    ["lemmas", "--trials", "5"],
+])
+def test_removed_options_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["lemmas", "--jobs", "2"])
+        cli.main(argv)
     assert exc.value.code == 2
+
+
+def test_a_sampled_blindness_report_is_refused(tmp_path, capsys):
+    """The sampled poly blindness mode is gone: its report does not replay
+    as a mismatch but is refused."""
+    path = tmp_path / "blind.json"
+    assert cli.main(["blindness", "--mode", "poly",
+                     "--output", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["config"]["key_average"] = "sampled"
+    path.write_text(json.dumps(data))
+    assert cli.main(["replay", str(path)]) == 2
+    assert "blindness takes no key_average" in capsys.readouterr().err
