@@ -312,7 +312,7 @@ def _clifford_round_views(circuit: qpip.CircuitIR, inputs: Sequence[int],
     for st in states:
         rho = st.to_density()
         for wires in blocks:
-            rho = pa.group_conjugate_average(rho, "clifford", wires)
+            rho = pa.group_conjugate_average(rho, wires)
         views.append(rho)
     return views
 
@@ -838,7 +838,10 @@ def _check_clifford_twirl(rng, cvec, p) -> float:
 
     The identity weight stays on rho; everything else mixes uniformly
     over the non-identity Paulis, leaving w rho + (1 - w) (d I - rho) /
-    (d^2 - 1) with w the identity component of the attack.
+    (d^2 - 1) with w the identity component of the attack.  With
+    `pauli-decoherence`, which splits an attack on the block and an
+    environment into its Pauli components, this licenses qas-clifford's
+    reduction of every attack to one twirled non-identity Pauli.
     """
     stack = pa.clifford_stack(2)
     d = 4
@@ -886,7 +889,7 @@ def _check_clifford_mixing(rng, cvec, p) -> float:
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
     rho = qc.StateVector(qc.RegisterShape((2, 2)), v).to_density()
-    avg = pa.group_conjugate_average(rho, "clifford", (0, 1))
+    avg = pa.group_conjugate_average(rho, (0, 1))
     return float(np.max(np.abs(avg.entries - np.eye(4) / 4)))
 
 

@@ -1,14 +1,14 @@
-"""Clifford-keyed authentication: encode, decode, security experiments.
+"""Clifford-keyed authentication: encode, decode, security experiment.
 
 A message of l qubits is padded with e zeroed auxiliary qubits and hidden
-under a uniformly random Clifford on all m = l + e qubits.  Averaging any
-fixed attack over the key group turns it into a depolarizing mixture, so
-an undetected-and-wrong outcome survives with probability at most 2^-e.
-The security experiment averages over the whole group where C_m is
-enumerated (m <= 2) and over drawn keys at m = 3: the block size decides.
+under a uniformly random Clifford on all m = l + e qubits.  The key
+average turns any attack into s*id + (1 - s)*(a uniform non-identity
+Pauli), s the attack's identity weight, so the worst attack is one
+twirled non-identity Pauli.  The security experiment computes that
+attack's undetected-and-wrong mass exactly from the message, with no key
+enumerated or drawn, and gates it against 2^-e.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,28 +48,6 @@ def random_clifford_key(params: CliffordQasParams,
     return pa.sample_clifford(params.m, rng)
 
 
-class QasProjectors:
-    """Accept/reject projectors for one message state.
-
-    pi0 catches "auxiliaries read zero but the message is wrong";
-    pi1 is its complement: correct-and-valid plus every abort.
-    """
-
-    def __init__(self, psi: qc.StateVector, e: int):
-        l = psi.shape.num_wires
-        if psi.shape.dims != (2,) * l:
-            raise ValueError("message must be qubits")
-        self.psi = psi
-        zero = np.zeros(2 ** e)
-        zero[0] = 1.0
-        aux_ok = np.outer(zero, zero)
-        proj_psi = np.outer(psi.amplitudes, psi.amplitudes.conj())
-        eye_l = np.eye(2 ** l)
-        self.pi0 = np.kron(eye_l - proj_psi, aux_ok)
-        self.pi1 = np.kron(proj_psi, aux_ok) + \
-            np.kron(eye_l, np.eye(2 ** e) - aux_ok)
-
-
 def cqas_encode(psi: qc.StateVector,
                 key: pa.CliffordElement) -> qc.StateVector:
     """C_k (|psi> (x) |0>^e)."""
@@ -102,113 +80,51 @@ def cqas_decode(state: qc.StateVector, key: pa.CliffordElement, l: int,
     return "valid", qc.StateVector(qc.RegisterShape((2,) * l), amps)
 
 
-def _attack_setup(params: CliffordQasParams, psi: qc.StateVector,
-                  attack: qc.UnitaryMatrix,
-                  env_state: qc.StateVector | None):
-    m = params.m
-    if psi.shape.num_wires != params.l:
-        raise ValueError("message size disagrees with params")
-    plain = psi
-    for _ in range(params.e):
-        plain = qc.tensor(plain, qc.basis_state(qc.RegisterShape((2,)), (0,)))
-    if env_state is None:
-        full_shape = plain.shape
-        rho = plain.to_density()
-        env_dim = 1
-        rho_env = np.array([[1.0 + 0j]])
-    else:
-        rho = qc.tensor(plain.to_density(), env_state.to_density())
-        full_shape = rho.shape
-        env_dim = env_state.shape.dim
-        rho_env = env_state.to_density().entries
-    if attack.shape.dim != full_shape.dim:
-        raise ValueError("attack must cover message, auxiliaries and "
-                         "environment")
-    return m, rho, env_dim, rho_env
+def _worst_attack_mass(psi: qc.StateVector, e: int) -> float:
+    """c: the undetected-and-wrong mass of one twirled non-identity Pauli.
 
-
-def _identity_weight(attack: qc.UnitaryMatrix, m: int, env_dim: int,
-                     rho_env: np.ndarray) -> float:
-    blocks = pa.pauli_decompose(attack.entries, 2, m, env_dim)
-    u_i = blocks[0, 0]
-    return float(np.trace(u_i @ rho_env @ u_i.conj().T).real)
-
-
-def _two_term_reference(rho_plain: np.ndarray, s: float, m: int
-                        ) -> np.ndarray:
-    paulis = pa.all_pauli_matrices(2, m)
-    mix = np.einsum("kij,jl,kml->im", paulis, rho_plain, paulis.conj(),
-                    optimize=True)
-    mix = (mix - rho_plain) / (4 ** m - 1)
-    return s * rho_plain + (1 - s) * mix
-
-
-def key_average(params: CliffordQasParams) -> str:
-    """How `cqas_security_experiment` averages the keys: "exact" where C_m
-    is enumerated (m <= 2), "sampled" at m = 3; larger blocks are refused."""
-    if params.m > 3:
-        raise ValueError("the key average runs for blocks of m <= 3 qubits")
-    return "exact" if params.m <= 2 else "sampled"
+    The mean, over the 4^m - 1 non-identity Paulis, of 1 - |<psi|P|psi>|^2
+    for those with no X on an auxiliary qubit, and of 0 for the rest.
+    Such a Pauli is a data Pauli times a Z pattern on the auxiliaries, so
+    each of the 4^l data Paulis counts 2^e times.  For a pure psi this is
+    2^m (2^l - 1) / (4^m - 1), always below 2^-e.
+    """
+    l = psi.shape.num_wires
+    amps = psi.amplitudes
+    overlaps = np.abs(np.einsum("i,kij,j->k", amps.conj(),
+                                pa.qubit_pauli_basis(l), amps)) ** 2
+    return float(2 ** e * (4 ** l - overlaps.sum()) / (4 ** (l + e) - 1))
 
 
 def cqas_security_experiment(params: CliffordQasParams, psi: qc.StateVector,
                              attack: qc.UnitaryMatrix,
-                             env_state: qc.StateVector | None = None,
-                             rng: np.random.Generator | None = None,
-                             trials: int = 2000):
-    """Average the attacked round over keys and score Bob's state.
+                             env_state: qc.StateVector | None = None):
+    """The largest undetected-and-wrong mass of any attack, against epsilon.
 
-    The block size picks the average (`key_average`).  At m <= 2 it sums
-    the whole key group and checks that the averaged state collapses to
-    the two-term mixture s*rho + (1-s)/(4^m-1) sum_P P rho P^dag; at
-    m = 3 it draws `trials` keys from `rng` and gives the estimate a
-    +-3/sqrt(trials) interval.  The claim is tr(Pi_1 rho_B) >= 1 - epsilon,
-    gated on 1 - tr(Pi_1 rho_B).
+    The key average turns any attack, environment included, into
+    s*id + (1 - s)*(a uniform non-identity Pauli), s the attack's identity
+    weight (lemmas `pauli-decoherence` and `clifford-twirl`).  The mass is
+    linear in that mixture and the identity leaves none, so the supremum
+    over attacks is c, one twirled non-identity Pauli's mass, computed
+    exactly from psi.  The given attack is the cross-check in the detail:
+    its mass tr(Pi_0 rho_B) = (1 - s) c, with s = Tr(U_I rho_E U_I^dag)
+    and U_I = Tr_block(U) / 2^m.
     """
     from . import audit  # audit imports this module
-    mode = key_average(params)
-    m, rho, env_dim, rho_env = _attack_setup(params, psi, attack, env_state)
-    proj = QasProjectors(psi, params.e)
-    kept = tuple(range(m))
-    s = _identity_weight(attack, m, env_dim, rho_env)
-
-    if mode == "exact":
-        avg = pa.group_average_channel(rho, attack, "clifford", kept)
-        rho_b = qc.partial_trace(avg, kept) if env_dim > 1 else avg
-        plain = qc.partial_trace(rho, kept) if env_dim > 1 else rho
-        ref = _two_term_reference(plain.entries, s, m)
-        residual = float(np.max(np.abs(rho_b.entries - ref)))
-        if residual > 1e-8:
-            raise AssertionError(
-                f"averaged state missed the two-term form by {residual:.3e}")
-        trial_count, half, limit = None, 0.0, params.epsilon + 1e-8
-    else:
-        if rng is None:
-            raise ValueError("averaging drawn keys at m = 3 needs an rng")
-        acc = np.zeros((2 ** m, 2 ** m), dtype=np.complex128)
-        for _ in range(trials):
-            el = pa.sample_clifford(m, rng)
-            u = qc.UnitaryMatrix(qc.RegisterShape((2,) * m), el.matrix.entries,
-                                 check_unitary=False)
-            st = qc.apply_on_wires(rho, u, kept)
-            st = qc.DensityMatrix(st.shape,
-                                  attack.entries @ st.entries
-                                  @ attack.entries.conj().T, check_psd=False)
-            st = qc.apply_on_wires(
-                st, qc.UnitaryMatrix(u.shape, u.entries.conj().T,
-                                     check_unitary=False), kept)
-            reduced = qc.partial_trace(st, kept) if env_dim > 1 else st
-            acc += reduced.entries
-        rho_b = qc.DensityMatrix(qc.RegisterShape((2,) * m), acc / trials,
-                                 check_psd=False)
-        residual, trial_count = None, trials
-        half, limit = 3.0 / math.sqrt(max(trials, 1)), params.epsilon
-
-    tr_pi1 = float(np.trace(proj.pi1 @ rho_b.entries).real)
-    tr_pi0 = float(np.trace(proj.pi0 @ rho_b.entries).real)
-    est = 1.0 - tr_pi1
-    return audit.gate("1 - tr(Pi_1 rho_B) <= epsilon", params.epsilon, est,
-                      (est - half, est + half),
-                      {"mode": mode, "tr_pi0": tr_pi0, "tr_pi1": tr_pi1,
-                       "s": s, "two_term_residual": residual,
-                       "trials": trial_count}, limit=limit)
+    l, m = params.l, params.m
+    if psi.shape.dims != (2,) * l:
+        raise ValueError("message size disagrees with params")
+    env_dim = 1 if env_state is None else env_state.shape.dim
+    if attack.shape.dim != 2 ** m * env_dim:
+        raise ValueError("attack must cover message, auxiliaries and "
+                         "environment")
+    u = attack.entries.reshape(2 ** m, env_dim, 2 ** m, env_dim)
+    u_i = np.einsum("iaib->ab", u) / 2 ** m
+    rho_env = np.ones((1, 1)) if env_state is None else \
+        env_state.to_density().entries
+    s = float(np.trace(u_i @ rho_env @ u_i.conj().T).real)
+    c = _worst_attack_mass(psi, params.e)
+    tr_pi0 = (1.0 - s) * c
+    return audit.gate("every attack's 1 - tr(Pi_1 rho_B) <= epsilon",
+                      params.epsilon, c, (c, c),
+                      {"tr_pi0": tr_pi0, "tr_pi1": 1.0 - tr_pi0, "s": s})

@@ -546,25 +546,6 @@ def sample_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
 
 # ------------------------------------------------------- group averaging
 
-def all_pauli_matrices(q: int, m: int) -> np.ndarray:
-    """Stack of all q^{2m} Pauli matrices Z^z X^x on m wires.
-
-    Index order: (x digits, then z digits), wire 0 most significant
-    within each part.
-    """
-    dim = q ** m
-    count = q ** (2 * m)
-    if count * dim * dim > 2 ** 28:
-        raise ValueError("Pauli stack too large")
-    out = np.zeros((count, dim, dim), dtype=np.complex128)
-    shape = RegisterShape((q,) * (2 * m), dim_cap=2 ** 62)
-    for idx in range(count):
-        digits = shape.index_to_digits(idx)
-        p = SymbolicPauli(q, digits[:m], digits[m:])
-        out[idx] = pauli_matrix(p).entries
-    return out
-
-
 def _embed_stack(mats: np.ndarray, wires: Sequence[int],
                  shape: RegisterShape) -> np.ndarray:
     """Embed a stack of operators on `wires` into the full register."""
@@ -594,78 +575,44 @@ def clifford_stack(n: int) -> np.ndarray:
 _STACK_CACHE: dict[tuple, np.ndarray] = {}
 
 
-def _embedded_group_stack(group: str, wires: tuple[int, ...],
-                          shape: RegisterShape) -> np.ndarray:
-    if group == "clifford" and wires == tuple(range(shape.num_wires)):
+def _embedded_clifford_stack(wires: tuple[int, ...],
+                             shape: RegisterShape) -> np.ndarray:
+    if wires == tuple(range(shape.num_wires)):
         return clifford_stack(len(wires))  # the whole register, in order
-    key = (group, wires, shape.dims)
+    key = (wires, shape.dims)
     if key not in _STACK_CACHE:
-        if group == "clifford":
-            mats = clifford_stack(len(wires))
-        else:
-            mats = all_pauli_matrices(shape.dims[wires[0]], len(wires))
         _STACK_CACHE[key] = np.ascontiguousarray(
-            _embed_stack(mats, wires, shape))
+            _embed_stack(clifford_stack(len(wires)), wires, shape))
     return _STACK_CACHE[key]
 
 
-def _group_sum(rho, group: str, wires: Sequence[int], attack=None):
-    """(1/|G|) sum_g A_g rho A_g^dag over g in the group on the listed
-    wires, with A_g = g, or g^dag U g for an attack unitary U."""
+def group_conjugate_average(rho, wires: Sequence[int]):
+    """(1/|C_n|) sum_g (g (x) I) rho (g (x) I)^dag over the Clifford group
+    on the listed qubit wires, n = 1 or 2.
+
+    The mixing channel: it erases the block, leaving I/2^n (x) (reduced
+    rest).  Returns a DensityMatrix.
+    """
     from .qcore import DensityMatrix  # local import avoids cycle confusion
 
     shape = rho.shape
-    block_dims = [shape.dims[w] for w in wires]
-    if group == "clifford":
-        if any(d != 2 for d in block_dims):
-            raise ValueError("clifford averaging needs qubit wires")
-        if len(wires) not in (1, 2):
-            raise ValueError("clifford averaging supports 1 or 2 wires")
-        count = 24 if len(wires) == 1 else 11520
-    elif group == "pauli":
-        q = block_dims[0]
-        if any(d != q for d in block_dims):
-            raise ValueError("pauli averaging needs equal wire dims")
-        count = q ** (2 * len(wires))
-    else:
-        raise ValueError(f"unknown group {group!r}")
-
+    if any(shape.dims[w] != 2 for w in wires):
+        raise ValueError("clifford averaging needs qubit wires")
+    if len(wires) not in (1, 2):
+        raise ValueError("clifford averaging supports 1 or 2 wires")
+    count = 24 if len(wires) == 1 else 11520
     if count * shape.dim ** 3 > _AVERAGE_FLOP_CAP:
         raise ValueError("group too large for exact averaging")
 
-    g = _embedded_group_stack(group, tuple(wires), shape)
+    g = _embedded_clifford_stack(tuple(wires), shape)
     r = rho.entries
     out = np.zeros_like(r)
     chunk = max(1, int(2 ** 24 / (shape.dim ** 2)))
     for lo in range(0, count, chunk):
         a = g[lo:lo + chunk]
-        if attack is not None:
-            a = np.matmul(a.conj().transpose(0, 2, 1),
-                          np.matmul(attack.entries, a))
         b = np.matmul(np.matmul(a, r), a.conj().transpose(0, 2, 1))
         out += b.sum(axis=0)
     return DensityMatrix(shape, out / count, check_psd=False)
-
-
-def group_average_channel(rho, attack: UnitaryMatrix, group: str,
-                          wires: Sequence[int]):
-    """Exact average of (g^dag (x) I) U (g (x) I) rho (..)^dag over a group.
-
-    `group` is "clifford" (qubit wires, n <= 2) or "pauli" (any prime q).
-    The attack unitary acts on the whole register of rho; g acts on the
-    listed wires.  Returns a DensityMatrix.
-    """
-    return _group_sum(rho, group, wires, attack)
-
-
-def group_conjugate_average(rho, group: str, wires: Sequence[int]):
-    """(1/|G|) sum_g (g (x) I) rho (g (x) I)^dag over the listed wires.
-
-    The mixing channel: with G the full Pauli or Clifford group this
-    erases the block, leaving I/d (x) (reduced rest).  The group and the
-    wires are checked as in `group_average_channel`.
-    """
-    return _group_sum(rho, group, wires)
 
 
 def pauli_decompose(u: np.ndarray, q: int, m: int, env_dim: int) -> np.ndarray:

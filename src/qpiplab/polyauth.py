@@ -26,7 +26,7 @@ def random_poly_key(p: pc.CodeParams, rng: np.random.Generator) -> PolyQasKey:
     return PolyQasKey(pc.random_sign_key(p.m, rng), pc.random_pauli_key(p, rng))
 
 
-# --------------------------------------------------------- encode/decode
+# ---------------------------------------------------------------- encode
 
 def pqas_encode(psi: qc.StateVector, key: PolyQasKey,
                 p: pc.CodeParams) -> qc.StateVector:
@@ -35,23 +35,6 @@ def pqas_encode(psi: qc.StateVector, key: PolyQasKey,
     return qc.StateVector(enc.shape,
                           pa.pauli_matrix(key.pauli).entries @ enc.amplitudes,
                           check_norm=False)
-
-
-def pqas_decode(state: qc.StateVector, key: PolyQasKey, p: pc.CodeParams,
-                rng: np.random.Generator
-                ) -> tuple[str, qc.StateVector | None]:
-    """Strip the pad, undo the encoder, measure the m-1 auxiliaries."""
-    if state.shape != p.shape():
-        raise ValueError("state does not match the code register")
-    pad_dag = pa.pauli_matrix(key.pauli).entries.conj().T
-    stripped = qc.StateVector(state.shape, pad_dag @ state.amplitudes,
-                              check_norm=False)
-    plain = pc.decode_Ek(stripped, key.sign, p)
-    outcome, post = qc.measure_wires(plain, tuple(range(1, p.m)), rng)
-    if any(outcome):
-        return "abort", None
-    amps = post.amplitudes.reshape(p.q, p.q ** (p.m - 1))[:, 0]
-    return "valid", qc.StateVector(qc.RegisterShape((p.q,)), amps)
 
 
 # ------------------------------------------------------ batched decoding
@@ -180,14 +163,6 @@ def _attack_weights(attack: qc.UnitaryMatrix, p: pc.CodeParams,
     return w
 
 
-def key_average(p: pc.CodeParams) -> str:
-    """How `pqas_security_experiment` averages the keys: "exact", in a
-    closed form sized for m = 3; other block sizes are refused."""
-    if p.m != 3:
-        raise ValueError("the exact key average is sized for m = 3")
-    return "exact"
-
-
 def pqas_security_experiment(p: pc.CodeParams, psi: qc.StateVector,
                              attack: qc.UnitaryMatrix,
                              env_state: qc.StateVector | None = None):
@@ -200,10 +175,9 @@ def pqas_security_experiment(p: pc.CodeParams, psi: qc.StateVector,
     identity weight.
     """
     from . import audit  # audit imports this module
-    mode = key_average(p)
     q, m = p.q, p.m
+    mass = sign_key_masses(p, psi)[0]  # refuses m != 3 first
     weights = _attack_weights(attack, p, env_state)
-    mass = sign_key_masses(p, psi)[0]
     xs, zs = _all_exponent_grids(p)
     wflat = weights.reshape(-1)
     # rows of the grid run over (x digits, z digits) in index order
@@ -217,7 +191,7 @@ def pqas_security_experiment(p: pc.CodeParams, psi: qc.StateVector,
     return audit.gate(
         "undetected-and-wrong mass <= (1 - alpha_I) epsilon", p.epsilon,
         tr_pi0, (tr_pi0, tr_pi0),
-        {"mode": mode, "alpha_identity": alpha_i, "trials": None},
+        {"mode": "exact", "alpha_identity": alpha_i, "trials": None},
         limit=(1.0 - alpha_i) * p.epsilon + 1e-8)
 
 

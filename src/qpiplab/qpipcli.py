@@ -99,10 +99,11 @@ class ExperimentConfig:
     `_SUBCOMMANDS`, else the generic default declared beside it; so does
     the delegated circuit of the protocol subcommands, which depends on
     the adversary (qpip-clifford) or the engine (qpip-poly).  A field the
-    subcommand has no flag for must keep that default: the run would
-    ignore any other value, so such a config is refused.  No subcommand
-    has a flag for `key_average`: it stays in the echo at "exact", so
-    reports of the removed sampled modes are refused, not replayed.
+    subcommand has no flag for, or that its mode never reads, must keep
+    that default: the run would ignore any other value, so such a config
+    is refused.  No subcommand has a flag for `key_average`: it stays in
+    the echo at "exact", so reports of the removed sampled modes are
+    refused, not replayed.
     """
 
     subcommand: str
@@ -129,15 +130,19 @@ class ExperimentConfig:
         if self.subcommand not in _SUBCOMMANDS:
             raise ValueError(f"unknown subcommand {self.subcommand!r}")
         row = _SUBCOMMANDS[self.subcommand]
-        taken = {"subcommand", *_COMMON, *row.flags}
+        mode = row.defaults.get("mode") if self.mode is None else self.mode
+        unread = row.unread.get(mode, ())
+        taken = {"subcommand", *_COMMON, *row.flags} - set(unread)
         for f in dataclasses.fields(self):
             default = row.defaults.get(f.name, f.metadata.get("default"))
             value = getattr(self, f.name)
             if value is None:
                 object.__setattr__(self, f.name, default)
             elif f.name not in taken and value != default:
-                raise ValueError(f"{self.subcommand} takes no {f.name}; "
-                                 f"it keeps its default {default!r}")
+                where = f" in {mode} mode" if f.name in unread else ""
+                raise ValueError(f"{self.subcommand}{where} takes no "
+                                 f"{f.name}; it keeps its default "
+                                 f"{default!r}")
         if callable(self.circuit_name):  # a protocol's default circuit
             object.__setattr__(self, "circuit_name", None if
                                self.circuit_json is not None
@@ -288,23 +293,26 @@ _ENV_QUBIT = qc.basis_state(qc.RegisterShape((2,)), (0,))
 
 def _run_qas(cfg: ExperimentConfig, seed: int) -> audit.AuditRecord:
     """A scheme's security experiment on a random one-wire input and a
-    random attack on its block plus one environment qubit.  The block size
-    is checked first: where it is refused, the draw alone takes gigabytes."""
+    random attack on its block plus one environment qubit.  qas-clifford
+    gates the worst attack and reports the drawn one beside it; qas-poly
+    gates the drawn one.  A block whose attack exceeds the Haar cap is
+    refused before anything is drawn."""
     clifford = cfg.subcommand == "qas-clifford"
     params = ca.CliffordQasParams(l=1, e=cfg.e) if clifford else cfg.code()
-    (ca if clifford else pq).key_average(params)
     dims = params.shape().dims
+    dim = 2 * int(np.prod(dims))
+    if dim > qc._HAAR_DIM_CAP:
+        raise ValueError(f"an attack on the block and one environment "
+                         f"qubit has dimension {dim}, above the Haar cap "
+                         f"{qc._HAAR_DIM_CAP}")
     rng = qc.make_rng(seed)
     v = rng.normal(size=dims[0]) + 1j * rng.normal(size=dims[0])
     psi = qc.StateVector(qc.RegisterShape(dims[:1]), v / np.linalg.norm(v))
-    attack = qc.UnitaryMatrix(
-        qc.RegisterShape(dims + (2,)),
-        qc.haar_unitary(2 * int(np.prod(dims)), rng),
-        check_unitary=False)
-    if clifford:
-        return ca.cqas_security_experiment(params, psi, attack, _ENV_QUBIT,
-                                           rng=rng, trials=cfg.trials)
-    return pq.pqas_security_experiment(params, psi, attack, _ENV_QUBIT)
+    attack = qc.UnitaryMatrix(qc.RegisterShape(dims + (2,)),
+                              qc.haar_unitary(dim, rng), check_unitary=False)
+    run = ca.cqas_security_experiment if clifford else \
+        pq.pqas_security_experiment
+    return run(params, psi, attack, _ENV_QUBIT)
 
 
 def _run_qpip(cfg: ExperimentConfig, seed: int) -> audit.AuditRecord:
@@ -363,6 +371,11 @@ class _Subcommand(NamedTuple):
     help: str
     flags: tuple[str, ...]
     defaults: dict = {}
+    unread: dict = {}  # mode -> the flags a run in that mode never reads
+
+
+# the Clifford audits read no code, the qudit ones no auxiliary count
+_UNREAD_BY_MODE = {"clifford": _CODE, "poly": ("e",)}
 
 
 _SUBCOMMANDS = {
@@ -371,8 +384,7 @@ _SUBCOMMANDS = {
             scope=cfg.scope, c_vector=cfg.c_vector, seed=seed),
         "run the algebraic identity suite", ("scope", "c_vector")),
     "qas-clifford": _Subcommand(
-        _run_qas, "Clifford authentication security experiment",
-        ("trials", "e")),
+        _run_qas, "Clifford authentication security experiment", ("e",)),
     "qas-poly": _Subcommand(
         _run_qas, "signed-code authentication security experiment", _CODE),
     "scan-signkey": _Subcommand(
@@ -390,14 +402,14 @@ _SUBCOMMANDS = {
          if cfg.engine == "logical-frame" else "poly-demo"}),
     "blindness": _Subcommand(
         _run_blindness, "prover-view blindness audit",
-        ("mode", "e") + _CODE, {"mode": "clifford"}),
+        ("mode", "e") + _CODE, {"mode": "clifford"}, _UNREAD_BY_MODE),
     "confidence": _Subcommand(
         lambda cfg, seed: audit.confidence_audit(
             cfg.mode, build_policy(cfg), e=cfg.e, code=cfg.code(),
             input_digit=cfg.input_digit),
         "post-acceptance conditional state audit",
         ("mode", "adversary", "input_digit", "e") + _CODE,
-        {"mode": "clifford"}),
+        {"mode": "clifford"}, _UNREAD_BY_MODE),
     "zeno-demo": _Subcommand(
         lambda cfg, seed: _run_qpip(ExperimentConfig(
             "qpip-clifford", e=cfg.e, trials=cfg.trials, adversary="zeno",

@@ -13,6 +13,15 @@ CLI run, audit or engine calls it.
   permutations.
 - `pqas_average_literal` sums the polynomial-QAS experiment over every
   key; `polyauth.pqas_security_experiment` uses a closed form.
+  `pqas_decode` is the scheme's decoder, which no run needs: the
+  experiments score the keyed state without measuring it.
+- `cqas_key_average` sums an attack over every Clifford key of C_m
+  (m <= 2), and `two_term_reference` and `QasProjectors` give the form it
+  collapses to and the projectors that score it;
+  `cliffauth.cqas_security_experiment` computes the worst attack's mass
+  from the Pauli reduction and a drawn attack's from its identity weight.
+- `all_pauli_matrices` stacks every Pauli on m wires densely;
+  `audit._pad_average` averages over the pads without building them.
 - `pad_average_scatter` twirls a density over the Pauli pads by scattering
   each shifted copy; `audit._pad_average` gathers them.
 - `poly_block_view_per_key` twirls every sign key's encoded state on its
@@ -50,6 +59,7 @@ import numpy as np
 from qpiplab import audit
 from qpiplab import cliffauth as ca
 from qpiplab import pcalg as pa
+from qpiplab import polyauth as pq
 from qpiplab import polycode as pc
 from qpiplab import qcore as qc
 from qpiplab import qpip
@@ -209,6 +219,23 @@ def conjugate_by_encoding(p_op: pa.SymbolicPauli, k: pc.SignKey,
     return pa.SymbolicPauli(q, x, z)
 
 
+def pqas_decode(state: qc.StateVector, key: pq.PolyQasKey,
+                p: pc.CodeParams, rng: np.random.Generator
+                ) -> tuple[str, qc.StateVector | None]:
+    """Strip the pad, undo the encoder, measure the m-1 auxiliaries."""
+    if state.shape != p.shape():
+        raise ValueError("state does not match the code register")
+    pad_dag = pa.pauli_matrix(key.pauli).entries.conj().T
+    stripped = qc.StateVector(state.shape, pad_dag @ state.amplitudes,
+                              check_norm=False)
+    plain = pc.decode_Ek(stripped, key.sign, p)
+    outcome, post = qc.measure_wires(plain, tuple(range(1, p.m)), rng)
+    if any(outcome):
+        return "abort", None
+    amps = post.amplitudes.reshape(p.q, p.q ** (p.m - 1))[:, 0]
+    return "valid", qc.StateVector(qc.RegisterShape((p.q,)), amps)
+
+
 def pqas_average_literal(p: pc.CodeParams, psi: qc.StateVector,
                          attack: qc.UnitaryMatrix) -> float:
     """Reference value of the experiment by summing every key literally.
@@ -246,6 +273,25 @@ def pqas_average_literal(p: pc.CodeParams, psi: qc.StateVector,
             total += float(np.einsum("ra,ab,rb->", sector.conj(), proj,
                                      sector, optimize=True).real)
     return total / (len(keys) * db * db)
+
+
+def all_pauli_matrices(q: int, m: int) -> np.ndarray:
+    """Stack of all q^{2m} Pauli matrices Z^z X^x on m wires.
+
+    Index order: (x digits, then z digits), wire 0 most significant
+    within each part.
+    """
+    dim = q ** m
+    count = q ** (2 * m)
+    if count * dim * dim > 2 ** 28:
+        raise ValueError("Pauli stack too large")
+    out = np.zeros((count, dim, dim), dtype=np.complex128)
+    shape = qc.RegisterShape((q,) * (2 * m), dim_cap=2 ** 62)
+    for idx in range(count):
+        digits = shape.index_to_digits(idx)
+        p = pa.SymbolicPauli(q, digits[:m], digits[m:])
+        out[idx] = pa.pauli_matrix(p).entries
+    return out
 
 
 def pad_average_scatter(rho: np.ndarray, q: int, m: int) -> np.ndarray:
@@ -286,6 +332,68 @@ def identity_key(params: ca.CliffordQasParams) -> pa.CliffordElement:
     mat = qc.UnitaryMatrix(qc.RegisterShape((2,) * params.m),
                            np.eye(2 ** params.m), check_unitary=False)
     return pa.CliffordElement(params.m, mat, ())
+
+
+class QasProjectors:
+    """Accept/reject projectors of the Clifford QAS for one message state.
+
+    pi0 catches "auxiliaries read zero but the message is wrong";
+    pi1 is its complement: correct-and-valid plus every abort.
+    """
+
+    def __init__(self, psi: qc.StateVector, e: int):
+        l = psi.shape.num_wires
+        if psi.shape.dims != (2,) * l:
+            raise ValueError("message must be qubits")
+        self.psi = psi
+        zero = np.zeros(2 ** e)
+        zero[0] = 1.0
+        aux_ok = np.outer(zero, zero)
+        proj_psi = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        eye_l = np.eye(2 ** l)
+        self.pi0 = np.kron(eye_l - proj_psi, aux_ok)
+        self.pi1 = np.kron(proj_psi, aux_ok) + \
+            np.kron(eye_l, np.eye(2 ** e) - aux_ok)
+
+
+def plain_qas_state(params: ca.CliffordQasParams,
+                    psi: qc.StateVector) -> np.ndarray:
+    """|psi><psi| (x) |0><0|^e, the unkeyed Clifford QAS block."""
+    plain = psi
+    for _ in range(params.e):
+        plain = qc.tensor(plain, qc.basis_state(qc.RegisterShape((2,)), (0,)))
+    return plain.to_density().entries
+
+
+def cqas_key_average(params: ca.CliffordQasParams, psi: qc.StateVector,
+                     attack: qc.UnitaryMatrix,
+                     env_state: qc.StateVector | None = None) -> np.ndarray:
+    """Bob's state rho_B with the attack averaged over every key of C_m.
+
+    The enumeration oracle of `cliffauth.cqas_security_experiment` (m <= 2):
+    (1/|C_m|) sum_g (g^dag (x) I) U (g (x) I) applied to the plain block
+    (x) rho_E, the environment then traced out.
+    """
+    rho = plain_qas_state(params, psi)
+    env_dim = 1 if env_state is None else env_state.shape.dim
+    if env_state is not None:
+        rho = np.kron(rho, env_state.to_density().entries)
+    g = np.kron(pa.clifford_stack(params.m), np.eye(env_dim))
+    a = g.conj().transpose(0, 2, 1) @ attack.entries @ g
+    avg = np.mean(a @ rho @ a.conj().transpose(0, 2, 1), axis=0)
+    db = 2 ** params.m
+    return np.einsum("iaja->ij", avg.reshape(db, env_dim, db, env_dim))
+
+
+def two_term_reference(rho_plain: np.ndarray, s: float, m: int
+                       ) -> np.ndarray:
+    """s rho + (1 - s)/(4^m - 1) sum_{P != I} P rho P^dag: the two-term
+    form the Clifford twirl reduces an attack of identity weight s to."""
+    paulis = all_pauli_matrices(2, m)
+    mix = np.einsum("kij,jl,kml->im", paulis, rho_plain, paulis.conj(),
+                    optimize=True)
+    mix = (mix - rho_plain) / (4 ** m - 1)
+    return s * rho_plain + (1 - s) * mix
 
 
 def _bits_to_int(bits: np.ndarray) -> int:

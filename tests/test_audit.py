@@ -345,7 +345,7 @@ def test_pad_average_gather_equals_the_scatter_oracle(q, m):
 def test_pad_average_is_the_mean_pauli_conjugate():
     q, m = 3, 2
     rho = _random_density(q ** m, qc.make_rng(7))
-    paulis = pa.all_pauli_matrices(q, m)
+    paulis = oracles.all_pauli_matrices(q, m)
     want = np.mean(paulis @ rho @ paulis.conj().transpose(0, 2, 1), axis=0)
     assert np.max(np.abs(audit._pad_average(rho, q, m) - want)) < 1e-12
 

@@ -41,7 +41,7 @@ def test_params_validation():
 
 
 def test_projectors_partition():
-    proj = ca.QasProjectors(PSI, 1)
+    proj = oracles.QasProjectors(PSI, 1)
     assert np.allclose(proj.pi0 @ proj.pi1, 0, atol=1e-12)
     assert np.allclose(proj.pi0 + proj.pi1, np.eye(4), atol=1e-12)
     assert np.allclose(proj.pi0 @ proj.pi0, proj.pi0, atol=1e-12)
@@ -109,7 +109,9 @@ def test_identity_attack_perfect():
     assert rec.detail["tr_pi0"] < 1e-10
     assert abs(rec.detail["s"] - 1) < 1e-10
     assert rec.verdict == "pass"
-    assert rec.estimate == 1 - rec.detail["tr_pi1"]
+    # the estimate is the worst attack's mass, not this attack's
+    assert abs(rec.estimate - 4 / 15) < 1e-12
+    assert rec.interval == (rec.estimate, rec.estimate)
     assert rec.epsilon == PARAMS.epsilon == 0.5
 
 
@@ -119,7 +121,6 @@ def test_all_pauli_attacks_bounded():
         rec = ca.cqas_security_experiment(PARAMS, PSI, pauli_attack(x, z))
         assert rec.detail["tr_pi0"] <= 0.5 + 1e-8
         assert abs(rec.detail["s"]) < 1e-10
-        assert rec.detail["two_term_residual"] < 1e-8
         masses.append(rec.detail["tr_pi0"])
     # a fixed Pauli depolarizes completely; the only undetected-and-wrong
     # mass comes from the 4 harmful survivors among the 15 images
@@ -135,7 +136,6 @@ def test_random_attack_with_environment():
         assert rec.detail["tr_pi0"] <= (1 - rec.detail["s"]) / 2 + 1e-8
         assert rec.detail["tr_pi1"] >= 1 - rec.epsilon - 1e-8
         assert rec.verdict == "pass"
-        assert rec.detail["two_term_residual"] < 1e-8
 
 
 def test_undetected_pauli_count():
@@ -163,38 +163,58 @@ def test_attack_family_monotonicity():
     assert prev_s < 0.6 and prev_pi0 > 0.1
 
 
-def test_sampled_mode_tracks_exact():
-    """At m = 3 the experiment draws keys; the estimate tracks the
-    two-term form the whole-group average collapses to."""
-    params = ca.CliffordQasParams(1, 2)
+def test_worst_attack_mass_matches_the_closed_form():
+    """c = 2^m (2^l - 1) / (4^m - 1) for a pure message, below 2^-e."""
     rng = qc.make_rng(19)
-    attack = qc.UnitaryMatrix(qc.RegisterShape((2,) * 3), haar(8, rng))
-    rec = ca.cqas_security_experiment(params, PSI, attack, rng=rng,
-                                      trials=3000)
-    assert rec.detail["mode"] == "sampled"
-    assert rec.detail["trials"] == 3000
-    plain = np.kron(PSI.amplitudes, np.eye(4)[0])
-    ref = ca._two_term_reference(np.outer(plain, plain.conj()),
-                                 rec.detail["s"], params.m)
-    proj = ca.QasProjectors(PSI, params.e)
-    sigma = 3 / np.sqrt(3000)
-    assert abs(rec.detail["tr_pi0"] - np.trace(proj.pi0 @ ref).real) < sigma
-    assert abs(rec.detail["tr_pi1"] - np.trace(proj.pi1 @ ref).real) < sigma
-    assert rec.interval == pytest.approx(
-        (rec.estimate - sigma, rec.estimate + sigma))
+    for l, es in ((1, range(1, 11)), (2, (1, 2))):
+        v = rng.normal(size=2 ** l) + 1j * rng.normal(size=2 ** l)
+        psi = qc.StateVector(qc.RegisterShape((2,) * l), v / np.linalg.norm(v))
+        for e in es:
+            m = l + e
+            c = ca._worst_attack_mass(psi, e)
+            assert abs(c - 2 ** m * (2 ** l - 1) / (4 ** m - 1)) < 1e-12
+            assert c < 2.0 ** -e
+    psi2 = qc.basis_state(qc.RegisterShape((2, 2)), (0, 1))
+    ident = qc.UnitaryMatrix(qc.RegisterShape((2,) * 3), np.eye(8))
+    rec = ca.cqas_security_experiment(ca.CliffordQasParams(2, 1), psi2, ident)
+    assert abs(rec.estimate - 24 / 63) < 1e-12
 
 
-def test_mode_errors():
-    """The block size picks the average: exact at m <= 2, drawn keys
-    (which need an rng) at m = 3, and larger blocks are refused."""
-    assert ca.key_average(PARAMS) == "exact"
-    three = ca.CliffordQasParams(1, 2)
-    assert ca.key_average(three) == "sampled"
-    ident8 = qc.UnitaryMatrix(qc.RegisterShape((2, 2, 2)), np.eye(8))
-    with pytest.raises(ValueError, match="rng"):
-        ca.cqas_security_experiment(three, PSI, ident8)
+@pytest.mark.parametrize("with_env", [False, True])
+def test_record_matches_the_enumerated_key_average(with_env):
+    """Summing each attack over all of C_2 gives the record's tr_pi0 and
+    the two-term form; the worst of the 15 Paulis is the estimate."""
+    env = qc.basis_state(qc.RegisterShape((2,)), (0,)) if with_env else None
+    env_eye = np.eye(2 if with_env else 1)
+    shape = qc.RegisterShape((2,) * (3 if with_env else 2))
+    rng = qc.make_rng(23)
+    attacks = [qc.UnitaryMatrix(shape, np.kron(pauli_attack(x, z).entries,
+                                               env_eye), check_unitary=False)
+               for x, z in nonidentity_paulis(2)]
+    attacks += [qc.UnitaryMatrix(shape, haar(shape.dim, rng))
+                for _ in range(6)]
+    proj = oracles.QasProjectors(PSI, PARAMS.e)
+    plain = oracles.plain_qas_state(PARAMS, PSI)
+    pauli_masses = []
+    for i, attack in enumerate(attacks):
+        rec = ca.cqas_security_experiment(PARAMS, PSI, attack, env)
+        rho_b = oracles.cqas_key_average(PARAMS, PSI, attack, env)
+        tr_pi0 = np.trace(proj.pi0 @ rho_b).real
+        assert abs(tr_pi0 - rec.detail["tr_pi0"]) < 1e-12
+        ref = oracles.two_term_reference(plain, rec.detail["s"], PARAMS.m)
+        assert np.max(np.abs(rho_b - ref)) < 1e-12
+        if i < 15:
+            pauli_masses.append(tr_pi0)
+    assert abs(max(pauli_masses) - rec.estimate) < 1e-12
+    assert abs(rec.estimate - 4 / 15) < 1e-12
+
+
+def test_experiment_refuses_mismatched_registers():
+    """A message or an attack that does not fit the block is refused."""
     psi2 = qc.basis_state(qc.RegisterShape((2, 2)), (0, 0))
-    ident16 = qc.UnitaryMatrix(qc.RegisterShape((2,) * 4), np.eye(16))
-    with pytest.raises(ValueError, match="m <= 3"):
-        ca.cqas_security_experiment(ca.CliffordQasParams(2, 2), psi2,
-                                    ident16, rng=qc.make_rng(0))
+    ident4 = qc.UnitaryMatrix(qc.RegisterShape((2, 2)), np.eye(4))
+    with pytest.raises(ValueError, match="message size"):
+        ca.cqas_security_experiment(PARAMS, psi2, ident4)
+    env = qc.basis_state(qc.RegisterShape((2,)), (0,))
+    with pytest.raises(ValueError, match="attack must cover"):
+        ca.cqas_security_experiment(PARAMS, PSI, ident4, env)

@@ -68,14 +68,14 @@ def test_encode_decode_round_trip():
     for a in range(Q):
         psi = qc.basis_state(qc.RegisterShape((Q,)), (a,))
         key = pq.random_poly_key(P, rng)
-        verdict, msg = pq.pqas_decode(pq.pqas_encode(psi, key, P), key, P,
+        verdict, msg = oracles.pqas_decode(pq.pqas_encode(psi, key, P), key, P,
                                       rng)
         assert verdict == "valid"
         assert abs(abs(msg.amplitudes[a]) - 1) < 1e-10
     for _ in range(20):
         psi = qc.StateVector(qc.RegisterShape((Q,)), random_state(Q, rng))
         key = pq.random_poly_key(P, rng)
-        verdict, msg = pq.pqas_decode(pq.pqas_encode(psi, key, P), key, P,
+        verdict, msg = oracles.pqas_decode(pq.pqas_encode(psi, key, P), key, P,
                                       rng)
         assert verdict == "valid"
         assert qc.state_fidelity(msg, psi) > 1 - 1e-10
@@ -86,7 +86,7 @@ def test_decode_rejects_wrong_register():
     key = pq.random_poly_key(P, rng)
     bad = qc.basis_state(qc.RegisterShape((Q, Q)), (0, 0))
     with pytest.raises(ValueError):
-        pq.pqas_decode(bad, key, P, rng)
+        oracles.pqas_decode(bad, key, P, rng)
 
 
 def test_pad_average_is_maximally_mixed():
@@ -119,7 +119,7 @@ def test_correlated_logical_tamper_shifts_message():
         enc = pq.pqas_encode(psi, key, P)
         fp = pc.logical_x_footprint(1, key.sign, P)
         hit = pa.pauli_matrix(fp).entries @ enc.amplitudes
-        verdict, msg = pq.pqas_decode(
+        verdict, msg = oracles.pqas_decode(
             qc.StateVector(SHAPE, hit, check_norm=False), key, P, rng)
         assert verdict == "valid"
         assert abs(abs(msg.amplitudes[(a + 1) % Q]) - 1) < 1e-10
@@ -136,7 +136,7 @@ def test_single_wire_shift_always_aborts():
         hit = pa.pauli_matrix(
             pa.SymbolicPauli(Q, x, np.zeros(M, dtype=np.int64))).entries \
             @ enc.amplitudes
-        verdict, _ = pq.pqas_decode(
+        verdict, _ = oracles.pqas_decode(
             qc.StateVector(SHAPE, hit, check_norm=False), key, P, rng)
         assert verdict == "abort"
 
@@ -306,7 +306,6 @@ def test_experiment_input_validation():
         pq.pqas_security_experiment(P, PSI0, small)
     p7 = pc.CodeParams(q=7, d=2, alphas=(1, 2, 3, 4, 5))
     psi7 = qc.basis_state(qc.RegisterShape((7,)), (0,))
-    assert pq.key_average(P) == "exact"
     with pytest.raises(ValueError, match="m = 3"):
         pq.pqas_security_experiment(p7, psi7, ident)
     with pytest.raises(ValueError):

@@ -27,11 +27,10 @@ def run_and_replay(subcommand: str, seed: int = 3, **kwargs):
     return stored, code
 
 
-# each scheme at its defaults, then at a second size: three Clifford
-# qubits (the block size where keys are drawn) and the q = 7 code
+# each scheme at its defaults, then at a second size: five Clifford
+# qubits (no key group enumerated) and the q = 7 code
 @pytest.mark.parametrize("subcommand", ["qas-clifford", "qas-poly"])
-@pytest.mark.parametrize("kwargs", [{}, {"qas-clifford": {"e": 2,
-                                                          "trials": 40},
+@pytest.mark.parametrize("kwargs", [{}, {"qas-clifford": {"e": 4},
                                          "qas-poly": {"q": 7}}])
 def test_qas_subcommands_run_and_replay(subcommand, kwargs):
     envelope, code = run_and_replay(subcommand, **kwargs.get(subcommand, {}))
@@ -176,7 +175,7 @@ SUBCOMMAND_OUTCOMES = [
     ("lemmas", {"scope": "logical-x"}, 0, "pass"),
     ("lemmas", {"scope": "interpolation-weights,logical-fourier",
                 "c_vector": (4, 0, 2)}, 1, "fail"),
-    ("qas-clifford", {"e": 2, "trials": 40}, 0, "pass"),
+    ("qas-clifford", {"e": 2}, 0, "pass"),
     ("qas-poly", {}, 0, "pass"),
     ("qas-poly", {"q": 7}, 0, "pass"),
     ("scan-signkey", {}, 1, "fail"),
@@ -231,13 +230,14 @@ def test_pinned_findings_fail_their_gates():
 
 # The option strings of every subcommand after -h, --help, --seed and
 # --output, recorded when each subparser was built by hand; --trials is
-# kept only where a run reads it, and blindness lost --key-average.
+# kept only where a run reads it (qas-clifford draws no keys), and
+# blindness lost --key-average.
 _CODE = ["--q", "--d", "--alphas"]
 _CIRCUIT = ["--circuit", "--circuit-json", "--circuit-file", "--inputs",
             "--adversary"]
 SUBCOMMAND_OPTIONS = {
     "lemmas": ["--scope", "--c-vector"],
-    "qas-clifford": ["--trials", "--e"],
+    "qas-clifford": ["--e"],
     "qas-poly": _CODE,
     "scan-signkey": _CODE,
     "qpip-clifford": ["--trials"] + _CIRCUIT + ["--e", "--broken-variant",
@@ -397,6 +397,20 @@ def test_fields_a_subcommand_has_no_flag_for_keep_their_defaults(tmp_path,
         cli.ExperimentConfig(subcommand="zeno-demo", adversary="zeno")
     with pytest.raises(ValueError, match="lemmas takes no trials"):
         cli.ExperimentConfig(subcommand="lemmas", trials=5)
+    with pytest.raises(ValueError, match="qas-clifford takes no trials"):
+        cli.ExperimentConfig(subcommand="qas-clifford", trials=5)
+    # a mode never reads these: the Clifford audits no code, the qudit
+    # ones no auxiliary count
+    for sub, kwargs, message in (
+            ("blindness", {"q": 7}, "blindness in clifford mode takes no q"),
+            ("blindness", {"mode": "poly", "e": 2},
+             "blindness in poly mode takes no e"),
+            ("confidence", {"q": 7},
+             "confidence in clifford mode takes no q"),
+            ("confidence", {"mode": "poly", "e": 2},
+             "confidence in poly mode takes no e")):
+        with pytest.raises(ValueError, match=message):
+            cli.ExperimentConfig(subcommand=sub, **kwargs)
     assert cli.ExperimentConfig(subcommand="qas-poly", key_average="exact") \
         == cli.ExperimentConfig(subcommand="qas-poly")
     path = tmp_path / "qas.json"
@@ -426,7 +440,7 @@ def test_replay_rejects_malformed_envelopes(tmp_path, capsys, corrupt,
 @pytest.mark.parametrize("argv", [
     ["blindness", "--e", "2"],
     ["confidence", "--e", "2"],
-    ["qas-clifford", "--e", "3"],
+    ["blindness", "--q", "7"],
     ["qpip-clifford", "--e", "3"],
     ["scan-signkey", "--q", "7", "--d", "2", "--alphas", "1,2,3,4,5"],
     # the qudit engines cannot honour a misreporting prover
@@ -469,11 +483,23 @@ def test_refused_runs_exit_2_without_a_traceback(tmp_path, capsys,
     ["lemmas", "--jobs", "2"],
     ["blindness", "--key-average", "sampled"],
     ["lemmas", "--trials", "5"],
+    ["qas-clifford", "--trials", "5"],
 ])
 def test_removed_options_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+def test_qas_clifford_runs_and_replays_at_three_auxiliaries(tmp_path):
+    """The worst attack needs no key group, so e = 3 runs and passes."""
+    path = str(tmp_path / "q3.json")
+    assert cli.main(["qas-clifford", "--e", "3", "--output", path]) == 0
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)["payload"]
+    assert payload["verdict"] == "pass"
+    assert payload["estimate"] == round(16 / 255, 12)
+    assert cli.main(["replay", path]) == 0
 
 
 def test_a_sampled_blindness_report_is_refused(tmp_path, capsys):
