@@ -194,11 +194,11 @@ class CliffordElement:
     table lookup), else `conjugation_key(matrix)`, computed on first read.
 
     An enumerated element holds the matrix it was built with.  A sampled
-    three-qubit element holds only its draw (`_symplectic_draw`'s levels
-    and Pauli): `matrix` builds the dense unitary on first read.  The
-    Clifford engine reads it only to seal a block, in a round where the
-    prover acts, so a key drawn for an honest round never costs its 8x8
-    products.
+    three-qubit element holds only its draw (the levels of
+    `_symplectic_draws` and the Pauli's basis index): `matrix` builds the
+    dense unitary on first read.  The Clifford engine reads it only to
+    seal a block, in a round where the prover acts, so a key drawn for an
+    honest round never costs its 8x8 products.
     """
 
     __slots__ = ("n", "_matrix", "_draw", "generator_word", "_key",
@@ -207,7 +207,7 @@ class CliffordElement:
     def __init__(self, n: int, matrix: UnitaryMatrix | None,
                  generator_word: tuple[str, ...] | None,
                  key: tuple | None = None,
-                 draw: tuple[list[list[int]], int] | None = None):
+                 draw: tuple[tuple[tuple[int, ...], ...], int] | None = None):
         self.n = n
         self._matrix = matrix
         self._draw = draw
@@ -410,69 +410,99 @@ def _find_transvections(u: int, w: int, width: int,
 
 # Register of every sampled three-qubit element, built once.
 _THREE_QUBITS = RegisterShape((2, 2, 2))
-# Weight 2^i of bit i, for packing a draw of bits into one int.
-_BIT_WEIGHTS = 1 << np.arange(62, dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
-def _read_plan(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Bit width of each read of `_symplectic_draw` (f1 and h per level,
-    then the Pauli) and the bits of the first candidate of every later
-    read."""
-    widths = tuple(w for w in range(2 * n, 0, -2) for _ in "fh") + (2 * n,)
-    return widths, tuple(sum(widths[i + 1:]) for i in range(len(widths)))
+def _level_table(width: int) -> tuple[tuple[int, ...] | None, ...]:
+    """One level's transvections for each candidate pair (f1, h), at index
+    f1 << width | h, and None where h commutes with f1 (a rejected h).
+
+    They map e1 = x_0 to f1, then e2 = z_0, carried through those, to h
+    while fixing f1.  f1 = 0 is rejected before h is read, so its row is
+    never read.
+    """
+    table = [None] * (1 << 2 * width)
+    for f1 in range(1, 1 << width):
+        tv = _find_transvections(1, f1, width)
+        u = 2
+        for v in tv:
+            if _symp(u, v):
+                u ^= v
+        for h in range(1 << width):
+            if _symp(f1, h):
+                table[f1 << width | h] = tuple(
+                    tv + _find_transvections(u, h, width, fix=f1))
+    return tuple(table)
 
 
-def _symplectic_draw(n: int, rng: np.random.Generator
-                     ) -> tuple[list[list[int]], int]:
-    """Transvections of a uniform symplectic action, one list per level,
-    and the symplectic vector of the uniform Pauli that follows it.
+@lru_cache(maxsize=None)
+def _read_plan(n: int) -> tuple[tuple[tuple[int, int, tuple], ...], int]:
+    """Per level of one key's draw, outermost first: its width, the bits
+    of the first candidate of its h and of every later read of the key,
+    and its table; then the bits of a key's first candidates."""
+    widths = range(2 * n, 0, -2)
+    levels = tuple((w, w * w // 2 + 2 * n, _level_table(w)) for w in widths)
+    return levels, 2 * sum(widths) + 2 * n
+
+
+def _top_up(rng: np.random.Generator, pool: int, left: int, need: int
+            ) -> tuple[int, int]:
+    """A pool of `left` bits, first lowest, grown to `need` bits by one
+    `rng.integers(0, 2, size=need - left)` call."""
+    bits = np.packbits(rng.integers(0, 2, size=need - left),
+                       bitorder="little")
+    return pool | int.from_bytes(bits.tobytes(), "little") << left, need
+
+
+def _symplectic_draws(n: int, count: int, rng: np.random.Generator
+                      ) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
+    """`count` draws of the transvections of a uniform symplectic action,
+    one tuple per level, and the symplectic vector of the uniform Pauli
+    that follows it.
 
     Level n comes first: it picks uniform images (f1, h) for the first
     hyperbolic pair, realizes them by at most four transvections, and
     the next level recurses on the orthogonal complement (the remaining
     qubits).  f1 is redrawn while zero and h while it commutes with f1.
 
-    The bits come from as few `rng.integers(0, 2, size=k)` calls as
-    possible: one call draws the first f1 and h candidate of every level
-    and the 2n Pauli bits, which are all certain to be read, and each
-    candidate reads the next bits of that pool in stream order.  When a
-    redraw runs past the end of the pool, one more call draws the
-    shortfall and again the first candidate of every later read.  So the
-    pool never holds a bit that is not read, and since for PCG64 one
-    `size=a+b` call gives the same bits as `size=a` then `size=b` and
-    leaves the generator in the same state, every draw, and every draw
-    after the key, is that of one call per candidate: about 2.5 calls per
-    three-qubit key where one per candidate makes about 10.4.
+    All `count` keys read one pool of bits in stream order.  When a read
+    runs past its end, one call draws the shortfall and the first
+    candidate of every later read, of this key and of every later one,
+    all certain to be read.  So the pool never holds a bit that is not
+    read, and since for PCG64 one `size=a+b` call gives the same bits as
+    `size=a` then `size=b` and leaves the generator in the same state,
+    every draw, and every draw after the run, is that of one
+    `rng.integers(0, 2, size=width)` call per candidate.
     """
-    widths, later = _read_plan(n)
-    pool, left = 0, 0
-
-    def read(i: int) -> int:
-        nonlocal pool, left
-        w = widths[i]
-        if left < w:
-            k = w - left + later[i]
-            pool |= int(rng.integers(0, 2, size=k) @ _BIT_WEIGHTS[:k]) << left
-            left += k
-        v = pool & ((1 << w) - 1)
-        pool >>= w
-        left -= w
-        return v
-
-    levels = []
-    for level, width in enumerate(range(2 * n, 0, -2)):
-        while not (f1 := read(2 * level)):
-            pass
-        tv = _find_transvections(1, f1, width)  # e1 = x_0 to f1
-        while not _symp(f1, h := read(2 * level + 1)):
-            pass
-        u = 2  # e2 = z_0, carried through the transvections so far
-        for v in tv:
-            if _symp(u, v):
-                u ^= v
-        levels.append(tv + _find_transvections(u, h, width, fix=f1))
-    return levels, read(2 * n)
+    plan, per_key = _read_plan(n)
+    pool = left = 0
+    draws = []
+    # rest: the bits of the first candidates of the keys after this one
+    for rest in range((count - 1) * per_key, -1, -per_key):
+        levels = []
+        for w, after, table in plan:
+            mask = (1 << w) - 1
+            f1 = 0
+            while not f1:
+                if left < w:
+                    pool, left = _top_up(rng, pool, left, w + after + rest)
+                f1 = pool & mask
+                pool >>= w
+                left -= w
+            row, tv = f1 << w, None
+            while tv is None:
+                if left < w:
+                    pool, left = _top_up(rng, pool, left, after + rest)
+                tv = table[row | pool & mask]
+                pool >>= w
+                left -= w
+            levels.append(tv)
+        if left < 2 * n:
+            pool, left = _top_up(rng, pool, left, 2 * n + rest)
+        draws.append((tuple(levels), pool & ((1 << 2 * n) - 1)))
+        pool >>= 2 * n
+        left -= 2 * n
+    return draws
 
 
 @lru_cache(maxsize=None)
@@ -516,32 +546,44 @@ def _inner_levels(levels: tuple[tuple[int, ...], ...]) -> np.ndarray:
     return mat
 
 
-def _symplectic_matrix(levels: list[list[int]]) -> np.ndarray:
+def _symplectic_matrix(levels: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """Dense unitary prod_n @ (I (x) (prod_{n-1} @ (I (x) ...)))."""
-    inner = _inner_levels(tuple(map(tuple, levels[1:])))
-    return _wrap_level(inner, levels[0], len(levels))
+    return _wrap_level(_inner_levels(levels[1:]), levels[0], len(levels))
 
 
-def sample_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
-    """Uniform random Clifford element modulo phase.
+@lru_cache(maxsize=None)
+def _pauli_indices(n: int) -> tuple[int, ...]:
+    """Pauli basis index of each symplectic vector on n qubits."""
+    return tuple(_pauli_index(v, n) for v in range(4 ** n))
 
-    n <= 2 draws from the exact enumeration; n = 3 uses the symplectic
-    transvection construction followed by a uniform Pauli.  Neither the
-    matrix nor the key is built at n = 3: the element keeps its draw, and
-    `matrix` and `key` are computed from it only if read.
 
-    At n <= 2 this is one `rng.integers(len(table))` call; at n = 3 the
-    bits of `_symplectic_draw`, which also draws the Pauli, in about 2.5
-    `rng.integers(0, 2, size=k)` calls that leave the stream exactly as
-    one call per candidate would.
+def sample_cliffords(n: int, count: int, rng: np.random.Generator
+                     ) -> list[CliffordElement]:
+    """`count` uniform random Clifford elements modulo phase: the elements,
+    and the generator state after, of `count` `sample_clifford` calls.
+
+    n <= 2 draws from the exact enumeration, in one
+    `rng.integers(len(table), size=count)` call.  n = 3 uses the
+    symplectic transvection construction followed by a uniform Pauli,
+    from one pool of bits (`_symplectic_draws`).  Neither the matrix nor
+    the key is built at n = 3: the element keeps its draw, and `matrix`
+    and `key` are computed from it only if read.
     """
     if n in (1, 2):
         table = enumerate_clifford(n)
-        return table[int(rng.integers(len(table)))]
+        return [table[i]
+                for i in rng.integers(len(table), size=count).tolist()]
     if n != 3:
         raise ValueError("sampling supports n <= 3")
-    levels, pauli = _symplectic_draw(n, rng)
-    return CliffordElement(n, None, None, draw=(levels, _pauli_index(pauli, n)))
+    index = _pauli_indices(n)
+    return [CliffordElement(n, None, None, draw=(levels, index[pauli]))
+            for levels, pauli in _symplectic_draws(n, count, rng)]
+
+
+def sample_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
+    """One uniform random Clifford element modulo phase: `sample_cliffords`
+    with count 1."""
+    return sample_cliffords(n, 1, rng)[0]
 
 
 # ------------------------------------------------------- group averaging

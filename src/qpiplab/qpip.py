@@ -18,10 +18,6 @@ Pauli frame per block; Clifford rounds act on the logical state while keys
 and frames evolve by exact conjugation rules, which covers honest and
 Pauli-attacking provers at any gadget count.
 
-A prover's Pauli plan is data every engine applies itself; the dense
-engines' one prover turn, `_run_policy`, also hands its policy the raw
-amplitudes.
-
 Verifier keys and attack frames share one type, `pcalg.SymbolicPauli`,
 and one rule table, `pauli_key_update`, which moves either through a
 transversal gate at a cost independent of the block count.
@@ -504,7 +500,7 @@ def scripted_prover(steps: Sequence[tuple[int, qc.UnitaryMatrix,
     """Apply listed unitaries at a round on absolute register wires."""
     table: dict[int, list[tuple[np.ndarray, tuple[int, ...]]]] = {}
     for rnd, u, wires in steps:
-        wires = tuple(int(w) for w in wires)
+        wires = tuple(map(int, wires))
         if not len(set(wires)) == len(wires) == u.shape.num_wires:
             raise ValueError("unitary dimension does not match listed wires")
         table.setdefault(int(rnd), []).append((u.entries, wires))
@@ -656,6 +652,9 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
     under its current key, and each touched sealed block gets K^dag after
     the prover's turn.  So a drawn key's matrix is built only if used.
 
+    Each run of keys is one `pcalg.sample_cliffords` call at its first
+    key; a run ends before a round where the policy runs and before the
+    misreport round (broken_variant draws only the initial run).
     Validation happens once, at entry; the rounds run on the flat
     amplitudes through the raw qcore kernels.
     """
@@ -665,11 +664,8 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
         raise ValueError("input length mismatch")
     if not 0 <= output_wire < circuit.n:
         raise ValueError(f"output wire {output_wire} out of range")
-    n, m_b = circuit.n, 1 + e
+    n, m_b = circuit.n, ca.CliffordQasParams(l=1, e=e).m
     _check_dense_prover(prover, range(1, len(circuit.gates) + 2), n, 2, m_b)
-    params = ca.CliffordQasParams(l=1, e=e)
-
-    keys = [ca.random_clifford_key(params, rng) for _ in range(n)]
     dims, block_wires, env_wires = _dense_register(n, m_b, 2, prover.env_dims)
     digits = [0] * len(dims)
     digits[:n * m_b:m_b] = map(int, input_bits)
@@ -678,6 +674,15 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
     sealed = [False] * n
     acting = None if prover.policy and prover.policy_rounds is None else \
         set(prover.pauli_plan or ()) | set(prover.policy_rounds or ())
+    runs, start = {0: n}, 0  # first round of a run: its keys
+    for i, g in enumerate(circuit.gates, 1):
+        if i == prover.misreport_round or broken_variant:
+            break
+        if prover.policy and (acting is None or i in acting):
+            runs[start := i] = 0
+        runs[start] += len(g.wires)
+    fresh = iter(pa.sample_cliffords(m_b, runs[0], rng))
+    keys = [next(fresh) for _ in range(n)]
 
     transcript = Transcript()
     add = transcript.add
@@ -720,8 +725,10 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
             break
         amps = qc._apply_raw(amps, dims, op, data)
         if not broken_variant:
+            if i in runs:
+                fresh = iter(pa.sample_cliffords(m_b, runs[i], rng))
             for b in touched:
-                keys[b] = ca.random_clifford_key(params, rng)
+                keys[b] = next(fresh)
         add("verifier->prover", "quantum-block", touched)
 
     bit, _ = qc._measure_raw(amps, dims, (block_wires[output_wire][0],), rng)
@@ -743,7 +750,7 @@ def _sample_codeword_string(value: int, k: pc.SignKey,
     vec[1:p.d + 1] = rng.integers(0, p.q, size=p.d)
     w = lmap @ vec % p.q
     raw = (w + pkey.x + frame.x) % p.q
-    return tuple(int(v) for v in raw)
+    return tuple(raw.tolist())
 
 
 def _decode_strings(strings: list[tuple[int, ...]], blocks: Sequence[int],
@@ -810,10 +817,8 @@ def _poly_dense(circuit: CircuitIR, schedule: LogicalSchedule,
                 input_digits: Sequence[int], p: pc.CodeParams,
                 prover: ProverImpl, rng: np.random.Generator,
                 output_wires: tuple[int, ...]) -> VerdictRecord:
-    # Validation happens once, here and in run_poly_qpip: the circuit
-    # compiled, the register fits, and the encoded state carries a checked
-    # shape.  The gates, the prover's turns at rounds 0 and 1, and the
-    # measurements below all run on the flat amplitude array.
+    # Validated once, here and in run_poly_qpip; the gates, the prover's
+    # turns at rounds 0 and 1 and the measurements run on flat amplitudes.
     if schedule.toffoli_count > 0:
         raise ValueError("the dense engine runs Toffoli-free circuits; use "
                          "the logical-frame engine for gadget rounds")
@@ -859,10 +864,8 @@ def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
                  input_digits: Sequence[int], p: pc.CodeParams,
                  prover: ProverImpl, rng: np.random.Generator,
                  output_wires: tuple[int, ...]) -> VerdictRecord:
-    # Validation happens once, here and in run_poly_qpip: the circuit
-    # compiled, the prover speaks Pauli plans, the peak register fits and
-    # the input digits form a basis state.  The register below is a flat
-    # amplitude array over q^len(live), moved by the raw qcore kernels.
+    # Validated once, here and in run_poly_qpip; the register below is a
+    # flat amplitude array over q^len(live), moved by the raw qcore kernels.
     if prover.policy is not None:
         raise ValueError("the logical-frame engine accepts honest provers "
                          "or Pauli plans only")
@@ -880,7 +883,7 @@ def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
     frames = [pa.SymbolicPauli.identity(q, m) for _ in range(blocks)]
 
     amps = qc.basis_state(qc.RegisterShape((q,) * circuit.n),
-                          tuple(int(v) for v in input_digits)).amplitudes
+                          tuple(map(int, input_digits))).amplitudes
     live = list(range(circuit.n))  # block id held at each register wire
 
     invalid_rounds: list[int] = []
@@ -956,14 +959,8 @@ def _poly_frames(circuit: CircuitIR, schedule: LogicalSchedule,
 
 
 def _universal_library(n: int) -> list[tuple[str, tuple[int, ...]]]:
-    lib: list[tuple[str, tuple[int, ...]]] = []
-    for w in range(n):
-        lib.append(("F", (w,)))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                lib.append(("SUM", (i, j)))
-    return lib
+    return [("F", (w,)) for w in range(n)] + \
+        [("SUM", (i, j)) for i in range(n) for j in range(n) if i != j]
 
 
 def _controlled_fourier(q: int) -> qc.UnitaryMatrix:
@@ -1016,7 +1013,5 @@ def universal_description_digits(desc: Sequence[tuple[str, tuple[int, ...]]],
             raise ValueError(f"description step {step!r} is not in the "
                              "gate library")
         idx = lib.index((name, wires))
-        digits.extend(1 if j == idx else 0 for j in range(len(lib)))
-    for _ in range(max_gates - len(desc)):
-        digits.extend(0 for _ in range(len(lib)))
-    return tuple(digits)
+        digits.extend(int(j == idx) for j in range(len(lib)))
+    return tuple(digits) + (0,) * (len(lib) * (max_gates - len(desc)))

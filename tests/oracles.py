@@ -33,9 +33,10 @@ CLI run, audit or engine calls it.
   circuit, or its compiled schedule, on bare wires with no protocol.
 - `conjugate_by_encoding` conjugates a Pauli by E_k in exponent form; the
   library decides correlation from the decoded frame instead.
-- `symplectic_draw_per_candidate` draws the three-qubit Clifford sampler's
+- `symplectic_draw_per_candidate` draws one three-qubit Clifford key's
   transvections with one `rng.integers` call per candidate;
-  `pcalg._symplectic_draw` pools the same bits into about 2.5 calls.
+  `pcalg._symplectic_draws` pools the same bits of a whole run of keys,
+  a few calls per run.
 - `run_clifford_qpip_always_sealed` is the qubit engine that holds every
   block under its key in every round and applies K and K^dag each round;
   `qpip.run_clifford_qpip` seals blocks only in rounds where the prover
@@ -401,12 +402,14 @@ def _bits_to_int(bits: np.ndarray) -> int:
 
 
 def symplectic_draw_per_candidate(n: int, rng: np.random.Generator
-                                  ) -> tuple[list[list[int]], int]:
-    """`pcalg._symplectic_draw` with one `rng.integers` call per candidate.
+                                  ) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """One draw of `pcalg._symplectic_draws` with one `rng.integers` call
+    per candidate.
 
     Each f1 and h candidate is its own `rng.integers(0, 2, size=width)`
     call and the Pauli bits one more, so about 10.4 calls per three-qubit
-    key; the library draws the same bits from a pooled few calls.
+    key; the library draws the same bits for a whole run of keys from one
+    pool, topped up by a few calls.
     """
     levels = []
     for width in range(2 * n, 0, -2):
@@ -423,8 +426,9 @@ def symplectic_draw_per_candidate(n: int, rng: np.random.Generator
         for v in tv:
             if pa._symp(u, v):
                 u ^= v
-        levels.append(tv + pa._find_transvections(u, h, width, fix=f1))
-    return levels, _bits_to_int(rng.integers(0, 2, size=2 * n))
+        levels.append(tuple(tv + pa._find_transvections(u, h, width,
+                                                        fix=f1)))
+    return tuple(levels), _bits_to_int(rng.integers(0, 2, size=2 * n))
 
 
 # ------------------------------------------------- qubit protocol engine

@@ -9,6 +9,7 @@ from scipy import stats
 from qpiplab import audit
 from qpiplab import pcalg as pa
 from qpiplab import qcore as qc
+from qpiplab import qpip
 
 import oracles
 
@@ -203,8 +204,10 @@ def test_sample_deterministic():
     a = pa.sample_clifford(2, qc.make_rng(7)).key
     b = pa.sample_clifford(2, qc.make_rng(7)).key
     assert a == b
+    rng = qc.make_rng(0)
     with pytest.raises(ValueError):
-        pa.sample_clifford(4, qc.make_rng(0))
+        pa.sample_clifford(4, rng)
+    assert rng.random() == qc.make_rng(0).random()  # refused before a draw
 
 
 def test_symplectic_construction_uniform_n1():
@@ -214,8 +217,7 @@ def test_symplectic_construction_uniform_n1():
     pos = {e.key: i for i, e in enumerate(table)}
     counts = np.zeros(24)
     n_samples = 24 * 150
-    for _ in range(n_samples):
-        levels, xz = pa._symplectic_draw(1, rng)
+    for levels, xz in pa._symplectic_draws(1, n_samples, rng):
         u = pa._symplectic_matrix(levels)
         m = u @ pa.pauli_matrix_1(2, xz & 1, xz >> 1)
         counts[pos[pa.conjugation_key(m, 1)]] += 1
@@ -227,8 +229,7 @@ def test_symplectic_construction_uniform_n1():
 def test_symplectic_construction_lands_in_c2():
     rng = qc.make_rng(104)
     keys = {e.key for e in pa.enumerate_clifford(2)}
-    for _ in range(300):
-        levels, bits = pa._symplectic_draw(2, rng)
+    for levels, bits in pa._symplectic_draws(2, 300, rng):
         u = pa._symplectic_matrix(levels)
         xz = [(bits >> i) & 1 for i in range(4)]
         m = u @ pa.pauli_matrix(pa.SymbolicPauli(2, xz[0::2], xz[1::2])).entries
@@ -350,8 +351,7 @@ def test_three_qubit_sampler_matches_dense_oracle(seed):
 @pytest.mark.parametrize("n", [1, 2])
 def test_symplectic_construction_matches_dense_oracle(n):
     rng, ref_rng = qc.make_rng(107), qc.make_rng(107)
-    for _ in range(50):
-        levels, _pauli = pa._symplectic_draw(n, rng)
+    for levels, _pauli in pa._symplectic_draws(n, 50, rng):
         u = pa._symplectic_matrix(levels)
         assert np.abs(u - _oracle_symplectic(n, ref_rng)).max() < 1e-12
         ref_rng.integers(0, 2, size=2 * n)  # the Pauli bits
@@ -359,33 +359,49 @@ def test_symplectic_construction_matches_dense_oracle(n):
 
 # ------------------------------------- pooled draws vs one call per candidate
 
-def _keys_then_next_draws(n_keys, seed):
-    """n_keys three-qubit matrices with a `random()` between keys, then
-    the next `random()` and `integers` draws."""
-    rng, mats = qc.make_rng(seed), []
-    for _ in range(n_keys):
-        mats.append(pa.sample_clifford(3, rng).matrix.entries)
-        rng.random()
-    return mats, rng.random(), rng.integers(2 ** 62)
+def _next_draws(rng):
+    """The next `random()` and the next 32-bit draws: a generator that drew
+    one bit fewer can still agree on the first."""
+    return rng.random(), rng.integers(0, 2, size=8).tolist()
 
 
-def test_pooled_draw_matches_one_call_per_candidate(monkeypatch):
-    ours = [_keys_then_next_draws(10, seed) for seed in range(300)]
-    monkeypatch.setattr(pa, "_symplectic_draw",
-                        oracles.symplectic_draw_per_candidate)
-    for seed, (mats, *after) in enumerate(ours):
-        ref, *ref_after = _keys_then_next_draws(10, seed)
-        assert all(np.array_equal(a, b) for a, b in zip(mats, ref))
-        assert after == ref_after
+def test_pooled_draw_matches_one_call_per_candidate():
+    """Runs of 0..20 symplectic draws, a `random()` after each run, against
+    one call per candidate."""
+    for n in (1, 2, 3):
+        rng, ref_rng = qc.make_rng(n), qc.make_rng(n)
+        for count in range(21):
+            draws = pa._symplectic_draws(n, count, rng)
+            assert draws == [oracles.symplectic_draw_per_candidate(n, ref_rng)
+                             for _ in range(count)]
+            assert rng.random() == ref_rng.random()
+        assert _next_draws(rng) == _next_draws(ref_rng)
 
 
-@pytest.mark.parametrize("n", [1, 2])
+def _per_key_draw(n, rng):
+    """One key's (levels, Pauli index), or its tableau at n <= 2, drawn on
+    its own: one table index, or one call per candidate."""
+    if n < 3:
+        table = pa.enumerate_clifford(n)
+        return table[int(rng.integers(len(table)))].key
+    levels, pauli = oracles.symplectic_draw_per_candidate(n, rng)
+    return levels, pa._pauli_index(pauli, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_pooled_draw_levels_match_per_candidate(n):
-    rng, ref_rng = qc.make_rng(108), qc.make_rng(108)
-    for _ in range(200):
-        assert pa._symplectic_draw(n, rng) == \
-            oracles.symplectic_draw_per_candidate(n, ref_rng)
-    assert rng.random() == ref_rng.random()
+    for count in range(21):
+        for seed in range(10):
+            rng, ref_rng = qc.make_rng(seed), qc.make_rng(seed)
+            keys = pa.sample_cliffords(n, count, rng)
+            assert [k._draw if n == 3 else k.key for k in keys] == \
+                [_per_key_draw(n, ref_rng) for _ in range(count)]
+            assert _next_draws(rng) == _next_draws(ref_rng)
+    rng = qc.make_rng(0)
+    assert pa.sample_cliffords(n, 0, rng) == []
+    with pytest.raises(ValueError):
+        pa.sample_cliffords(4, 3, rng)
+    assert _next_draws(rng) == _next_draws(qc.make_rng(0))  # nothing drawn
 
 
 # ---------------------------------------------- lazily built three-qubit keys
@@ -393,7 +409,7 @@ def test_pooled_draw_levels_match_per_candidate(n):
 def _eager_sample_three_qubits(rng):
     """A three-qubit key's matrix built at once from its draw, as
     `sample_clifford` did before the element kept only the draw."""
-    levels, pauli = pa._symplectic_draw(3, rng)
+    (levels, pauli), = pa._symplectic_draws(3, 1, rng)
     return pa._symplectic_matrix(levels) @ \
         pa.qubit_pauli_basis(3)[pa._pauli_index(pauli, 3)]
 
@@ -433,6 +449,9 @@ class _CountingRng:
         self.calls += 1
         return self.rng.integers(*args, **kwargs)
 
+    def __getattr__(self, name):  # every other draw passes through uncounted
+        return getattr(self.rng, name)
+
 
 def test_three_qubit_key_draws_in_under_three_calls():
     # one call per candidate makes about 10.4 per key
@@ -440,6 +459,20 @@ def test_three_qubit_key_draws_in_under_three_calls():
     for _ in range(2000):
         pa.sample_clifford(3, rng)
     assert rng.calls / 2000 < 3
+
+
+def test_honest_three_qubit_trial_draws_its_keys_in_few_calls():
+    # each run of keys is one pooled draw: an honest clifford-demo trial
+    # at e = 2 draws its 16 keys in one run, about 40 calls if drawn key
+    # by key
+    calls = 0
+    for seed in range(200):
+        rng = _CountingRng(qc.make_rng(seed))
+        rec = qpip.run_clifford_qpip(audit.clifford_demo_circuit(), (1, 0), 2,
+                                     qpip.honest_prover(), rng)
+        assert rec.verdict == "accept"
+        calls += rng.calls
+    assert calls / 200 <= 8
 
 
 # --------------------------------------------------------------- averaging

@@ -486,9 +486,11 @@ def test_haar_unitary_is_scipys_draw_bit_for_bit(dim):
 
 
 def test_bit_draws_do_not_depend_on_their_split_into_calls():
-    # pcalg._symplectic_draw relies on this: it pools the bits of several
-    # candidates into one call and still leaves every draw where one call
-    # per candidate would (each bit is the top bit of one 32-bit output)
+    # pcalg._symplectic_draws relies on this: it pools the bits of every
+    # candidate of a run of keys into a few calls and still leaves every
+    # draw where one call per candidate would (each bit is the top bit of
+    # one 32-bit output).  A generator one bit behind can still agree on
+    # the next `random()`, so a following 32-bit draw is compared too.
     splits = np.random.default_rng(2024)
     for seed in range(500):
         a, b = (int(k) for k in splits.integers(1, 40, size=2))
@@ -498,3 +500,5 @@ def test_bit_draws_do_not_depend_on_their_split_into_calls():
                                 parts.integers(0, 2, size=b)])
         assert np.array_equal(bits, split)
         assert whole.random() == parts.random()
+        assert np.array_equal(whole.integers(0, 2, size=8),
+                              parts.integers(0, 2, size=8))
