@@ -119,11 +119,9 @@ class CircuitIR:
             if not (isinstance(g.op, pa.GateTag)
                     and g.op.name in ("H", "K", "CNOT")):
                 raise ValueError("qubit mode takes H/K/CNOT tags or matrices")
-        else:
-            tag_ok = (isinstance(g.op, pc.LogicalGateTag)
-                      or (isinstance(g.op, pa.GateTag) and g.op.name == "T"))
-            if not tag_ok:
-                raise ValueError("qudit mode takes logical tags or T")
+        elif not (isinstance(g.op, pc.LogicalGateTag)
+                  or (isinstance(g.op, pa.GateTag) and g.op.name == "T")):
+            raise ValueError("qudit mode takes logical tags or T")
 
     @property
     def mode(self) -> str:
@@ -131,8 +129,8 @@ class CircuitIR:
 
     @property
     def toffoli_count(self) -> int:
-        return sum(1 for g in self.gates
-                   if isinstance(g.op, pa.GateTag) and g.op.name == "T")
+        return sum(isinstance(g.op, pa.GateTag) and g.op.name == "T"
+                   for g in self.gates)
 
     @cached_property
     def _qubit_rounds(self) -> dict:
@@ -291,9 +289,8 @@ def magic_state(q: int) -> qc.StateVector:
     """
     shape = qc.RegisterShape((q, q, q))
     amps = np.zeros(q ** 3, dtype=np.complex128)
-    for a in range(q):
-        for b in range(q):
-            amps[shape.digits_to_index((a, b, a * b % q))] = 1.0
+    for a, b in product(range(q), repeat=2):
+        amps[shape.digits_to_index((a, b, a * b % q))] = 1.0
     state = qc.StateVector(shape, amps / q)
     state.amplitudes.setflags(write=False)
     return state
@@ -568,10 +565,8 @@ def _check_pauli_plan(prover: ProverImpl, rounds: range, blocks: int,
     a plan that would hit another block (negative ids index from the end)
     or fail."""
     plan = prover.pauli_plan or {}
-    misreport = () if prover.misreport_round is None else \
-        (prover.misreport_round,)
-    for r in chain(plan, prover.policy_rounds or (), misreport):
-        if r not in rounds:
+    for r in (*plan, *(prover.policy_rounds or ()), prover.misreport_round):
+        if r is not None and r not in rounds:
             raise ValueError(f"prover round {r} is never run: this run "
                              f"has rounds {rounds.start}..{rounds.stop - 1}")
     for steps in plan.values():
@@ -654,7 +649,10 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
 
     Each run of keys is one `pcalg.sample_cliffords` call at its first
     key; a run ends before a round where the policy runs and before the
-    misreport round (broken_variant draws only the initial run).
+    misreport round (broken_variant draws only the initial run).  Only a
+    block sealed since its last check is measured: any other holds |0^e>
+    on its auxiliaries exactly, so its check passes, yet still takes the
+    kernel's one uniform, as the goldens pin every later draw.
     Validation happens once, at entry; the rounds run on the flat
     amplitudes through the raw qcore kernels.
     """
@@ -671,7 +669,7 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
     digits[:n * m_b:m_b] = map(int, input_bits)
     amps = qc.basis_state(qc.RegisterShape(dims), digits).amplitudes
     aux_wires = tuple(ws[1:] for ws in block_wires)
-    sealed = [False] * n
+    sealed, exposed = [False] * n, [False] * n
     acting = None if prover.policy and prover.policy_rounds is None else \
         set(prover.pauli_plan or ()) | set(prover.policy_rounds or ())
     runs, start = {0: n}, 0  # first round of a run: its keys
@@ -706,7 +704,7 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
                 if not sealed[b]:
                     amps = qc._apply_raw(amps, dims, keys[b].matrix.entries,
                                          block_wires[b])
-                    sealed[b] = True
+                    sealed[b] = exposed[b] = True
             amps = _run_policy(prover, amps, dims, i, block_wires, env_wires,
                                rng)
         add("prover->verifier", "quantum-block", touched)
@@ -717,6 +715,10 @@ def run_clifford_qpip(circuit: CircuitIR, input_bits: Sequence[int], e: int,
                 sealed[b] = False
         if broken_variant or op is None:
             for b in touched:
+                if not exposed[b]:
+                    rng.random()
+                    continue
+                exposed[b] = False
                 outcome, amps = qc._measure_raw(amps, dims, aux_wires[b], rng)
                 if any(outcome):
                     add("verifier->prover", "verdict", "reject")
@@ -986,18 +988,9 @@ def build_universal_circuit(desc: Sequence[tuple[str, tuple[int, ...]]],
     universal_description_digits(desc, n, max_gates)  # validate
     lib = _universal_library(n)
     cf = _controlled_fourier(wire_dim)
-    gates: list[CircuitGate] = []
-    ctrl = n
-    for _ in range(max_gates):
-        for name, wires in lib:
-            if name == "F":
-                gates.append(CircuitGate(cf, (ctrl, wires[0])))
-            else:
-                gates.append(CircuitGate(pa.GateTag("T"),
-                                         (ctrl, wires[0], wires[1])))
-            ctrl += 1
-    return CircuitIR(n=n + max_gates * len(lib), wire_dim=wire_dim,
-                     gates=tuple(gates), gamma=0.0)
+    gates = [CircuitGate(cf if name == "F" else pa.GateTag("T"), (c, *ws))
+             for c, (name, ws) in enumerate(lib * max_gates, n)]
+    return CircuitIR(n + max_gates * len(lib), wire_dim, tuple(gates))
 
 
 def universal_description_digits(desc: Sequence[tuple[str, tuple[int, ...]]],

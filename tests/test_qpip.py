@@ -655,11 +655,24 @@ def _coupling_prover(kind, seed, e, n, rounds):
         return qpip.scripted_prover([], misreport_round=rnd)
     if kind == "zeno":
         return qpip.zeno_prover(e=e, n_per=2)
+    if kind == "two-rounds":
+        # acts again at least two rounds later: with broken_variant a
+        # block is exposed, checked clean in between, then exposed again
+        first = 1 + int(draw.integers(rounds - 2))
+        again = first + 2 + int(draw.integers(rounds - first - 1))
+        steps = []
+        for r in (first, again):
+            wires = tuple(draw.choice(n * (1 + e), size=2, replace=False))
+            u = qc.UnitaryMatrix(qc.RegisterShape((2, 2)),
+                                 qc.haar_unitary(4, draw), check_unitary=False)
+            steps.append((r, u, wires))
+        return qpip.scripted_prover(steps)
     return qpip.random_unitary_prover(env_dims=(2,))
 
 
 @pytest.mark.parametrize("kind", ["honest", "fixed-pauli", "scripted",
-                                  "misreport", "zeno", "random-unitary"])
+                                  "misreport", "zeno", "random-unitary",
+                                  "two-rounds"])
 def test_sealing_only_where_the_prover_acts_matches_always_sealed(kind):
     """At equal seeds the engine and the always-sealed oracle give the same
     record and leave the generator in the same state."""
@@ -684,6 +697,34 @@ def test_sealing_only_where_the_prover_acts_matches_always_sealed(kind):
             verdicts.add(rec.verdict)
     if kind not in ("honest", "misreport"):
         assert len(verdicts) > 1  # the attack is caught in some trials only
+
+
+def test_checks_measure_only_blocks_the_prover_could_disturb(monkeypatch):
+    """A block not sealed since its last check has its auxiliaries in
+    |0^e> exactly: its check draws the kernel's uniform but measures
+    nothing.  Only the output readout is left of an honest trial."""
+    measured, real = [], qc._measure_raw
+    monkeypatch.setattr(qc, "_measure_raw", lambda amps, dims, wires, rng:
+                        measured.append(wires) or real(amps, dims, wires, rng))
+    zeno, demo = audit.zeno_demo_circuit(2, 5), audit.clifford_demo_circuit()
+    for circ, inputs, broken in [(zeno, (0,), True), (demo, (1, 0), False),
+                                 (demo, (1, 0), True)]:
+        measured.clear()
+        rec = qpip.run_clifford_qpip(circ, inputs, 2, qpip.honest_prover(),
+                                     qc.make_rng(16), broken_variant=broken)
+        assert rec.verdict == "accept" and measured == [(0,)]
+    # a prover acting only in round 4 (a CNOT on both blocks) of the
+    # reused-key run: rounds 1-3 measure nothing, round 4 checks each
+    # touched block, and later checks of those blocks are certain again
+    seen = []
+    prover = qpip.ProverImpl(
+        "round-4", policy=lambda amps, ctx: seen.append(len(measured)) or amps,
+        policy_rounds=frozenset({4}))
+    measured.clear()
+    rec = qpip.run_clifford_qpip(demo, (1, 0), 2, prover, qc.make_rng(16),
+                                 broken_variant=True)
+    assert rec.verdict == "accept" and seen == [0]
+    assert measured == [(1, 2), (4, 5), (0,)]
 
 
 # ------------------------------------------------- qudit protocol engine
